@@ -1,8 +1,9 @@
 """Run the spatial and temporal error-scaling sweeps.
 
 The spatial sweep varies the grid resolution at a fixed step count; the
-temporal sweep varies the step count at a fixed grid. Set WZ_THREADS to
-run sweep points in parallel.
+temporal sweep varies the step count at a fixed grid. Sweep points run
+one after another; WZ_THREADS sets the FFT threads of the spectral
+method.
 """
 
 import argparse

@@ -66,7 +66,9 @@ class EvolutionPlan:
 
 @dataclass
 class PreparedOperators:
-    """Phases and per-register kinetic plans precomputed for one eps."""
+    """Potential phase and per-register kinetic plans precomputed for one
+    eps. Only the phase the splitting uses is built: phase_full for
+    first-order, phase_half for Strang; the other stays None."""
 
     phase_full: np.ndarray | None
     phase_half: np.ndarray | None
@@ -87,8 +89,9 @@ def prepare_operators(
     diag = composite_potential(grid, particles, potential_terms, v_wall=plan.v_wall)
     eps = plan.eps
     phase_full = phase_half = None
-    if diag is not None:
+    if diag is not None and plan.splitting == "first-order":
         phase_full = np.exp(-1j * eps * diag.energies)
+    elif diag is not None:
         phase_half = np.exp(-1j * (eps / 2.0) * diag.energies)
 
     kinetic: list[tuple[int, int, KineticTrotterPlan | SpectralKineticPlan]] = []

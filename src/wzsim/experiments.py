@@ -10,8 +10,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -173,23 +171,6 @@ def particles_from_config(cfg: RunConfig) -> tuple[ParticleSpec, ...]:
     if not out:
         raise ValidationError("config defines no particles")
     return tuple(out)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("WZ_THREADS", "1").strip() or "1"
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"WZ_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, workers)
-
-
-def _parallel_map(fn, items):
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt(value) -> str:
@@ -382,7 +363,7 @@ def run_convergence(cfg: RunConfig, out_dir, axis: str | None = None) -> dict:
             )
             return {"x": r["grid"].delta, "rmse": r["rmse"], "yb": r["yb_error"]}
 
-        points = _parallel_map(point, ns)
+        points = [point(n) for n in ns]
         csv_name, x_name = "spatial.csv", "delta"
     else:
         step_list = [int(s) for s in cfg.sweep_steps]
@@ -402,7 +383,7 @@ def run_convergence(cfg: RunConfig, out_dir, axis: str | None = None) -> dict:
             )
             return {"x": cfg.total_time / steps, "rmse": r["rmse"], "yb": r["yb_error"]}
 
-        points = _parallel_map(point, step_list)
+        points = [point(steps) for steps in step_list]
         csv_name, x_name = "temporal.csv", "eps"
 
     rows = [(p["x"], p["rmse"], p["yb"]) for p in points]

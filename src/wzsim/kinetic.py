@@ -5,11 +5,16 @@ Two interchangeable single-axis methods are provided:
 * a finite-difference route: the antisymmetrized central-difference
   momentum matrix P is squared analytically into overlapping three-level
   blocks, and exp(-i eps P^2 / 2M hbar) is approximated by the ordered
-  product of the exact block exponentials;
+  product of the exact block exponentials. The product is never formed:
+  it reduces to two first-order linear recurrences with a constant pole,
+  one per cell parity, which a log-depth prefix scan evaluates in O(D)
+  numpy passes per register;
 * a spectral route: conjugation by the discrete Fourier transform, under
   which P is asymptotically diagonal with eigenvalues
   -(hbar/delta) sin(2 pi k / D), so the kinetic phase is applied exactly
-  in momentum space.
+  in momentum space. The transforms run in scipy.fft with WZ_THREADS
+  workers; scipy is imported on first use, so runs that never take this
+  route do not load it.
 
 Both act on one register (one particle, one axis) at a time; registers
 are disjoint, so axis application order is irrelevant.
@@ -17,16 +22,14 @@ are disjoint, so axis application order is irrelevant.
 
 from __future__ import annotations
 
+import cmath
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .grid import HBAR, StateVector
-
-# Dense composed factor matrices are cached per plan up to this register
-# size; beyond it the block product is applied by sweeping slices.
-DENSE_FACTOR_LIMIT = 2048
 
 # fourier_conjugation_diagnostic builds O(D^2) dense intermediates.
 MAX_DIAGNOSTIC_DIM = 4096
@@ -93,13 +96,13 @@ class KineticTrotterPlan:
         E_0 * B_1 * B_2 * ... * B_{D-2} * E_{D-1}
     where E_j is the endpoint phase exp(-xi |j><j|) and B_i the coupling
     block at cells (i-1, i, i+1). Applied to a state, the rightmost factor
-    acts first. matrix is the dense product when D <= DENSE_FACTOR_LIMIT,
-    else None and the sweep path is used.
+    acts first. The plan holds only D and xi: apply_trotter_plan evaluates
+    the product as a prefix scan, and trotter_factor_matrix builds the
+    dense matrix for reference.
     """
 
     dim: int
     xi: complex
-    matrix: np.ndarray | None
 
     @property
     def endpoint_phase(self) -> complex:
@@ -130,24 +133,66 @@ def _sweep_trotter(block_axis: np.ndarray, xi: complex) -> np.ndarray:
 
 
 def trotter_factor_matrix(D: int, xi: complex) -> np.ndarray:
-    """Dense matrix of the composed block product for one register."""
+    """Dense matrix of the composed block product for one register, built
+    by sweeping the blocks one at a time. A reference for _trotter_scan."""
     _check_register_size(D)
     return _sweep_trotter(np.eye(D, dtype=np.complex128), xi)
 
 
+def _trotter_scan(o: np.ndarray, xi: complex) -> np.ndarray:
+    """Apply the ordered block product along axis 0 of a (D, ...) array.
+
+    Sweeping the blocks from the top, block i leaves its low cell holding
+        c_i = cosh(xi) o[i-1] + p c_{i+2},   p = sinh(xi) exp(-2 xi),
+    seeded by c_{D-1} = o[D-2] and c_D = exp(xi) o[D-1], and finalizes
+    cell i+1. With v[j] = c_{D-j} both parity chains become one recurrence
+    v[j] = u[j] + p v[j-2], evaluated as a Hillis-Steele scan: log2(D/2)
+    passes of v[s:] += p^(s/2) v[:-s]. |p| = |sin(Im xi)| <= 1 for
+    imaginary xi, and every partial sum is a partial product applied to a
+    truncated input, so nothing grows. Then
+        out[0] = exp(-xi) c_1,  out[1] = exp(-2 xi) c_2,
+        out[j] = sinh(xi) o[j-2] + cosh(xi) exp(-2 xi) c_{j+1}.
+    """
+    D = o.shape[0]
+    ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
+    v = o[::-1] * ch
+    v[0] = cmath.exp(xi) * o[D - 1]
+    v[1] = o[D - 2]
+    s, ps = 2, sh * mid
+    while s < D:
+        v[s:] += ps * v[:-s]
+        s, ps = 2 * s, ps * ps
+    c = v[::-1]  # c[m] = c_{m+1}
+    out = c * (ch * mid)
+    out[2:] += sh * o[:-2]
+    out[0] = cmath.exp(-xi) * c[0]
+    out[1] = mid * c[1]
+    return out
+
+
 def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticTrotterPlan:
     _check_register_size(D)
-    xi = trotter_xi(delta, mass, eps)
-    matrix = trotter_factor_matrix(D, xi) if D <= DENSE_FACTOR_LIMIT else None
-    return KineticTrotterPlan(dim=D, xi=xi, matrix=matrix)
+    return KineticTrotterPlan(dim=D, xi=trotter_xi(delta, mass, eps))
+
+
+def _worker_count() -> int:
+    """FFT worker threads from WZ_THREADS; unset, empty or < 1 means 1."""
+    raw = os.environ.get("WZ_THREADS", "1").strip() or "1"
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"WZ_THREADS must be an integer, got {raw!r}") from exc
+    return max(1, workers)
 
 
 @dataclass
 class SpectralKineticPlan:
-    """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar)."""
+    """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar),
+    and the number of threads the transforms run on."""
 
     dim: int
     phase_table: np.ndarray
+    workers: int
 
 
 def momentum_eigenvalue(k: int, D: int, delta: float) -> float:
@@ -165,7 +210,7 @@ def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> Spectra
     k = np.arange(D)
     p = -(HBAR / delta) * np.sin(2.0 * np.pi * k / D)
     table = np.exp(-1j * eps * p * p / (2.0 * mass * HBAR))
-    return SpectralKineticPlan(dim=D, phase_table=table)
+    return SpectralKineticPlan(dim=D, phase_table=table, workers=_worker_count())
 
 
 def qft(values: np.ndarray) -> np.ndarray:
@@ -181,42 +226,28 @@ def iqft(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(values, norm="ortho")
 
 
-def _apply_register_matrix(
-    amps: np.ndarray, registers: int, reg: int, matrix: np.ndarray
-) -> np.ndarray:
-    D = matrix.shape[0]
-    t = amps.reshape((D,) * registers)
-    t = np.tensordot(matrix, t, axes=(1, reg))
-    return np.moveaxis(t, 0, reg).reshape(-1)
-
-
 def apply_trotter_plan(
     state: StateVector, particle: int, axis: int, plan: KineticTrotterPlan
 ) -> StateVector:
-    codec = state.codec
     reg = particle * state.grid.d + axis
-    if plan.matrix is not None:
-        new = _apply_register_matrix(state.amplitudes, codec.registers, reg, plan.matrix)
-    else:
-        t = state.amplitudes.reshape((plan.dim,) * codec.registers)
-        t = np.moveaxis(t, reg, 0)
-        t = _sweep_trotter(t, plan.xi)
-        new = np.moveaxis(t, 0, reg).reshape(-1)
-    return state.with_amplitudes(new)
+    t = state.amplitudes.reshape((plan.dim,) * (len(state.particles) * state.grid.d))
+    t = _trotter_scan(t.swapaxes(0, reg), plan.xi)
+    return state.with_amplitudes(t.swapaxes(0, reg).reshape(-1))
 
 
 def apply_spectral_plan(
     state: StateVector, particle: int, axis: int, plan: SpectralKineticPlan
 ) -> StateVector:
-    codec = state.codec
+    from scipy import fft
+
+    registers = len(state.particles) * state.grid.d
     reg = particle * state.grid.d + axis
-    D = plan.dim
-    t = state.amplitudes.reshape((D,) * codec.registers)
-    t = np.fft.ifft(t, axis=reg, norm="ortho")
-    shape = [1] * codec.registers
-    shape[reg] = D
-    t = t * plan.phase_table.reshape(shape)
-    t = np.fft.fft(t, axis=reg, norm="ortho")
+    t = state.amplitudes.reshape((plan.dim,) * registers)
+    t = fft.ifft(t, axis=reg, norm="ortho", workers=plan.workers)
+    shape = [1] * registers
+    shape[reg] = plan.dim
+    t *= plan.phase_table.reshape(shape)
+    t = fft.fft(t, axis=reg, norm="ortho", overwrite_x=True, workers=plan.workers)
     return state.with_amplitudes(t.reshape(-1))
 
 

@@ -86,23 +86,23 @@ def _pair_in_term(p: ParticleSpec, q: ParticleSpec, term: str) -> bool:
     raise ValidationError(f"unknown Coulomb term {term!r}")
 
 
-def _quantum_positions(grid: GridSpec, codec: IndexCodec) -> np.ndarray:
-    """Positions of every quantum particle in every joint basis state,
-    shaped (dim, N_q, d)."""
-    idx = np.arange(codec.dim, dtype=np.int64)
-    pos = np.empty((codec.dim, codec.n_particles, grid.d), dtype=float)
-    for p in range(codec.n_particles):
-        for a in range(grid.d):
-            pos[:, p, a] = grid.delta * (codec.register_cells(idx, p, a) + 0.5)
-    return pos
+def _register_coordinates(grid: GridSpec, registers: int) -> list[np.ndarray]:
+    """Cell-center coordinate of every register, as views that broadcast
+    against a (D,)*registers array: entry r varies along axis r only."""
+    x = grid.delta * (np.arange(grid.cells_per_axis, dtype=float) + 0.5)
+    return [x.reshape((-1,) + (1,) * (registers - 1 - r)) for r in range(registers)]
 
 
-def _regularized_inverse(dist: np.ndarray, delta: float) -> np.ndarray:
-    out = np.empty_like(dist)
+def _inverse_distance(squares: Sequence[np.ndarray], delta: float) -> np.ndarray:
+    """1 / sqrt(sum of squared axis displacements), with a vanishing
+    distance regularized to one cell width."""
+    dist = sum(squares[1:], squares[0])
+    np.sqrt(dist, out=dist)
     same = dist == 0.0
-    out[same] = 1.0 / delta
-    out[~same] = 1.0 / dist[~same]
-    return out
+    with np.errstate(divide="ignore"):
+        inv = np.divide(1.0, dist, out=dist)
+    inv[same] = 1.0 / delta
+    return inv
 
 
 def build_coulomb_diagonal(
@@ -110,15 +110,18 @@ def build_coulomb_diagonal(
 ) -> DiagonalOperator:
     """Sum of pair Coulomb energies for the selected term over the joint
     basis of the quantum particles. Clamped particles contribute through
-    their fixed positions; a clamped-clamped pair adds a constant."""
+    their fixed positions; a clamped-clamped pair adds a constant.
+
+    Each pair's energies are built by broadcasting register coordinates,
+    so they span only the registers of that pair before being added in."""
     if term not in COULOMB_TERMS:
         raise ValidationError(f"term must be one of {COULOMB_TERMS}, got {term!r}")
     particles = tuple(particles)
     quantum = quantum_particles(particles)
     if not quantum:
         raise ValidationError("need at least one quantum particle")
-    codec = IndexCodec(n=grid.n, d=grid.d, n_particles=len(quantum))
-    pos = _quantum_positions(grid, codec)
+    d = grid.d
+    coords = _register_coordinates(grid, len(quantum) * d)
     q_slot = {}
     slot = 0
     for i, p in enumerate(particles):
@@ -126,7 +129,7 @@ def build_coulomb_diagonal(
             q_slot[i] = slot
             slot += 1
 
-    energies = np.zeros(codec.dim, dtype=float)
+    energies = np.zeros((grid.cells_per_axis,) * len(coords), dtype=float)
     delta = grid.delta
     for i in range(len(particles)):
         for j in range(i + 1, len(particles)):
@@ -137,21 +140,23 @@ def build_coulomb_diagonal(
             if qq == 0.0:
                 continue
             if pi.is_quantum and pj.is_quantum:
-                disp = pos[:, q_slot[i], :] - pos[:, q_slot[j], :]
-                dist = np.linalg.norm(disp, axis=1)
-                energies += E_PRIME * qq * _regularized_inverse(dist, delta)
+                a, b = q_slot[i] * d, q_slot[j] * d
+                disp = [coords[a + k] - coords[b + k] for k in range(d)]
             elif pi.is_quantum or pj.is_quantum:
                 qp = i if pi.is_quantum else j
                 cp = j if pi.is_quantum else i
                 fixed = clamped_position(grid, particles[cp])
-                disp = pos[:, q_slot[qp], :] - fixed[None, :]
-                dist = np.linalg.norm(disp, axis=1)
-                energies += E_PRIME * qq * _regularized_inverse(dist, delta)
+                a = q_slot[qp] * d
+                disp = [coords[a + k] - fixed[k] for k in range(d)]
             else:
                 energies += pair_energy(
                     clamped_position(grid, pi), clamped_position(grid, pj), qq, delta
                 )
-    return DiagonalOperator(energies=energies, label=term)
+                continue
+            inv = _inverse_distance([x * x for x in disp], delta)
+            inv *= E_PRIME * qq
+            energies += inv
+    return DiagonalOperator(energies=energies.reshape(-1), label=term)
 
 
 def wall_potential(grid: GridSpec, v_wall: float) -> DiagonalOperator:
@@ -193,15 +198,21 @@ def composite_potential(
     quantum = quantum_particles(particles)
     if not quantum:
         raise ValidationError("need at least one quantum particle")
-    pieces = []
-    for term in ("U_ee", "U_en", "U_nn"):
-        if term in terms:
-            pieces.append(build_coulomb_diagonal(grid, particles, term.split("_")[1]).energies)
-    if "wall" in terms:
-        pieces.append(lift_single_particle(wall_potential(grid, v_wall), len(quantum)).energies)
-    if not pieces:
+    total = None
+    for term in ("U_ee", "U_en", "U_nn", "wall"):
+        if term not in terms:
+            continue
+        if term == "wall":
+            piece = lift_single_particle(wall_potential(grid, v_wall), len(quantum)).energies
+        else:
+            piece = build_coulomb_diagonal(grid, particles, term.split("_")[1]).energies
+        if total is None:
+            total = piece
+        else:
+            total += piece
+    if total is None:
         return None
-    return DiagonalOperator(energies=np.sum(pieces, axis=0), label="+".join(sorted(terms)))
+    return DiagonalOperator(energies=total, label="+".join(sorted(terms)))
 
 
 def apply_diagonal_phase(state: StateVector, diag: DiagonalOperator, eps: float) -> StateVector:

@@ -64,12 +64,18 @@ class TestPreparedOperators:
         assert len(ops.kinetic) == 1
 
     def test_phases_match_composite_diagonal(self):
+        # Only the phase the splitting applies is stored.
         grid = build_grid(1.0, 3, 1)
         roster = (electron(), electron())
-        plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "U_ee", "wall"}, v_wall=10.0)
-        ops = prepare_operators(grid, roster, plan)
         diag = composite_potential(grid, roster, ["U_ee", "wall"], v_wall=10.0)
+        terms = {"T_e", "U_ee", "wall"}
+        plan = EvolutionPlan(T=1e-3, N_t=10, terms=terms, splitting="first-order", v_wall=10.0)
+        ops = prepare_operators(grid, roster, plan)
+        assert ops.phase_half is None
         assert np.allclose(ops.phase_full, np.exp(-1j * plan.eps * diag.energies), atol=1e-15)
+        plan = EvolutionPlan(T=1e-3, N_t=10, terms=terms, splitting="strang", v_wall=10.0)
+        ops = prepare_operators(grid, roster, plan)
+        assert ops.phase_full is None
         assert np.allclose(ops.phase_half, np.exp(-1j * plan.eps / 2 * diag.energies), atol=1e-15)
 
     def test_kinetic_entries_cover_quantum_registers(self):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +17,7 @@ from wzsim.experiments import (
     TEMPORAL_STEPS,
     RunConfig,
     _fmt,
-    _parallel_map,
     _sha256,
-    _worker_count,
     box_initial_state,
     box_run,
     particles_from_config,
@@ -27,6 +28,7 @@ from wzsim.experiments import (
     run_synth_report,
 )
 from wzsim.grid import ParticleSpec, build_grid
+from wzsim.kinetic import _worker_count, make_spectral_plan
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -128,9 +130,11 @@ class TestHelpers:
         with pytest.raises(ValidationError):
             _worker_count()
 
-    def test_parallel_map_preserves_order(self, monkeypatch):
+    def test_spectral_plan_takes_fft_workers_from_env(self, monkeypatch):
         monkeypatch.setenv("WZ_THREADS", "3")
-        assert _parallel_map(lambda x: x * x, [3, 1, 2]) == [9, 1, 4]
+        assert make_spectral_plan(8, 0.125, 1.0, 1e-3).workers == 3
+        monkeypatch.delenv("WZ_THREADS")
+        assert make_spectral_plan(8, 0.125, 1.0, 1e-3).workers == 1
 
 
 class TestBoxState:
@@ -322,6 +326,28 @@ class TestMoleculeRunner:
         for entry in summary["electrons"]:
             assert entry["marginal_sum"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # Two electrons in 2D: four registers, so every transform but the
+        # last runs along a strided axis.
+        cfg = self.config(
+            particles=[
+                {"mass": 1.0, "charge": -1.0},
+                {"mass": 1.0, "charge": -1.0},
+                {"mass": 1836.0, "charge": 1.0, "kind": "clamped", "clamped_cell": [2, 4]},
+                {"mass": 1836.0, "charge": 1.0, "kind": "clamped", "clamped_cell": [5, 4]},
+            ],
+            terms=["T_e", "U_ee", "U_en"],
+            splitting="strang",
+            electron_boxes=[[[0, 3], [1, 6]], [[4, 7], [2, 5]]],
+        )
+        outputs = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("WZ_THREADS", threads)
+            run_molecule2d(cfg, tmp_path / threads)
+            outputs.append({f.name: f.read_bytes() for f in (tmp_path / threads).iterdir()})
+        assert "marginal_e1.csv" in outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
+
 
 class TestSynthReportRunner:
     def test_counts_and_circuits(self, tmp_path):
@@ -419,6 +445,15 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["shots"] == 500
         assert summary["seed"] == 9
+
+    def test_import_does_not_load_scipy(self):
+        # scipy.fft is imported on the first spectral step only, so the
+        # Trotter route never pays for it.
+        code = "import sys, wzsim.cli; print('scipy' in sys.modules)"
+        src = Path(wzsim.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.stdout.strip() == "False", out.stderr
 
     def test_load_config_roundtrip(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", {"steps": 12})

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.kinetic import (
-    DENSE_FACTOR_LIMIT,
     apply_kinetic_spectral,
     apply_kinetic_trotter,
     apply_trotter_plan,
@@ -23,6 +22,7 @@ from wzsim.kinetic import (
     trotter_factor_matrix,
     trotter_xi,
     _sweep_trotter,
+    _trotter_scan,
 )
 
 POWERS = [2, 4, 8, 16, 32]
@@ -156,23 +156,39 @@ class TestTrotterFactor:
         swept = _sweep_trotter(vec.copy(), xi)
         assert np.max(np.abs(dense - swept)) < 1e-14
 
-    def test_plan_drops_dense_matrix_above_limit(self):
-        small = make_trotter_plan(DENSE_FACTOR_LIMIT, 1.0 / DENSE_FACTOR_LIMIT, 1.0, 1e-6)
-        assert small.matrix is not None
-        grid_big = 2 * DENSE_FACTOR_LIMIT
-        big = make_trotter_plan(grid_big, 1.0 / grid_big, 1.0, 1e-6)
-        assert big.matrix is None
+    @pytest.mark.parametrize("D", [2**k for k in range(1, 13)])
+    def test_scan_matches_dense_factor(self, D):
+        xi = 0.013j
+        rng = np.random.default_rng(D)
+        block = rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3))
+        dense = trotter_factor_matrix(D, xi) @ block
+        assert np.max(np.abs(_trotter_scan(block, xi) - dense)) <= 1e-14
 
-    def test_sliced_application_matches_dense(self):
-        grid = build_grid(1.0, 4, 1)
-        st_ = StateVector(
-            np.exp(1j * np.linspace(0, 2, 16)), grid, (electron(),)
-        ).normalized()
-        plan = make_trotter_plan(16, grid.delta, 1.0, 1e-5)
-        dense_out = apply_trotter_plan(st_, 0, 0, plan)
-        plan.matrix = None
-        sliced_out = apply_trotter_plan(st_, 0, 0, plan)
-        assert np.max(np.abs(dense_out.amplitudes - sliced_out.amplitudes)) < 1e-14
+    @pytest.mark.parametrize("reg", [0, 1, 2])
+    def test_scan_on_every_axis_of_three_registers(self, reg):
+        grid = build_grid(1.0, 4, 3)
+        rng = np.random.default_rng(reg)
+        amps = rng.normal(size=16**3) + 1j * rng.normal(size=16**3)
+        st_ = StateVector(amps, grid, (electron(),)).normalized()
+        plan = make_trotter_plan(16, grid.delta, 1.0, 1e-3)
+        out = apply_trotter_plan(st_, 0, reg, plan)
+        t = st_.amplitudes.reshape((16,) * 3)
+        dense = np.tensordot(trotter_factor_matrix(16, plan.xi), t, axes=(1, reg))
+        dense = np.moveaxis(dense, 0, reg).reshape(-1)
+        assert np.max(np.abs(out.amplitudes - dense)) <= 1e-14
+
+    @pytest.mark.parametrize("D", [2, 16, 512])
+    @pytest.mark.parametrize("theta", [np.pi / 2 - 1e-3, np.pi / 2, np.pi / 2 + 1e-7])
+    def test_scan_near_quarter_turn(self, D, theta):
+        # |pole| = |sin theta| reaches 1 here, the slowest-decaying case,
+        # where every input amplitude feeds every carry. Columns are unit
+        # vectors, as states are.
+        xi = 1j * theta
+        rng = np.random.default_rng(7)
+        block = rng.normal(size=(D, 2)) + 1j * rng.normal(size=(D, 2))
+        block /= np.linalg.norm(block, axis=0)
+        dense = trotter_factor_matrix(D, xi) @ block
+        assert np.max(np.abs(_trotter_scan(block, xi) - dense)) <= 1e-14
 
 
 class TestSpectral:

@@ -22,6 +22,7 @@ from .experiments import (
     run_sample,
     run_synth_report,
 )
+from .kinetic import _worker_count
 
 
 def load_config(path: str) -> RunConfig:
@@ -96,6 +97,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Validated on every run, not only where a spectral plan reads it.
+        _worker_count()
         cfg = _apply_overrides(load_config(args.config), args)
         if args.command == "box-evolve":
             run_box_evolve(cfg, args.out)

@@ -5,6 +5,12 @@ A step applies the potential phase first and the kinetic factors second
 kinetic factor (Strang). Kinetic factors act register by register in
 particle-major, axis-ascending order; the registers are disjoint so the
 order only fixes a convention.
+
+evolve owns one work buffer: a StateVector over a copy of the initial
+amplitudes. Every step writes into it through out=, so the phases, the
+FFTs and the Trotter scans all act in place on that one array and no
+state-sized array or StateVector is made per operator. The caller's
+state is left as it was.
 """
 
 from __future__ import annotations
@@ -89,10 +95,14 @@ def prepare_operators(
     diag = composite_potential(grid, particles, potential_terms, v_wall=plan.v_wall)
     eps = plan.eps
     phase_full = phase_half = None
-    if diag is not None and plan.splitting == "first-order":
-        phase_full = np.exp(-1j * eps * diag.energies)
-    elif diag is not None:
-        phase_half = np.exp(-1j * (eps / 2.0) * diag.energies)
+    if diag is not None:
+        scale = -1j * eps if plan.splitting == "first-order" else -1j * (eps / 2.0)
+        phase = np.multiply(scale, diag.energies, dtype=np.complex128)
+        np.exp(phase, out=phase)
+        if plan.splitting == "first-order":
+            phase_full = phase
+        else:
+            phase_half = phase
 
     kinetic: list[tuple[int, int, KineticTrotterPlan | SpectralKineticPlan]] = []
     D = grid.cells_per_axis
@@ -117,28 +127,30 @@ def prepare_operators(
     return PreparedOperators(phase_full=phase_full, phase_half=phase_half, kinetic=kinetic)
 
 
-def _apply_kinetic(state: StateVector, ops: PreparedOperators) -> StateVector:
-    for pq, axis, plan in ops.kinetic:
-        if isinstance(plan, KineticTrotterPlan):
-            state = apply_trotter_plan(state, pq, axis, plan)
-        else:
-            state = apply_spectral_plan(state, pq, axis, plan)
-    return state
-
-
-def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) -> StateVector:
+def step(
+    state: StateVector,
+    plan: EvolutionPlan,
+    operators: PreparedOperators,
+    out: StateVector | None = None,
+) -> StateVector:
     """Advance one eps: potential phase then kinetic factor, or the Strang
-    half-phase sandwich."""
-    if plan.splitting == "first-order":
-        if operators.phase_full is not None:
-            state = state.with_amplitudes(state.amplitudes * operators.phase_full)
-        return _apply_kinetic(state, operators)
-    if operators.phase_half is not None:
-        state = state.with_amplitudes(state.amplitudes * operators.phase_half)
-    state = _apply_kinetic(state, operators)
-    if operators.phase_half is not None:
-        state = state.with_amplitudes(state.amplitudes * operators.phase_half)
-    return state
+    half-phase sandwich. With out (which may be state itself) the result is
+    written into out.amplitudes and out is returned; without it, a new
+    StateVector."""
+    out = state.copy_into(out)
+    a = out.amplitudes
+    first_order = plan.splitting == "first-order"
+    phase = operators.phase_full if first_order else operators.phase_half
+    if phase is not None:
+        np.multiply(a, phase, out=a)
+    for pq, axis, kplan in operators.kinetic:
+        if isinstance(kplan, KineticTrotterPlan):
+            apply_trotter_plan(out, pq, axis, kplan, out=out)
+        else:
+            apply_spectral_plan(out, pq, axis, kplan, out=out)
+    if not first_order and phase is not None:
+        np.multiply(a, phase, out=a)
+    return out
 
 
 @dataclass
@@ -183,17 +195,17 @@ def evolve(
     ops = prepare_operators(state.grid, roster, plan)
     drift = np.empty(plan.N_t, dtype=float)
     snapshots: list[tuple[int, np.ndarray]] = []
-    current = state
+    work = state.with_amplitudes(state.amplitudes.copy())
     for k in range(1, plan.N_t + 1):
-        current = step(current, plan, ops)
-        drift[k - 1] = abs(current.norm() - 1.0)
+        step(work, plan, ops, out=work)
+        drift[k - 1] = abs(work.norm() - 1.0)
         if drift[k - 1] > NORM_ABORT_TOL:
             raise NormDriftError(
                 f"norm drift {drift[k - 1]:.3e} at step {k} exceeds {NORM_ABORT_TOL}"
             )
         if k in wanted:
-            snapshots.append((k, density(current)))
-    return EvolutionReport(final_state=current, norm_drift=drift, snapshots=snapshots)
+            snapshots.append((k, density(work)))
+    return EvolutionReport(final_state=work, norm_drift=drift, snapshots=snapshots)
 
 
 def sample_configurations(state: StateVector, shots: int, seed: int) -> np.ndarray:

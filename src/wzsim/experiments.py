@@ -456,7 +456,11 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
     amps = parts[0]
     for part in parts[1:]:
         amps = np.multiply.outer(amps, part).reshape(-1)
-    state = StateVector(amplitudes=amps, grid=grid, particles=electrons).normalized()
+    # Normalized in place and wrapped once: no second state-sized array
+    # stays live through evolve.
+    amps /= np.linalg.norm(amps)
+    state = StateVector(amplitudes=amps, grid=grid, particles=electrons)
+    del amps, parts
 
     plan = EvolutionPlan(
         T=cfg.total_time,

@@ -124,6 +124,17 @@ def clamped_position(grid: GridSpec, particle: ParticleSpec) -> np.ndarray:
     return cell_center(grid, particle.clamped_cell)
 
 
+def total_qubits(n: int, d: int, n_particles: int) -> int:
+    """Qubits of n_particles quantum particles on d axes of n qubits each,
+    checked against MAX_TOTAL_QUBITS."""
+    if n_particles < 1:
+        raise ValidationError("need at least one quantum particle")
+    total = n * d * n_particles
+    if total > MAX_TOTAL_QUBITS:
+        raise ResourceLimitError(f"{total} total qubits exceed the limit of {MAX_TOTAL_QUBITS}")
+    return total
+
+
 @dataclass(frozen=True)
 class IndexCodec:
     """Bijection between flat basis indices and per-particle cell tuples.
@@ -137,13 +148,7 @@ class IndexCodec:
     n_particles: int
 
     def __post_init__(self) -> None:
-        if self.n_particles < 1:
-            raise ValidationError("codec needs at least one quantum particle")
-        total = self.n * self.d * self.n_particles
-        if total > MAX_TOTAL_QUBITS:
-            raise ResourceLimitError(
-                f"{total} total qubits exceed the limit of {MAX_TOTAL_QUBITS}"
-            )
+        total_qubits(self.n, self.d, self.n_particles)
 
     @property
     def registers(self) -> int:
@@ -188,8 +193,11 @@ class IndexCodec:
 class StateVector:
     """Joint state of the quantum particles on a grid.
 
-    amplitudes has length 2^(d*n*N_q) and is treated as read-only; all
-    operations return fresh arrays.
+    amplitudes is a contiguous vector of length 2^(d*n*N_q). No operation
+    mutates it except through an explicit out= argument (step,
+    apply_trotter_plan, apply_spectral_plan), which writes the result into
+    out.amplitudes and returns out; without out= every operation returns a
+    new StateVector over a new array.
     """
 
     amplitudes: np.ndarray
@@ -197,15 +205,16 @@ class StateVector:
     particles: tuple[ParticleSpec, ...]
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        # Contiguous, so that reshaping for a register is a view and out=
+        # writes land in amplitudes.
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "particles", tuple(self.particles))
         if not all(p.is_quantum for p in self.particles):
             raise ValidationError("state particles must all be quantum")
-        if amps.shape != (self.codec.dim,):
-            raise ValidationError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.codec.dim},)"
-            )
+        dim = 1 << total_qubits(self.grid.n, self.grid.d, len(self.particles))
+        if amps.shape != (dim,):
+            raise ValidationError(f"amplitude vector has shape {amps.shape}, expected ({dim},)")
 
     @property
     def codec(self) -> IndexCodec:
@@ -226,6 +235,18 @@ class StateVector:
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(amplitudes=amplitudes, grid=self.grid, particles=self.particles)
+
+    def copy_into(self, out: "StateVector | None") -> "StateVector":
+        """The state an out= operation writes its result into: out holding
+        these amplitudes (nothing is copied when out is self), or a new
+        StateVector over a copy when out is None."""
+        if out is None:
+            return self.with_amplitudes(self.amplitudes.copy())
+        if out is not self:
+            if out.grid != self.grid or out.particles != self.particles:
+                raise ValidationError("out must have the state's grid and particles")
+            np.copyto(out.amplitudes, self.amplitudes)
+        return out
 
 
 def encode_state(

@@ -140,34 +140,38 @@ def trotter_factor_matrix(D: int, xi: complex) -> np.ndarray:
 
 
 def _trotter_scan(o: np.ndarray, xi: complex) -> np.ndarray:
-    """Apply the ordered block product along axis 0 of a (D, ...) array.
+    """Apply the ordered block product along axis 0 of a complex (D, ...)
+    array, in place, and return it.
 
     Sweeping the blocks from the top, block i leaves its low cell holding
         c_i = cosh(xi) o[i-1] + p c_{i+2},   p = sinh(xi) exp(-2 xi),
     seeded by c_{D-1} = o[D-2] and c_D = exp(xi) o[D-1], and finalizes
-    cell i+1. With v[j] = c_{D-j} both parity chains become one recurrence
-    v[j] = u[j] + p v[j-2], evaluated as a Hillis-Steele scan: log2(D/2)
-    passes of v[s:] += p^(s/2) v[:-s]. |p| = |sin(Im xi)| <= 1 for
-    imaginary xi, and every partial sum is a partial product applied to a
-    truncated input, so nothing grows. Then
+    cell i+1. With c[m] = c_{m+1} both parity chains become one recurrence
+    c[m] = u[m] + p c[m+2], evaluated as a Hillis-Steele scan from the top:
+    log2(D/2) passes of c[:-s] += p^(s/2) c[s:]. |p| = |sin(Im xi)| <= 1
+    for imaginary xi, and every partial sum is a partial product applied to
+    a truncated input, so nothing grows. Then
         out[0] = exp(-xi) c_1,  out[1] = exp(-2 xi) c_2,
         out[j] = sinh(xi) o[j-2] + cosh(xi) exp(-2 xi) c_{j+1}.
+    The result is written into o. c runs forward in o's memory order: a
+    reversed operand would send the multiply into o down numpy's strided
+    loop.
     """
     D = o.shape[0]
     ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
-    v = o[::-1] * ch
-    v[0] = cmath.exp(xi) * o[D - 1]
-    v[1] = o[D - 2]
+    c = o * ch
+    c[D - 1] = cmath.exp(xi) * o[D - 1]
+    c[D - 2] = o[D - 2]
     s, ps = 2, sh * mid
     while s < D:
-        v[s:] += ps * v[:-s]
+        c[:-s] += ps * c[s:]
         s, ps = 2 * s, ps * ps
-    c = v[::-1]  # c[m] = c_{m+1}
-    out = c * (ch * mid)
-    out[2:] += sh * o[:-2]
-    out[0] = cmath.exp(-xi) * c[0]
-    out[1] = mid * c[1]
-    return out
+    shifted = sh * o[:-2]
+    np.multiply(c, ch * mid, out=o)
+    o[2:] += shifted
+    o[0] = cmath.exp(-xi) * c[0]
+    o[1] = mid * c[1]
+    return o
 
 
 def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticTrotterPlan:
@@ -227,28 +231,49 @@ def iqft(values: np.ndarray) -> np.ndarray:
 
 
 def apply_trotter_plan(
-    state: StateVector, particle: int, axis: int, plan: KineticTrotterPlan
+    state: StateVector,
+    particle: int,
+    axis: int,
+    plan: KineticTrotterPlan,
+    out: StateVector | None = None,
 ) -> StateVector:
+    """Apply the finite-difference factor to one register. With out (which
+    may be state itself) the result is written into out.amplitudes and out
+    is returned; without it, a new StateVector."""
+    out = state.copy_into(out)
     reg = particle * state.grid.d + axis
-    t = state.amplitudes.reshape((plan.dim,) * (len(state.particles) * state.grid.d))
-    t = _trotter_scan(t.swapaxes(0, reg), plan.xi)
-    return state.with_amplitudes(t.swapaxes(0, reg).reshape(-1))
+    t = out.amplitudes.reshape((plan.dim,) * (len(state.particles) * state.grid.d))
+    _trotter_scan(t.swapaxes(0, reg), plan.xi)
+    return out
 
 
 def apply_spectral_plan(
-    state: StateVector, particle: int, axis: int, plan: SpectralKineticPlan
+    state: StateVector,
+    particle: int,
+    axis: int,
+    plan: SpectralKineticPlan,
+    out: StateVector | None = None,
 ) -> StateVector:
+    """Apply the momentum-space phase to one register; out as in
+    apply_trotter_plan."""
     from scipy import fft
 
+    out = state.copy_into(out)
     registers = len(state.particles) * state.grid.d
     reg = particle * state.grid.d + axis
-    t = state.amplitudes.reshape((plan.dim,) * registers)
-    t = fft.ifft(t, axis=reg, norm="ortho", workers=plan.workers)
+    t = out.amplitudes.reshape((plan.dim,) * registers)
     shape = [1] * registers
     shape[reg] = plan.dim
-    t *= plan.phase_table.reshape(shape)
-    t = fft.fft(t, axis=reg, norm="ortho", overwrite_x=True, workers=plan.workers)
-    return state.with_amplitudes(t.reshape(-1))
+    # With overwrite_x, scipy.fft transforms complex input in place and
+    # returns a new array object viewing it. The copy-back is guarded by
+    # may_share_memory, not by identity: r is never t, and assigning an
+    # overlapping view copies through a temporary.
+    r = fft.ifft(t, axis=reg, norm="ortho", overwrite_x=True, workers=plan.workers)
+    r *= plan.phase_table.reshape(shape)
+    r = fft.fft(r, axis=reg, norm="ortho", overwrite_x=True, workers=plan.workers)
+    if not np.may_share_memory(r, t):
+        t[...] = r
+    return out
 
 
 def _check_particle_axis(state: StateVector, particle: int, axis: int) -> None:

@@ -221,8 +221,10 @@ def apply_diagonal_phase(state: StateVector, diag: DiagonalOperator, eps: float)
         raise ValidationError(
             f"diagonal dimension {diag.dim} does not match state dimension {state.dim}"
         )
-    phases = np.exp(-1j * eps * diag.energies / HBAR)
-    return state.with_amplitudes(state.amplitudes * phases)
+    phases = np.multiply(-1j * eps, diag.energies, dtype=np.complex128)
+    phases /= HBAR
+    np.exp(phases, out=phases)
+    return state.with_amplitudes(np.multiply(state.amplitudes, phases, out=phases))
 
 
 def potential_bounds(grid: GridSpec, particles: Sequence[ParticleSpec]) -> tuple[float, float]:

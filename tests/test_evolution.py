@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from wzsim.evolution import (
     sample_configurations,
     step,
 )
+from wzsim import grid as grid_mod
 from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state
 from wzsim.kinetic import apply_spectral_plan, apply_trotter_plan
 from wzsim.potential import composite_potential
@@ -227,6 +230,109 @@ class TestEvolve:
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e"})
         with pytest.raises(NormDriftError):
             evolve(state, plan)
+
+
+MOLECULE_TERMS = {"T_e", "U_ee", "U_en", "wall"}
+
+
+def molecule_roster(grid):
+    mid = grid.cells_per_axis // 2
+    return (electron(), electron(), proton_clamped((mid - 1, mid)), proton_clamped((mid + 1, mid)))
+
+
+def random_state(grid, n_particles, seed=0):
+    rng = np.random.default_rng(seed)
+    dim = 1 << (grid.n * grid.d * n_particles)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return StateVector(amps / np.linalg.norm(amps), grid, (electron(),) * n_particles)
+
+
+class TestWorkBuffer:
+    """evolve steps one work buffer in place through step(..., out=)."""
+
+    def test_caller_state_is_left_unchanged(self):
+        grid = build_grid(4.0, 3, 2)
+        state = random_state(grid, 2)
+        before = state.amplitudes.copy()
+        plan = EvolutionPlan(T=0.05, N_t=3, terms=MOLECULE_TERMS, splitting="strang")
+        report = evolve(state, plan, particles=molecule_roster(grid), snapshot_steps=[])
+        assert np.array_equal(state.amplitudes, before)
+        assert not np.shares_memory(report.final_state.amplitudes, state.amplitudes)
+
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    def test_evolve_equals_chained_steps(self, method, splitting):
+        grid = build_grid(4.0, 3, 2)
+        roster = molecule_roster(grid)
+        state = random_state(grid, 2)
+        plan = EvolutionPlan(
+            T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, splitting=splitting
+        )
+        report = evolve(state, plan, particles=roster, snapshot_steps=[])
+        ops = prepare_operators(grid, roster, plan)
+        chained = state
+        for _ in range(plan.N_t):
+            chained = step(chained, plan, ops)
+        assert np.array_equal(report.final_state.amplitudes, chained.amplitudes)
+
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    def test_step_out_targets_agree(self, method, splitting):
+        grid = build_grid(4.0, 3, 2)
+        roster = molecule_roster(grid)
+        plan = EvolutionPlan(
+            T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, splitting=splitting
+        )
+        ops = prepare_operators(grid, roster, plan)
+        state = random_state(grid, 2)
+        before = state.amplitudes.copy()
+        fresh = step(state, plan, ops)
+        other = random_state(grid, 2, seed=1)
+        into_other = step(state, plan, ops, out=other)
+        assert into_other is other
+        assert np.array_equal(state.amplitudes, before)
+        in_place = step(state, plan, ops, out=state)
+        assert in_place is state
+        assert np.array_equal(fresh.amplitudes, other.amplitudes)
+        assert np.array_equal(fresh.amplitudes, state.amplitudes)
+
+    def test_peak_memory_is_a_few_states(self):
+        grid = build_grid(4.0, 4, 2)
+        state = random_state(grid, 2)
+        plan = EvolutionPlan(
+            T=0.04, N_t=2, kinetic_method="spectral", terms=MOLECULE_TERMS, splitting="strang"
+        )
+        roster = molecule_roster(grid)
+        evolve(state, plan, particles=roster, snapshot_steps=[])  # load scipy.fft first
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            evolve(state, plan, particles=roster, snapshot_steps=[])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3.5 * state.amplitudes.nbytes
+
+    def test_statevector_builds_do_not_grow_with_steps(self, monkeypatch):
+        builds = []
+        post_init = StateVector.__post_init__
+
+        def counting(self):
+            builds.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(grid_mod.StateVector, "__post_init__", counting)
+        grid = build_grid(4.0, 3, 2)
+        roster = molecule_roster(grid)
+        state = random_state(grid, 2)
+        counts = []
+        for n_t in (1, 6):
+            for method in ("trotter", "spectral"):
+                plan = EvolutionPlan(T=0.05, N_t=n_t, kinetic_method=method, terms=MOLECULE_TERMS)
+                builds.clear()
+                evolve(state, plan, particles=roster, snapshot_steps=[])
+                counts.append(len(builds))
+        assert counts[:2] == counts[2:]
 
 
 class TestSnapshotSteps:

@@ -411,6 +411,37 @@ class TestCli:
         )
         assert code == 3
 
+    def test_total_qubit_guard_exits_three(self, tmp_path, capsys, monkeypatch):
+        # molecule2d builds its initial amplitudes before the state's qubit
+        # guard runs, so the limit is lowered to keep the run small.
+        import wzsim.grid as grid_mod
+
+        monkeypatch.setattr(grid_mod, "MAX_TOTAL_QUBITS", 10)
+        electron = {"mass": 1.0, "charge": -1.0}
+        proton = {"mass": 1836.0, "charge": 1.0, "kind": "clamped", "clamped_cell": [4, 4]}
+        payload = {"qubits_per_axis": 3, "steps": 2, "particles": [electron, electron, proton]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["molecule2d", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "12 total qubits exceed the limit of 10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("box-evolve", {"qubits_per_axis": 3, "steps": 5}),
+            ("convergence", {"axis": "spatial", "sweep_qubits": [2, 3], "steps": 5}),
+        ],
+    )
+    def test_malformed_thread_count_exits_two(
+        self, tmp_path, capsys, monkeypatch, command, payload, method
+    ):
+        monkeypatch.setenv("WZ_THREADS", "many")
+        cfg = write_config(tmp_path / "c.json", payload)
+        argv = [command, "--config", cfg, "--method", method, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "WZ_THREADS" in err and "Traceback" not in err
+
     def test_norm_drift_exits_four(self, tmp_path, capsys, monkeypatch):
         import wzsim.cli as cli_mod
 

@@ -158,6 +158,36 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             st_.normalized()
 
+    def test_construction_builds_no_codec(self, monkeypatch):
+        builds = []
+        post_init = IndexCodec.__post_init__
+
+        def counting(self):
+            builds.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(IndexCodec, "__post_init__", counting)
+        grid = build_grid(1.0, 2, 2)
+        st_ = StateVector(np.ones(256, complex), grid, (electron(), electron()))
+        st_.normalized().with_amplitudes(np.zeros(256, complex))
+        assert builds == []
+
+    def test_total_qubit_guard(self):
+        # The guard is checked before the length, so neither case
+        # allocates a state: 32 qubits trip it, 30 reach the length check.
+        with pytest.raises(ResourceLimitError):
+            StateVector(np.ones(4, complex), build_grid(1.0, 8, 2), (electron(), electron()))
+        with pytest.raises(ValidationError):
+            StateVector(np.ones(4, complex), build_grid(1.0, 5, 3), (electron(), electron()))
+        with pytest.raises(ValidationError):
+            StateVector(np.ones(4, complex), build_grid(1.0, 2, 1), ())
+
+    def test_amplitudes_are_contiguous(self):
+        grid = build_grid(1.0, 2, 1)
+        strided = np.ones(8, complex)[::2]
+        st_ = StateVector(strided, grid, (electron(),))
+        assert st_.amplitudes.flags.c_contiguous
+
     def test_encode_state_gaussian(self):
         grid = build_grid(1.0, 2, 1)
 

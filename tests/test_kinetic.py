@@ -9,6 +9,7 @@ from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.kinetic import (
     apply_kinetic_spectral,
     apply_kinetic_trotter,
+    apply_spectral_plan,
     apply_trotter_plan,
     derivative_matrix,
     fourier_conjugation_diagnostic,
@@ -253,6 +254,40 @@ class TestApplyKinetic:
             apply_kinetic_trotter(st_, 1, 0, 1.0, 1e-4)
         with pytest.raises(ValidationError):
             apply_kinetic_spectral(st_, 0, 1, 1.0, 1e-4)
+
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    @pytest.mark.parametrize("reg", [0, 1, 2, 3])
+    def test_out_targets_agree(self, method, reg):
+        # Two electrons in 2D: four registers of 8 cells each.
+        grid = build_grid(1.0, 3, 2)
+        rng = np.random.default_rng(reg)
+
+        def random_state():
+            amps = rng.normal(size=8**4) + 1j * rng.normal(size=8**4)
+            return StateVector(amps, grid, (electron(), electron())).normalized()
+
+        if method == "trotter":
+            apply, plan = apply_trotter_plan, make_trotter_plan(8, grid.delta, 1.0, 1e-3)
+        else:
+            apply, plan = apply_spectral_plan, make_spectral_plan(8, grid.delta, 1.0, 1e-3)
+        state = random_state()
+        before = state.amplitudes.copy()
+        fresh = apply(state, reg // 2, reg % 2, plan)
+        other = random_state()
+        assert apply(state, reg // 2, reg % 2, plan, out=other) is other
+        assert np.array_equal(state.amplitudes, before)
+        assert apply(state, reg // 2, reg % 2, plan, out=state) is state
+        assert np.array_equal(fresh.amplitudes, other.amplitudes)
+        assert np.array_equal(fresh.amplitudes, state.amplitudes)
+        assert not np.array_equal(fresh.amplitudes, before)
+
+    def test_out_must_match_the_state_layout(self):
+        grid = build_grid(1.0, 3, 2)
+        state = StateVector(np.ones(8**4, complex), grid, (electron(), electron())).normalized()
+        flat = StateVector(np.ones(8**4, complex), build_grid(1.0, 6, 1), (electron(), electron()))
+        plan = make_trotter_plan(8, grid.delta, 1.0, 1e-3)
+        with pytest.raises(ValidationError):
+            apply_trotter_plan(state, 0, 0, plan, out=flat)
 
 
 class TestFourierDiagnostic:

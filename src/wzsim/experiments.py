@@ -10,6 +10,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +39,7 @@ from .grid import (
     density,
     marginal_density,
     quantum_particles,
+    total_qubits,
 )
 
 BOX_TERMS = ["T_e", "wall"]
@@ -46,38 +50,38 @@ TEMPORAL_STEPS = [10, 13, 18, 24, 32, 42, 56, 75, 100, 133, 178, 237, 316, 422, 
 
 EXPERIMENTS = ("box-evolve", "convergence", "molecule2d", "sample", "synth-report")
 
-_UNSET = None
-
 
 @dataclass
 class RunConfig:
-    """Declarative description of one experiment run. Unset fields take
-    experiment-specific defaults during resolve()."""
+    """Declarative description of one experiment run. The annotations are
+    the config schema: resolved() checks every field against them, fills
+    unset fields with experiment-specific defaults and then checks the
+    ranges and shapes the experiment reads."""
 
     experiment: str | None = None
     box_length: float | None = None
     qubits_per_axis: int | None = None
     dims: int | None = None
-    particles: list | None = None
+    particles: list[dict] | None = None
     total_time: float | None = None
-    evolve_times: list | None = None
+    evolve_times: list[float] | None = None
     steps: int | None = None
     kinetic_method: str | None = None
     splitting: str | None = None
-    terms: list | None = None
+    terms: list[str] | None = None
     wall_height: float | None = None
     interior_only: bool | None = None
     series_terms: int | None = None
     seed: int | None = None
     shots: int | None = None
     axis: str | None = None
-    sweep_qubits: list | None = None
-    sweep_steps: list | None = None
-    electron_boxes: list | None = None
-    reflection_centers: list | None = None
-    pattern_angles: list | None = None
-    count_particles: list | None = None
-    count_qubits: list | None = None
+    sweep_qubits: list[int] | None = None
+    sweep_steps: list[int] | None = None
+    electron_boxes: list[list[list[int]] | None] | None = None
+    reflection_centers: list[int] | None = None
+    pattern_angles: list[float] | None = None
+    count_particles: list[int] | None = None
+    count_qubits: list[int] | None = None
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -95,6 +99,9 @@ class RunConfig:
     def resolved(self, experiment: str) -> "RunConfig":
         if experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {experiment!r}")
+        # Types come first: the defaults below compute with other fields.
+        for name, hint in _FIELD_TYPES.items():
+            _check_type(name, getattr(self, name), hint)
         if self.experiment is not None and self.experiment != experiment:
             raise ValidationError(
                 f"config names experiment {self.experiment!r} but {experiment!r} was requested"
@@ -135,12 +142,13 @@ class RunConfig:
             put("qubits_per_axis", 4)
             put("total_time", 1.0)
             put("terms", list(MOLECULE_TERMS))
-            half = 2 ** (cfg.qubits_per_axis or 4) // 2
+            # The grid checks qubits_per_axis before 2**n is taken.
+            D = build_grid(cfg.box_length, cfg.qubits_per_axis, 2).cells_per_axis
             put(
                 "particles",
                 [
                     {"mass": 1.0, "charge": -1.0, "kind": "quantum"},
-                    {"mass": 1836.0, "charge": 1.0, "kind": "clamped", "clamped_cell": [half, half]},
+                    {"mass": 1836.0, "charge": 1.0, "kind": "clamped", "clamped_cell": [D // 2] * 2},
                 ],
             )
         if experiment == "synth-report":
@@ -148,7 +156,72 @@ class RunConfig:
             put("count_particles", [1, 2, 3])
             put("count_qubits", list(range(1, 9)))
         put("steps", 1000)
+
+        if experiment in ("box-evolve", "convergence", "sample"):
+            if cfg.dims != 1:
+                raise ValidationError(f"{experiment} runs on the one-dimensional box")
+            if len(quantum_particles(particles_from_config(cfg))) != 1:
+                raise ValidationError("box experiments use exactly one quantum particle")
+        if experiment in ("box-evolve", "convergence") and set(cfg.terms) != set(BOX_TERMS):
+            raise ValidationError(f"{experiment} runs the terms {BOX_TERMS}, got {cfg.terms}")
+        if experiment == "sample" and (cfg.shots < 1 or cfg.seed < 0):
+            raise ValidationError("sample needs shots >= 1 and seed >= 0")
+        if experiment == "synth-report" and len(cfg.pattern_angles) != 4:
+            raise ValidationError("pattern_angles needs exactly four entries")
+        if experiment == "molecule2d":
+            if cfg.dims != 2:
+                raise ValidationError("molecule2d runs on a two-dimensional grid")
+            particles = particles_from_config(cfg)
+            electrons = quantum_particles(particles)
+            if not electrons or not all(p.is_electron for p in electrons):
+                raise ValidationError("molecule2d needs quantum electrons and clamped nuclei")
+            # Before any state-sized array is built.
+            total_qubits(cfg.qubits_per_axis, 2, len(electrons))
+
+            def on_grid(cells) -> bool:
+                return len(cells) == 2 and all(0 <= c < D for c in cells)
+
+            if not all(on_grid(p.clamped_cell) for p in particles if not p.is_quantum):
+                raise ValidationError(f"clamped cells need one index per axis in [0, {D})")
+            if cfg.reflection_centers is not None and not on_grid(cfg.reflection_centers):
+                raise ValidationError(f"reflection_centers needs one cell per axis in [0, {D})")
+            boxes = cfg.electron_boxes or [None] * len(electrons)
+            if len(boxes) != len(electrons):
+                raise ValidationError("need one sub-box entry per electron")
+            for box in boxes:
+                if box is not None and not (
+                    len(box) == 2 and all(len(r) == 2 and 0 <= r[0] <= r[1] < D for r in box)
+                ):
+                    raise ValidationError(f"a sub-box needs one [lo, hi] per axis, 0 <= lo <= hi < {D}")
         return cfg
+
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _check_type(where: str, value, hint) -> None:
+    """Raise unless a config value matches its annotation. JSON true/false
+    is not a number, a number must be finite as a double, and an int may
+    stand for a float."""
+
+    def fits(value, hint) -> bool:
+        if isinstance(hint, types.UnionType):
+            return any(fits(value, h) for h in typing.get_args(hint))
+        if typing.get_origin(hint) is list:
+            return isinstance(value, list) and all(fits(v, typing.get_args(hint)[0]) for v in value)
+        if hint is bool or isinstance(value, bool):
+            return hint is bool and isinstance(value, bool)
+        if hint in (int, float):
+            kinds = (int, float) if hint is float else int
+            return isinstance(value, kinds) and abs(value) <= sys.float_info.max
+        return isinstance(value, hint)
+
+    if not fits(value, hint):
+        name = hint.__name__ if isinstance(hint, type) else hint
+        raise ValidationError(f"{where} must be {name}, got {value!r:.40}")
+
+
+_PARTICLE_KEYS = {"mass": float, "charge": float, "kind": str, "clamped_cell": list[int]}
 
 
 def particles_from_config(cfg: RunConfig) -> tuple[ParticleSpec, ...]:
@@ -156,10 +229,11 @@ def particles_from_config(cfg: RunConfig) -> tuple[ParticleSpec, ...]:
     for entry in cfg.particles or []:
         if not isinstance(entry, dict):
             raise ValidationError("each particle must be a JSON object")
-        allowed = {"mass", "charge", "kind", "clamped_cell"}
-        unknown = set(entry) - allowed
+        unknown = set(entry) - set(_PARTICLE_KEYS)
         if unknown:
             raise ValidationError(f"unknown particle keys: {sorted(unknown)}")
+        for key, value in entry.items():
+            _check_type(f"particle {key}", value, _PARTICLE_KEYS[key])
         out.append(
             ParticleSpec(
                 mass=float(entry.get("mass", 1.0)),
@@ -207,20 +281,21 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, files: Sequence[Path]) -> Pat
     return path
 
 
+def cell_indicator(grid: GridSpec, ranges: Sequence[Sequence[int]]) -> np.ndarray:
+    """Indicator amplitudes over one particle's 2^(d*n) cells: 1 where the
+    index on every axis a lies in the inclusive range ranges[a]."""
+    idx = np.arange(grid.cells_per_axis**grid.d)
+    keep = np.ones(idx.size, dtype=bool)
+    for a, (lo, hi) in enumerate(ranges):
+        cells = (idx >> (grid.d - 1 - a) * grid.n) & (grid.cells_per_axis - 1)
+        keep &= (cells >= lo) & (cells <= hi)
+    return keep.astype(np.complex128)
+
+
 def box_initial_state(grid: GridSpec, particle: ParticleSpec, interior_only: bool) -> StateVector:
     """Uniform superposition over every cell, or over interior cells only."""
-    dim = grid.cells_per_axis**grid.d
-    amps = np.ones(dim, dtype=np.complex128)
-    if interior_only:
-        top = grid.cells_per_axis - 1
-        codec_dim = dim
-        idx = np.arange(codec_dim)
-        keep = np.ones(codec_dim, dtype=bool)
-        for a in range(grid.d):
-            shift = (grid.d - 1 - a) * grid.n
-            cells = (idx >> shift) & (grid.cells_per_axis - 1)
-            keep &= (cells != 0) & (cells != top)
-        amps[~keep] = 0.0
+    top = grid.cells_per_axis - 1
+    amps = cell_indicator(grid, [(1, top - 1) if interior_only else (0, top)] * grid.d)
     state = StateVector(amplitudes=amps, grid=grid, particles=(particle,))
     return state.normalized()
 
@@ -269,36 +344,30 @@ def box_run(
     }
 
 
-def _box_particle(cfg: RunConfig) -> ParticleSpec:
-    particles = particles_from_config(cfg)
-    quantum = quantum_particles(particles)
-    if len(quantum) != 1:
-        raise ValidationError("box experiments use exactly one quantum particle")
-    return quantum[0]
+def _box_run(cfg: RunConfig, n: int, steps: int, total_time: float) -> dict:
+    """box_run with the resolved config's fixed settings."""
+    return box_run(
+        length=cfg.box_length,
+        n=n,
+        steps=steps,
+        total_time=total_time,
+        kinetic_method=cfg.kinetic_method,
+        splitting=cfg.splitting,
+        wall_height=cfg.wall_height,
+        interior_only=cfg.interior_only,
+        series_terms=cfg.series_terms,
+        particle=quantum_particles(particles_from_config(cfg))[0],
+    )
 
 
 def run_box_evolve(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("box-evolve")
-    if cfg.dims != 1:
-        raise ValidationError("box-evolve is one-dimensional")
-    particle = _box_particle(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
     runs = []
     for i, t_total in enumerate(cfg.evolve_times):
-        result = box_run(
-            cfg.box_length,
-            cfg.qubits_per_axis,
-            cfg.steps,
-            float(t_total),
-            cfg.kinetic_method,
-            cfg.splitting,
-            cfg.wall_height,
-            cfg.interior_only,
-            cfg.series_terms,
-            particle,
-        )
+        result = _box_run(cfg, cfg.qubits_per_axis, cfg.steps, float(t_total))
         name = f"density_{i:02d}.csv"
         rows = zip(
             range(result["centers"].size),
@@ -339,52 +408,21 @@ def run_convergence(cfg: RunConfig, out_dir, axis: str | None = None) -> dict:
     if axis is not None:
         cfg = dataclasses.replace(cfg, axis=axis)
     cfg = cfg.resolved("convergence")
-    if cfg.dims != 1:
-        raise ValidationError("convergence sweeps are one-dimensional")
-    particle = _box_particle(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.axis == "spatial":
-        ns = [int(n) for n in cfg.sweep_qubits]
-
-        def point(n: int) -> dict:
-            r = box_run(
-                cfg.box_length,
-                n,
-                cfg.steps,
-                cfg.total_time,
-                cfg.kinetic_method,
-                cfg.splitting,
-                cfg.wall_height,
-                cfg.interior_only,
-                cfg.series_terms,
-                particle,
-            )
-            return {"x": r["grid"].delta, "rmse": r["rmse"], "yb": r["yb_error"]}
-
-        points = [point(n) for n in ns]
+    spatial = cfg.axis == "spatial"
+    if spatial:
+        pairs = [(n, cfg.steps) for n in cfg.sweep_qubits]
         csv_name, x_name = "spatial.csv", "delta"
     else:
-        step_list = [int(s) for s in cfg.sweep_steps]
-
-        def point(steps: int) -> dict:
-            r = box_run(
-                cfg.box_length,
-                cfg.qubits_per_axis,
-                steps,
-                cfg.total_time,
-                cfg.kinetic_method,
-                cfg.splitting,
-                cfg.wall_height,
-                cfg.interior_only,
-                cfg.series_terms,
-                particle,
-            )
-            return {"x": cfg.total_time / steps, "rmse": r["rmse"], "yb": r["yb_error"]}
-
-        points = [point(steps) for steps in step_list]
+        pairs = [(cfg.qubits_per_axis, steps) for steps in cfg.sweep_steps]
         csv_name, x_name = "temporal.csv", "eps"
+    points = []
+    for n, steps in pairs:
+        r = _box_run(cfg, n, steps, cfg.total_time)
+        x = r["grid"].delta if spatial else cfg.total_time / steps
+        points.append({"x": x, "rmse": r["rmse"], "yb": r["yb_error"]})
 
     rows = [(p["x"], p["rmse"], p["yb"]) for p in points]
     _write_csv(out / csv_name, [x_name, "rmse", "yb_error"], rows)
@@ -411,48 +449,14 @@ def run_convergence(cfg: RunConfig, out_dir, axis: str | None = None) -> dict:
     return summary
 
 
-def _electron_indicator(grid: GridSpec, box: list | None) -> np.ndarray:
-    """Indicator amplitudes over one electron's 2^(d*n) cells."""
-    D = grid.cells_per_axis
-    per_particle = D**grid.d
-    if box is None:
-        return np.ones(per_particle, dtype=np.complex128)
-    if len(box) != grid.d:
-        raise ValidationError(f"sub-box needs {grid.d} axis ranges")
-    keep = np.ones(per_particle, dtype=bool)
-    idx = np.arange(per_particle)
-    for a, rng in enumerate(box):
-        lo, hi = int(rng[0]), int(rng[1])
-        if not 0 <= lo <= hi < D:
-            raise ValidationError(f"sub-box range [{lo}, {hi}] outside [0, {D})")
-        shift = (grid.d - 1 - a) * grid.n
-        cells = (idx >> shift) & (D - 1)
-        keep &= (cells >= lo) & (cells <= hi)
-    if not keep.any():
-        raise ValidationError("empty electron sub-box")
-    return keep.astype(np.complex128)
-
-
 def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("molecule2d")
-    if cfg.dims != 2:
-        raise ValidationError("molecule2d runs on a two-dimensional grid")
     particles = particles_from_config(cfg)
-    for p in particles:
-        if p.is_nucleus and p.is_quantum:
-            raise ValidationError("molecule2d expects clamped nuclei")
     electrons = quantum_particles(particles)
-    if not electrons or any(not p.is_electron for p in electrons):
-        raise ValidationError("molecule2d needs quantum electrons")
     grid = build_grid(cfg.box_length, cfg.qubits_per_axis, 2)
-    for p in particles:
-        if p.clamped_cell is not None and len(p.clamped_cell) != 2:
-            raise ValidationError("clamped cells need one index per axis")
-
+    everywhere = [(0, grid.cells_per_axis - 1)] * 2
     boxes = cfg.electron_boxes or [None] * len(electrons)
-    if len(boxes) != len(electrons):
-        raise ValidationError("need one sub-box entry per electron")
-    parts = [_electron_indicator(grid, b) for b in boxes]
+    parts = [cell_indicator(grid, everywhere if b is None else b) for b in boxes]
     amps = parts[0]
     for part in parts[1:]:
         amps = np.multiply.outer(amps, part).reshape(-1)
@@ -490,11 +494,9 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
         files.append(out / name)
         entry = {"file": name, "marginal_sum": float(marg.sum())}
         if cfg.reflection_centers is not None:
-            if len(cfg.reflection_centers) != 2:
-                raise ValidationError("reflection_centers needs one cell per axis")
             asym = []
             for a, c in enumerate(cfg.reflection_centers):
-                mirror = (2 * int(c) - np.arange(D)) % D
+                mirror = (2 * c - np.arange(D)) % D
                 reflected = marg[mirror, :] if a == 0 else marg[:, mirror]
                 asym.append(float(np.abs(marg - reflected).sum() / marg.sum()))
             entry["reflection_asymmetry"] = asym
@@ -516,11 +518,7 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
 
 def run_sample(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("sample")
-    if cfg.dims != 1:
-        raise ValidationError("sample runs on the one-dimensional box")
-    if cfg.shots < 1:
-        raise ValidationError("shots must be >= 1")
-    particle = _box_particle(cfg)
+    particle = quantum_particles(particles_from_config(cfg))[0]
     grid = build_grid(cfg.box_length, cfg.qubits_per_axis, 1)
     state = box_initial_state(grid, particle, cfg.interior_only)
     if cfg.total_time > 0 and cfg.steps > 0:
@@ -555,8 +553,6 @@ def run_sample(cfg: RunConfig, out_dir) -> dict:
 
 def run_synth_report(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("synth-report")
-    if len(cfg.pattern_angles) != 4:
-        raise ValidationError("pattern_angles needs exactly four entries")
     t1, t2, t3, t4 = (float(a) for a in cfg.pattern_angles)
     phases = np.array([t1, t2, t3, t4, t3, t4, t1, t2])
 
@@ -580,8 +576,8 @@ def run_synth_report(cfg: RunConfig, out_dir) -> dict:
                 (
                     int(n_particles),
                     int(n),
-                    count_kinetic_gates(int(n_particles), int(n), "trotter"),
-                    count_kinetic_gates(int(n_particles), int(n), "spectral"),
+                    count_kinetic_gates(n_particles, n, "trotter"),
+                    count_kinetic_gates(n_particles, n, "spectral"),
                 )
             )
     _write_csv(out / "gate_counts.csv", ["particles", "qubits_per_axis", "trotter", "spectral"], rows)

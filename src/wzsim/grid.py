@@ -50,6 +50,10 @@ class GridSpec:
             )
         if self.d not in (1, 2, 3):
             raise ValidationError(f"d must be 1, 2 or 3, got {self.d}")
+        # Kinetic energies scale as 1/delta^2 and potentials with up to L^3;
+        # both must stay finite doubles.
+        if self.length > 1e100 or self.delta < 1e-100:
+            raise ValidationError(f"box length {self.length} outside [2^n * 1e-100, 1e100]")
 
     @property
     def delta(self) -> float:
@@ -90,8 +94,10 @@ class ParticleSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("quantum", "clamped"):
             raise ValidationError(f"unknown particle kind {self.kind!r}")
-        if not np.isfinite(self.mass) or self.mass <= 0:
-            raise ValidationError(f"mass must be positive, got {self.mass}")
+        # The Trotter coupling divides by 8 m delta^2; with the grid's
+        # bounds on delta this keeps it a normal double.
+        if not 1e-100 <= self.mass <= 1e100:
+            raise ValidationError(f"mass must lie in [1e-100, 1e100], got {self.mass}")
         if self.kind == "clamped" and self.clamped_cell is None:
             raise ValidationError("clamped particles need a clamped_cell")
         if self.kind == "quantum" and self.clamped_cell is not None:

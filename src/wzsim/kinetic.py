@@ -112,7 +112,10 @@ class KineticTrotterPlan:
 def trotter_xi(delta: float, mass: float, eps: float) -> complex:
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    return 1j * HBAR * eps / (8.0 * mass * delta * delta)
+    xi = 1j * HBAR * eps / (8.0 * mass * delta * delta)
+    if not cmath.isfinite(xi):
+        raise ValidationError(f"Trotter coupling eps/(8 m delta^2) overflows at eps={eps}")
+    return xi
 
 
 def _sweep_trotter(block_axis: np.ndarray, xi: complex) -> np.ndarray:

@@ -1,16 +1,23 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wzsim
 from wzsim.circuits import circuit_from_text, circuit_unitary
 from wzsim.cli import load_config, main
-from wzsim.errors import NormDriftError, ValidationError
+from wzsim.errors import NormDriftError, ResourceLimitError, ValidationError
 from wzsim.experiments import (
     BOX_TERMS,
     MOLECULE_TERMS,
@@ -20,6 +27,7 @@ from wzsim.experiments import (
     _sha256,
     box_initial_state,
     box_run,
+    cell_indicator,
     particles_from_config,
     run_box_evolve,
     run_convergence,
@@ -85,6 +93,52 @@ class TestRunConfig:
         assert cfg.steps == 7
         assert cfg.qubits_per_axis == 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", True),
+            ("interior_only", 1),
+            ("total_time", float("nan")),
+            ("total_time", float("inf")),
+            ("total_time", 10**400),
+            ("evolve_times", 1e-3),
+            ("evolve_times", [1e-3, None]),
+            ("terms", "T_e"),
+            ("particles", [["mass", 1.0]]),
+        ],
+    )
+    def test_types_follow_annotations(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            RunConfig(**{field: value}).resolved("box-evolve")
+
+    def test_int_stands_for_float_unchanged(self):
+        cfg = RunConfig(total_time=1, evolve_times=[1, 0.5]).resolved("box-evolve")
+        assert cfg.total_time == 1 and isinstance(cfg.total_time, int)
+        assert cfg.evolve_times == [1, 0.5]
+
+    def test_molecule_grid_checked_before_default(self):
+        # The centred-nucleus default is 2**qubits_per_axis // 2.
+        with pytest.raises(ResourceLimitError):
+            RunConfig(qubits_per_axis=10**18).resolved("molecule2d")
+
+    @pytest.mark.parametrize("experiment", ["box-evolve", "convergence"])
+    def test_box_terms_are_fixed(self, experiment):
+        cfg = RunConfig(axis="spatial", terms=["T_e"])
+        with pytest.raises(ValidationError, match="terms"):
+            cfg.resolved(experiment)
+        cfg = RunConfig(axis="spatial", terms=["wall", "T_e"]).resolved(experiment)
+        assert cfg.terms == ["wall", "T_e"]
+
+    def test_sample_honours_terms(self, tmp_path):
+        cfg = RunConfig(qubits_per_axis=3, steps=5, shots=100, terms=["T_e"])
+        run_sample(cfg, tmp_path / "free")
+        run_sample(dataclasses.replace(cfg, terms=None), tmp_path / "walled")
+        manifest = json.loads((tmp_path / "free" / "manifest.json").read_text())
+        assert manifest["config"]["terms"] == ["T_e"]
+        assert (tmp_path / "free" / "summary.json").read_bytes() != (
+            tmp_path / "walled" / "summary.json"
+        ).read_bytes()
+
 
 class TestParticlesFromConfig:
     def test_parses_kinds(self):
@@ -105,6 +159,15 @@ class TestParticlesFromConfig:
             particles_from_config(RunConfig(particles=["proton"]))
         with pytest.raises(ValidationError):
             particles_from_config(RunConfig(particles=[{"mass": 1.0, "spin": 0.5}]))
+        for entry in (
+            {"mass": "x"},
+            {"mass": True},
+            {"charge": None},
+            {"kind": 3},
+            {"kind": "clamped", "clamped_cell": "88"},
+        ):
+            with pytest.raises(ValidationError):
+                particles_from_config(RunConfig(particles=[entry]))
 
 
 class TestHelpers:
@@ -148,6 +211,19 @@ class TestBoxState:
         state = box_initial_state(grid, ParticleSpec(mass=1.0, charge=-1.0), True)
         assert state.amplitudes[0] == 0 and state.amplitudes[3] == 0
         assert abs(state.norm() - 1) < 1e-15
+
+    def test_interior_only_needs_two_cells_per_axis(self):
+        grid = build_grid(1.0, 1, 1)
+        with pytest.raises(ValidationError):
+            box_initial_state(grid, ParticleSpec(mass=1.0, charge=-1.0), True)
+
+    def test_cell_indicator_ranges_per_axis(self):
+        # Axis 0 holds the most significant bits, so the flat vector
+        # reshapes to (x, y).
+        grid = build_grid(1.0, 2, 2)
+        keep = cell_indicator(grid, [(1, 2), (0, 1)]).reshape(4, 4)
+        x, y = np.meshgrid(np.arange(4), np.arange(4), indexing="ij")
+        assert np.array_equal(keep, ((1 <= x) & (x <= 2) & (y <= 1)).astype(complex))
 
     def test_box_run_sanity(self):
         result = box_run(
@@ -376,7 +452,97 @@ class TestSynthReportRunner:
             run_synth_report(cfg, tmp_path / "x")
 
 
+ELECTRON = {"mass": 1.0, "charge": -1.0}
+PROTON = {"mass": 1836.0, "charge": 1.0, "kind": "clamped", "clamped_cell": [4, 4]}
+
+# Each of these exits 1 with a traceback, or 0 after running something the
+# manifest does not record, unless the schema rejects it.
+MALFORMED = [
+    ("box-evolve", {"qubits_per_axis": "5"}),
+    ("box-evolve", {"evolve_times": 3}),
+    ("box-evolve", {"evolve_times": [10**400]}),
+    ("box-evolve", {"steps": True}),
+    ("box-evolve", {"series_terms": 2.5}),
+    ("box-evolve", {"particles": [{"mass": "x"}]}),
+    ("box-evolve", {"interior_only": "no"}),
+    ("box-evolve", {"terms": ["bogus"]}),
+    ("box-evolve", {"box_length": 5e-324}),
+    ("box-evolve", {"box_length": 1e308}),
+    ("box-evolve", {"kinetic_method": "trotter", "particles": [{"mass": 5e-324}]}),
+    ("convergence", {"axis": "spatial", "sweep_qubits": [1, "2"]}),
+    ("convergence", {"axis": "spatial", "sweep_qubits": [1, 2], "steps": 5, "terms": ["bogus"]}),
+    ("convergence", {"axis": "temporal", "qubits_per_axis": 3, "sweep_steps": [2, 3.5]}),
+    ("sample", {"seed": -1}),
+    ("sample", {"seed": 1.5}),
+    ("sample", {"shots": "10"}),
+    ("sample", {"particles": [{"mass": 1.0, "charge": None}]}),
+    ("molecule2d", {"qubits_per_axis": "5"}),
+    ("molecule2d", {"electron_boxes": 5}),
+    ("molecule2d", {"reflection_centers": 4}),
+    ("molecule2d", {"steps": 2, "particles": [ELECTRON, {**PROTON, "clamped_cell": "88"}]}),
+    ("synth-report", {"pattern_angles": [1, 2, 3, "x"]}),
+    ("synth-report", {"count_qubits": [1, "2"]}),
+]
+
+# Small valid configs, one per experiment, for the single-key fuzz test.
+FUZZ_BASES = {
+    "box-evolve": {"qubits_per_axis": 3, "steps": 2},
+    "convergence": {"axis": "spatial", "sweep_qubits": [1, 2], "steps": 2},
+    "molecule2d": {"qubits_per_axis": 3, "steps": 2, "reflection_centers": [4, 4]},
+    "sample": {"qubits_per_axis": 3, "steps": 2, "shots": 10},
+    "synth-report": {"count_particles": [1], "count_qubits": [1, 2]},
+}
+
+# Integers stay small because a config may legitimately ask for a long run
+# or a large grid (e.g. steps=10**9); the two huge ones leave the double range.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
 class TestCli:
+    @pytest.mark.parametrize(
+        "command, payload", MALFORMED, ids=[f"{c}-{json.dumps(p)[:60]}" for c, p in MALFORMED]
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, command, payload):
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(key=st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]), value=JSON_VALUES)
+    def test_single_key_fuzz_exits_cleanly(self, command, key, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = write_config(Path(tmp) / "c.json", {**FUZZ_BASES[command], key: value})
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", cfg, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+
+    def test_qubit_guard_runs_before_allocation(self, tmp_path, capsys):
+        # Two electrons in 2D at n=8 are 32 qubits: a 64 GiB state.
+        payload = {"qubits_per_axis": 8, "steps": 2, "particles": [ELECTRON, ELECTRON, PROTON]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        tracemalloc.start()
+        try:
+            code = main(["molecule2d", "--config", cfg, "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "32 total qubits exceed the limit of 30" in capsys.readouterr().err
+        assert peak < 2**20
+
     def test_synth_report_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {})
         assert main(["synth-report", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -412,8 +578,8 @@ class TestCli:
         assert code == 3
 
     def test_total_qubit_guard_exits_three(self, tmp_path, capsys, monkeypatch):
-        # molecule2d builds its initial amplitudes before the state's qubit
-        # guard runs, so the limit is lowered to keep the run small.
+        # The limit is lowered to show that the guard reads
+        # MAX_TOTAL_QUBITS when the run starts.
         import wzsim.grid as grid_mod
 
         monkeypatch.setattr(grid_mod, "MAX_TOTAL_QUBITS", 10)

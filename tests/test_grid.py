@@ -46,6 +46,10 @@ class TestGridSpec:
             build_grid(-1.0, 3, 1)
         with pytest.raises(ValidationError):
             build_grid(0.0, 3, 1)
+        # Lengths whose delta^-2 or L^3 leave the double range.
+        for length in (5e-324, 1e-100, 1e101, 1e308):
+            with pytest.raises(ValidationError):
+                build_grid(length, 3, 1)
 
     def test_cell_center(self):
         grid = build_grid(1.0, 2, 2)
@@ -75,8 +79,9 @@ class TestParticleSpec:
             ParticleSpec(mass=1.0, charge=1.0, kind="quantum", clamped_cell=(1,))
 
     def test_mass_positive(self):
-        with pytest.raises(ValidationError):
-            ParticleSpec(mass=0.0, charge=-1.0)
+        for mass in (0.0, 5e-324, 1e101, float("nan")):
+            with pytest.raises(ValidationError):
+                ParticleSpec(mass=mass, charge=-1.0)
 
     def test_roster_helpers(self):
         e = electron()

@@ -140,6 +140,11 @@ class TestTrotterFactor:
         ratio = defects[0] / defects[1]
         assert 3.0 < ratio < 5.0
 
+    def test_coupling_overflow_rejected(self):
+        # eps / (8 m delta^2) beyond the double range; cosh(xi) would raise.
+        with pytest.raises(ValidationError):
+            trotter_xi(2.0**-90, 1e-100, 1e308)
+
     @given(
         D=st.sampled_from(POWERS),
         mag=st.floats(min_value=1e-6, max_value=0.5),

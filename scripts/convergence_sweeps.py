@@ -2,8 +2,8 @@
 
 The spatial sweep varies the grid resolution at a fixed step count; the
 temporal sweep varies the step count at a fixed grid. Sweep points run
-one after another; WZ_THREADS sets the FFT threads of the spectral
-method.
+one after another. The box has one register, so its spectral transforms
+run on one thread whatever WZ_THREADS says.
 """
 
 import argparse

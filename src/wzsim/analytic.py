@@ -23,6 +23,11 @@ from .potential import composite_potential
 
 MAX_ORACLE_DIM = 4096
 
+# box_exact_density evaluates the series on blocks of at most this many
+# (position, term) pairs: 2^11 positions at the default 1000 terms are one
+# block. The peak is about 32 bytes per pair.
+SERIES_BLOCK_ENTRIES = 1 << 21
+
 
 @dataclass(frozen=True)
 class BoxSeriesSpec:
@@ -38,6 +43,10 @@ class BoxSeriesSpec:
             raise ValidationError("length and mass must be positive")
         if self.terms < 1:
             raise ValidationError("series needs at least one term")
+        if self.terms > SERIES_BLOCK_ENTRIES:
+            raise ResourceLimitError(
+                f"{self.terms} series terms exceed the limit of {SERIES_BLOCK_ENTRIES}"
+            )
 
 
 def box_exact_density(x, spec: BoxSeriesSpec) -> np.ndarray:
@@ -46,14 +55,19 @@ def box_exact_density(x, spec: BoxSeriesSpec) -> np.ndarray:
     psi = (2^{3/2}/pi) sum_k psi_{2k-1}(x) exp(-i E_{2k-1} t / hbar) / (2k-1)
     with psi_a the box eigenfunctions sqrt(2/L) sin(a pi x / L).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float).reshape(-1)
     if np.any(x <= 0.0) or np.any(x >= spec.length):
         raise ValidationError("positions must lie strictly inside (0, L)")
     a = 2.0 * np.arange(1, spec.terms + 1) - 1.0
     energies = a**2 * np.pi**2 * HBAR**2 / (2.0 * spec.mass * spec.length**2)
     phases = np.exp(-1j * energies * spec.t / HBAR)
-    modes = np.sqrt(2.0 / spec.length) * np.sin(np.outer(x, a) * np.pi / spec.length)
-    psi = (2.0**1.5 / np.pi) * (modes @ (phases / a))
+    weights = phases / a
+    rows = max(1, SERIES_BLOCK_ENTRIES // spec.terms)
+    psi = np.empty(x.shape[0], dtype=np.complex128)
+    for lo in range(0, x.shape[0], rows):
+        block = x[lo : lo + rows]
+        modes = np.sqrt(2.0 / spec.length) * np.sin(np.outer(block, a) * np.pi / spec.length)
+        psi[lo : lo + rows] = (2.0**1.5 / np.pi) * (modes @ weights)
     return np.abs(psi) ** 2
 
 

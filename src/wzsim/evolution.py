@@ -39,6 +39,9 @@ HAMILTONIAN_TERMS = ("T_e", "T_n", "U_ee", "U_en", "U_nn", "wall")
 NORM_ABORT_TOL = 1e-6
 DEFAULT_SNAPSHOT_COUNT = 10
 
+# sample_configurations draws this many shots at a time.
+SHOT_CHUNK = 1 << 20
+
 
 @dataclass(frozen=True)
 class EvolutionPlan:
@@ -223,6 +226,10 @@ def sample_configurations(state: StateVector, shots: int, seed: int) -> np.ndarr
     cdf = np.cumsum(p / total)
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    draws = rng.random(shots)
-    indices = np.searchsorted(cdf, draws, side="right")
-    return np.bincount(indices, minlength=state.dim).astype(np.int64)
+    counts = np.zeros(state.dim, dtype=np.int64)
+    # The float64 stream is sequential, so chunks draw what one
+    # rng.random(shots) would, in 8 bytes per chunk entry, not per shot.
+    for done in range(0, shots, SHOT_CHUNK):
+        draws = rng.random(min(SHOT_CHUNK, shots - done))
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=state.dim)
+    return counts

@@ -50,6 +50,10 @@ TEMPORAL_STEPS = [10, 13, 18, 24, 32, 42, 56, 75, 100, 133, 178, 237, 316, 422, 
 
 EXPERIMENTS = ("box-evolve", "convergence", "molecule2d", "sample", "synth-report")
 
+# Python writes an int of at most 4300 digits (its default int-to-str
+# limit); every int below 2^14284 has at most 4300.
+MAX_COUNT_BITS = 14284
+
 
 @dataclass
 class RunConfig:
@@ -166,8 +170,16 @@ class RunConfig:
             raise ValidationError(f"{experiment} runs the terms {BOX_TERMS}, got {cfg.terms}")
         if experiment == "sample" and (cfg.shots < 1 or cfg.seed < 0):
             raise ValidationError("sample needs shots >= 1 and seed >= 0")
-        if experiment == "synth-report" and len(cfg.pattern_angles) != 4:
-            raise ValidationError("pattern_angles needs exactly four entries")
+        if experiment == "synth-report":
+            if len(cfg.pattern_angles) != 4:
+                raise ValidationError("pattern_angles needs exactly four entries")
+            # count_kinetic_gates(p, n) < 3 p 2^(n+1).
+            n = max(cfg.count_qubits, default=1)
+            p = max(cfg.count_particles, default=1)
+            if (3 * p).bit_length() + n + 1 > MAX_COUNT_BITS:
+                raise ValidationError(
+                    f"count_particles {p} with count_qubits {n}: gate counts over 4300 digits"
+                )
         if experiment == "molecule2d":
             if cfg.dims != 2:
                 raise ValidationError("molecule2d runs on a two-dimensional grid")
@@ -314,6 +326,7 @@ def box_run(
 ) -> dict:
     """One 1D box evolution compared against the truncated exact series."""
     grid = build_grid(length, n, 1)
+    series = BoxSeriesSpec(length=length, mass=particle.mass, t=total_time, terms=series_terms)
     state = box_initial_state(grid, particle, interior_only)
     plan = EvolutionPlan(
         T=total_time,
@@ -326,7 +339,6 @@ def box_run(
     report = evolve(state, plan, snapshot_steps=[])
     sim = density(report.final_state)
     centers = grid.delta * (np.arange(grid.cells_per_axis) + 0.5)
-    series = BoxSeriesSpec(length=length, mass=particle.mass, t=total_time, terms=series_terms)
     exact = box_exact_density(centers, series) * grid.delta
     # The error metric compares density-scale values at the cell coordinates
     # x_i = i*delta; the exact density vanishes identically at the x_0 = 0 wall.

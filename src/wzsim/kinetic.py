@@ -12,9 +12,11 @@ Two interchangeable single-axis methods are provided:
 * a spectral route: conjugation by the discrete Fourier transform, under
   which P is asymptotically diagonal with eigenvalues
   -(hbar/delta) sin(2 pi k / D), so the kinetic phase is applied exactly
-  in momentum space. The transforms run in scipy.fft with WZ_THREADS
-  workers; scipy is imported on first use, so runs that never take this
-  route do not load it.
+  in momentum space. The transforms run in place in numpy.fft. With
+  WZ_THREADS > 1 and more than one register, the register tensor is cut
+  along another axis into one slab per thread, and the slabs are
+  transformed at once on a small thread pool. Every 1-D line is
+  transformed alone, so the result does not depend on the cut.
 
 Both act on one register (one particle, one axis) at a time; registers
 are disjoint, so axis application order is irrelevant.
@@ -23,8 +25,10 @@ are disjoint, so axis application order is irrelevant.
 from __future__ import annotations
 
 import cmath
+import functools
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +37,10 @@ from .grid import HBAR, StateVector
 
 # fourier_conjugation_diagnostic builds O(D^2) dense intermediates.
 MAX_DIAGNOSTIC_DIM = 4096
+
+# Each FFT thread is an OS thread; a huge WZ_THREADS must not start
+# thousands of them. The thread count never changes output bytes.
+MAX_FFT_THREADS = 64
 
 
 def _check_register_size(D: int) -> None:
@@ -183,13 +191,14 @@ def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticT
 
 
 def _worker_count() -> int:
-    """FFT worker threads from WZ_THREADS; unset, empty or < 1 means 1."""
+    """FFT threads from WZ_THREADS; unset, empty or < 1 means 1, and more
+    than MAX_FFT_THREADS means MAX_FFT_THREADS."""
     raw = os.environ.get("WZ_THREADS", "1").strip() or "1"
     try:
         workers = int(raw)
     except ValueError as exc:
         raise ValidationError(f"WZ_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, workers)
+    return min(max(1, workers), MAX_FFT_THREADS)
 
 
 @dataclass
@@ -250,6 +259,34 @@ def apply_trotter_plan(
     return out
 
 
+@functools.cache
+def _slab_pool(threads: int):
+    """The threads that transform every slab but the caller's own, made on
+    the first call with this count, so importing wzsim starts none."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wzsim-fft")
+
+
+def _on_slabs(fn: Callable[[np.ndarray], None], t: np.ndarray, reg: int, workers: int) -> None:
+    """Call fn on min(workers, D) views that cut t along an axis other than
+    reg, concurrently. fn works on whole lines along reg, so any cut gives
+    the same bytes. One register, or one worker, is one call inline."""
+    split = 1 if reg == 0 else 0
+    count = min(workers, t.shape[split]) if t.ndim > 1 else 1
+    if count == 1:
+        fn(t)
+        return
+    bounds = [t.shape[split] * i // count for i in range(count + 1)]
+    slabs = [t[(slice(None),) * split + (slice(lo, hi),)] for lo, hi in zip(bounds, bounds[1:])]
+    futures = [_slab_pool(count - 1).submit(fn, slab) for slab in slabs[1:]]
+    try:
+        fn(slabs[0])
+    finally:
+        for future in futures:
+            future.result()
+
+
 def apply_spectral_plan(
     state: StateVector,
     particle: int,
@@ -259,23 +296,19 @@ def apply_spectral_plan(
 ) -> StateVector:
     """Apply the momentum-space phase to one register; out as in
     apply_trotter_plan."""
-    from scipy import fft
-
     out = state.copy_into(out)
     registers = len(state.particles) * state.grid.d
     reg = particle * state.grid.d + axis
-    t = out.amplitudes.reshape((plan.dim,) * registers)
     shape = [1] * registers
     shape[reg] = plan.dim
-    # With overwrite_x, scipy.fft transforms complex input in place and
-    # returns a new array object viewing it. The copy-back is guarded by
-    # may_share_memory, not by identity: r is never t, and assigning an
-    # overlapping view copies through a temporary.
-    r = fft.ifft(t, axis=reg, norm="ortho", overwrite_x=True, workers=plan.workers)
-    r *= plan.phase_table.reshape(shape)
-    r = fft.fft(r, axis=reg, norm="ortho", overwrite_x=True, workers=plan.workers)
-    if not np.may_share_memory(r, t):
-        t[...] = r
+    phase = plan.phase_table.reshape(shape)
+
+    def transform(slab: np.ndarray) -> None:
+        np.fft.ifft(slab, axis=reg, norm="ortho", out=slab)
+        slab *= phase
+        np.fft.fft(slab, axis=reg, norm="ortho", out=slab)
+
+    _on_slabs(transform, out.amplitudes.reshape((plan.dim,) * registers), reg, plan.workers)
     return out
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from wzsim.analytic import (
     MAX_ORACLE_DIM,
+    SERIES_BLOCK_ENTRIES,
     BoxSeriesSpec,
     box_exact_density,
     dense_evolution_oracle,
@@ -46,6 +47,29 @@ class TestBoxSeries:
             BoxSeriesSpec(length=1.0, mass=-1.0, t=0.0)
         with pytest.raises(ValidationError):
             BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=0)
+        with pytest.raises(ResourceLimitError):
+            BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=SERIES_BLOCK_ENTRIES + 1)
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        # 1000 positions against 200 terms: one block by default; at a
+        # budget of 7400 entries, 27 blocks of 37 rows and one of 1 row.
+        # Each row is the same dot product, but BLAS may order its sum by
+        # block shape, so the bound is a few ulps of the density.
+        import wzsim.analytic as analytic_mod
+
+        spec = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=200)
+        x = (np.arange(1000) + 0.5) / 1000
+        whole = box_exact_density(x, spec)
+        monkeypatch.setattr(analytic_mod, "SERIES_BLOCK_ENTRIES", 37 * 200)
+        # Reversed, so a block left unwritten cannot pass by holding the
+        # freed buffer of the first call.
+        blocked = box_exact_density(x[::-1], spec)[::-1]
+        assert blocked.shape == whole.shape
+        assert np.max(np.abs(blocked - whole)) <= 1e-14
+
+    def test_one_block_up_to_two_thousand_positions(self):
+        # conv_spatial_trotter evaluates n <= 10 at the default 1000 terms.
+        assert SERIES_BLOCK_ENTRIES // 1000 >= 2**11
 
     def test_initial_density_is_flat_inside(self):
         spec = BoxSeriesSpec(length=2.0, mass=1.0, t=0.0, terms=2000)

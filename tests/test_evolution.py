@@ -303,7 +303,7 @@ class TestWorkBuffer:
             T=0.04, N_t=2, kinetic_method="spectral", terms=MOLECULE_TERMS, splitting="strang"
         )
         roster = molecule_roster(grid)
-        evolve(state, plan, particles=roster, snapshot_steps=[])  # load scipy.fft first
+        evolve(state, plan, particles=roster, snapshot_steps=[])  # the first run imports numpy.fft
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
@@ -369,6 +369,19 @@ class TestSampling:
         state = StateVector(amps, grid, (electron(),))
         counts = sample_configurations(state, 100, seed=0)
         assert counts[3] == 100
+
+    def test_chunked_draws_match_one_draw(self, monkeypatch):
+        # 1000 shots in chunks of 64 cross 15 chunk boundaries and end on a
+        # partial chunk; the histogram must be the one a single draw gives.
+        import wzsim.evolution as evolution_mod
+
+        grid = build_grid(1.0, 3, 1)
+        state = gaussian_state(grid, (electron(),))
+        whole = sample_configurations(state, 1000, seed=5)
+        monkeypatch.setattr(evolution_mod, "SHOT_CHUNK", 64)
+        chunked = sample_configurations(state, 1000, seed=5)
+        assert np.array_equal(chunked, whole)
+        assert chunked.dtype == np.int64 and chunked.sum() == 1000
 
     def test_shots_validated(self):
         grid = build_grid(1.0, 3, 1)

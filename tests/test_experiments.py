@@ -482,6 +482,7 @@ MALFORMED = [
     ("molecule2d", {"steps": 2, "particles": [ELECTRON, {**PROTON, "clamped_cell": "88"}]}),
     ("synth-report", {"pattern_angles": [1, 2, 3, "x"]}),
     ("synth-report", {"count_qubits": [1, "2"]}),
+    ("synth-report", {"count_qubits": [15000]}),
 ]
 
 # Small valid configs, one per experiment, for the single-key fuzz test.
@@ -577,6 +578,13 @@ class TestCli:
         )
         assert code == 3
 
+    def test_series_terms_guard_exits_three(self, tmp_path, capsys):
+        # Checked before the evolution, so the run fails at once.
+        payload = {"qubits_per_axis": 3, "steps": 2, "series_terms": 2**21 + 1}
+        cfg = write_config(tmp_path / "c.json", payload)
+        assert main(["box-evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "series terms exceed" in capsys.readouterr().err
+
     def test_total_qubit_guard_exits_three(self, tmp_path, capsys, monkeypatch):
         # The limit is lowered to show that the guard reads
         # MAX_TOTAL_QUBITS when the run starts.
@@ -643,14 +651,25 @@ class TestCli:
         assert summary["shots"] == 500
         assert summary["seed"] == 9
 
-    def test_import_does_not_load_scipy(self):
-        # scipy.fft is imported on the first spectral step only, so the
-        # Trotter route never pays for it.
-        code = "import sys, wzsim.cli; print('scipy' in sys.modules)"
+    def test_spectral_runs_do_not_load_scipy(self, tmp_path):
+        # The spectral route runs on numpy.fft, so neither the import nor a
+        # spectral run, threaded or not, loads scipy. A fresh interpreter
+        # reports sys.modules after the import and after each run.
+        runs = [
+            ("molecule2d", {"qubits_per_axis": 2, "steps": 2}),
+            ("box-evolve", {"qubits_per_axis": 3, "steps": 2}),
+        ]
+        lines = ["import sys", "from wzsim.cli import main", "print('scipy' in sys.modules)"]
+        for i, (command, payload) in enumerate(runs):
+            cfg = write_config(tmp_path / f"{i}.json", {**payload, "kinetic_method": "spectral"})
+            argv = [command, "--config", cfg, "--out", str(tmp_path / f"out{i}")]
+            lines += [f"assert main({argv!r}) == 0", "print('scipy' in sys.modules)"]
         src = Path(wzsim.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONPATH=str(src), WZ_THREADS="2")
+        code = "\n".join(lines)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert out.stdout.strip() == "False", out.stderr
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"] * 3, out.stdout
 
     def test_load_config_roundtrip(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", {"steps": 12})

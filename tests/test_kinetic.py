@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.kinetic import (
+    MAX_FFT_THREADS,
     apply_kinetic_spectral,
     apply_kinetic_trotter,
     apply_spectral_plan,
@@ -293,6 +294,68 @@ class TestApplyKinetic:
         plan = make_trotter_plan(8, grid.delta, 1.0, 1e-3)
         with pytest.raises(ValidationError):
             apply_trotter_plan(state, 0, 0, plan, out=flat)
+
+
+class TestSpectralSlabs:
+    """apply_spectral_plan cuts the register tensor into WZ_THREADS slabs."""
+
+    @staticmethod
+    def random_state(grid, particles, seed):
+        rng = np.random.default_rng(seed)
+        size = grid.cells_per_axis ** (grid.d * len(particles))
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return StateVector(amps, grid, particles).normalized()
+
+    @staticmethod
+    def apply(monkeypatch, threads, state, reg, out=None):
+        monkeypatch.setenv("WZ_THREADS", str(threads))
+        grid = state.grid
+        plan = make_spectral_plan(grid.cells_per_axis, grid.delta, 1.0, 0.05)
+        assert plan.workers == threads
+        return apply_spectral_plan(state, reg // grid.d, reg % grid.d, plan, out=out), plan
+
+    @staticmethod
+    def dense_reference(state, reg, plan):
+        """F^dagger diag(phase) F on register reg, with F = qft(I)."""
+        D = plan.dim
+        F = qft(np.eye(D))
+        factor = F.conj().T @ (plan.phase_table[:, None] * F)
+        t = state.amplitudes.reshape((D,) * (len(state.particles) * state.grid.d))
+        return np.moveaxis(np.tensordot(factor, t, axes=(1, reg)), 0, reg).reshape(-1)
+
+    @pytest.mark.parametrize(
+        "n, d, particles, threads",
+        # Three registers (one particle in 3D) and four (two in 2D) of 8
+        # cells, where 3 threads cut uneven slabs of 2, 3 and 3 cells; and
+        # four registers of 2 cells, where 4 threads find only 2 slabs.
+        [(3, 3, 1, t) for t in (1, 2, 3)] + [(3, 2, 2, t) for t in (1, 2, 3)] + [(1, 2, 2, 4)],
+    )
+    def test_matches_dense_reference_on_every_register(self, monkeypatch, n, d, particles, threads):
+        grid = build_grid(1.0, n, d)
+        for reg in range(particles * d):
+            state = self.random_state(grid, (electron(),) * particles, reg)
+            out, plan = self.apply(monkeypatch, threads, state, reg)
+            assert np.max(np.abs(out.amplitudes - self.dense_reference(state, reg, plan))) <= 1e-15
+            single, _ = self.apply(monkeypatch, 1, state, reg)
+            assert np.array_equal(out.amplitudes, single.amplitudes)
+
+    @pytest.mark.parametrize("reg", range(4))
+    def test_out_targets_agree_under_threads(self, monkeypatch, reg):
+        grid = build_grid(1.0, 3, 2)
+        particles = (electron(), electron())
+        state = self.random_state(grid, particles, reg)
+        before = state.amplitudes.copy()
+        fresh, _ = self.apply(monkeypatch, 3, state, reg)
+        other = self.random_state(grid, particles, 99)
+        assert self.apply(monkeypatch, 3, state, reg, out=other)[0] is other
+        assert np.array_equal(state.amplitudes, before)
+        assert self.apply(monkeypatch, 3, state, reg, out=state)[0] is state
+        assert np.array_equal(fresh.amplitudes, other.amplitudes)
+        assert np.array_equal(fresh.amplitudes, state.amplitudes)
+
+    def test_thread_count_is_capped(self, monkeypatch):
+        monkeypatch.setenv("WZ_THREADS", str(10**6))
+        assert make_spectral_plan(8, 0.125, 1.0, 1e-3).workers == MAX_FFT_THREADS
 
 
 class TestFourierDiagnostic:

@@ -6,11 +6,15 @@ kinetic factor (Strang). Kinetic factors act register by register in
 particle-major, axis-ascending order; the registers are disjoint so the
 order only fixes a convention.
 
-evolve owns one work buffer: a StateVector over a copy of the initial
-amplitudes. Every step writes into it through out=, so the phases, the
-FFTs and the Trotter scans all act in place on that one array and no
-state-sized array or StateVector is made per operator. The caller's
-state is left as it was.
+evolve steps one work buffer: a StateVector over a copy of the initial
+amplitudes, or, with overwrite_input=True, the caller's state itself.
+Every step writes into it through out=, so the phases, the FFTs and the
+Trotter scans all act in place on that one array and no state-sized
+array or StateVector is made per operator. The potential phase is built
+slab by slab of register-0 cells, straight into its complex array, so no
+full-size energy diagonal exists. A run with overwrite_input=True thus
+peaks at two states, the state and the phase, plus slab-sized
+temporaries.
 """
 
 from __future__ import annotations
@@ -21,7 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NormDriftError, ValidationError
-from .grid import GridSpec, ParticleSpec, StateVector, density, quantum_particles
+from .grid import (
+    GridSpec,
+    ParticleSpec,
+    StateVector,
+    density,
+    quantum_particles,
+    slab_bounds,
+)
 from .kinetic import (
     KineticTrotterPlan,
     SpectralKineticPlan,
@@ -30,7 +41,7 @@ from .kinetic import (
     make_spectral_plan,
     make_trotter_plan,
 )
-from .potential import composite_potential
+from .potential import SLAB_ARRAYS, composite_potential
 
 KINETIC_METHODS = ("trotter", "spectral")
 SPLITTINGS = ("first-order", "strang")
@@ -95,13 +106,21 @@ def prepare_operators(
     if not quantum:
         raise ValidationError("need at least one quantum particle")
     potential_terms = [t for t in plan.terms if t.startswith("U_") or t == "wall"]
-    diag = composite_potential(grid, particles, potential_terms, v_wall=plan.v_wall)
     eps = plan.eps
     phase_full = phase_half = None
-    if diag is not None:
+    if potential_terms:
         scale = -1j * eps if plan.splitting == "first-order" else -1j * (eps / 2.0)
-        phase = np.multiply(scale, diag.energies, dtype=np.complex128)
-        np.exp(phase, out=phase)
+        D = grid.cells_per_axis
+        rows = D ** (len(quantum) * grid.d - 1)
+        phase = np.empty(D * rows, dtype=np.complex128)
+        bounds = slab_bounds(D, SLAB_ARRAYS * 8 * rows)
+        for lo, hi in zip(bounds, bounds[1:]):
+            diag = composite_potential(
+                grid, particles, potential_terms, v_wall=plan.v_wall, cells=(lo, hi)
+            )
+            slab = phase[lo * rows : hi * rows]
+            np.multiply(scale, diag.energies, out=slab)
+            np.exp(slab, out=slab)
         if plan.splitting == "first-order":
             phase_full = phase
         else:
@@ -176,11 +195,17 @@ def evolve(
     plan: EvolutionPlan,
     particles: Sequence[ParticleSpec] | None = None,
     snapshot_steps: Sequence[int] | None = None,
+    overwrite_input: bool = False,
 ) -> EvolutionReport:
     """Run N_t steps, recording per-step norm drift and density snapshots.
 
     particles may include clamped nuclei; its quantum subset must match the
     state's register layout. Aborts when |norm - 1| exceeds 1e-6.
+
+    By default the steps act on a copy and state is left as it was. With
+    overwrite_input, as numpy's overwrite_x, state's own amplitudes are the
+    work buffer: no copy is made, the report's final_state is state, and
+    state holds the last step taken, also when the norm check aborts.
     """
     roster = tuple(particles) if particles is not None else state.particles
     quantum = quantum_particles(roster)
@@ -198,7 +223,7 @@ def evolve(
     ops = prepare_operators(state.grid, roster, plan)
     drift = np.empty(plan.N_t, dtype=float)
     snapshots: list[tuple[int, np.ndarray]] = []
-    work = state.with_amplitudes(state.amplitudes.copy())
+    work = state if overwrite_input else state.with_amplitudes(state.amplitudes.copy())
     for k in range(1, plan.N_t + 1):
         step(work, plan, ops, out=work)
         drift[k - 1] = abs(work.norm() - 1.0)
@@ -223,7 +248,10 @@ def sample_configurations(state: StateVector, shots: int, seed: int) -> np.ndarr
     total = p.sum()
     if not np.isfinite(total) or total <= 0:
         raise ValidationError("state has no probability mass")
-    cdf = np.cumsum(p / total)
+    # Normalized and accumulated in place: the density is the only
+    # state-sized array.
+    np.divide(p, total, out=p)
+    cdf = np.cumsum(p, out=p)
     cdf[-1] = 1.0
     rng = np.random.Generator(np.random.Philox(int(seed)))
     counts = np.zeros(state.dim, dtype=np.int64)

@@ -336,7 +336,7 @@ def box_run(
         splitting=splitting,
         v_wall=wall_height,
     )
-    report = evolve(state, plan, snapshot_steps=[])
+    report = evolve(state, plan, snapshot_steps=[], overwrite_input=True)
     sim = density(report.final_state)
     centers = grid.delta * (np.arange(grid.cells_per_axis) + 0.5)
     exact = box_exact_density(centers, series) * grid.delta
@@ -472,8 +472,8 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
     amps = parts[0]
     for part in parts[1:]:
         amps = np.multiply.outer(amps, part).reshape(-1)
-    # Normalized in place and wrapped once: no second state-sized array
-    # stays live through evolve.
+    # Normalized in place and wrapped once, and evolve steps this array
+    # itself: no second state-sized array is made.
     amps /= np.linalg.norm(amps)
     state = StateVector(amplitudes=amps, grid=grid, particles=electrons)
     del amps, parts
@@ -486,7 +486,7 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
         splitting=cfg.splitting,
         v_wall=cfg.wall_height,
     )
-    report = evolve(state, plan, particles=particles, snapshot_steps=[])
+    report = evolve(state, plan, particles=particles, snapshot_steps=[], overwrite_input=True)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -542,7 +542,7 @@ def run_sample(cfg: RunConfig, out_dir) -> dict:
             splitting=cfg.splitting,
             v_wall=cfg.wall_height,
         )
-        state = evolve(state, plan, snapshot_steps=[]).final_state
+        state = evolve(state, plan, snapshot_steps=[], overwrite_input=True).final_state
     counts = sample_configurations(state, cfg.shots, cfg.seed)
     p = density(state)
     tv = 0.5 * float(np.abs(counts / cfg.shots - p).sum())

@@ -30,6 +30,10 @@ MAX_TOTAL_QUBITS = 30
 
 NORM_TOL = 1e-10
 
+# Bytes of temporaries one slab of work may hold: each slab of the
+# potential phase build, and each Trotter scan slab on each thread.
+SLAB_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -202,8 +206,9 @@ class StateVector:
     amplitudes is a contiguous vector of length 2^(d*n*N_q). No operation
     mutates it except through an explicit out= argument (step,
     apply_trotter_plan, apply_spectral_plan), which writes the result into
-    out.amplitudes and returns out; without out= every operation returns a
-    new StateVector over a new array.
+    out.amplitudes and returns out, or evolve(..., overwrite_input=True),
+    which steps the state's own amplitudes; otherwise every operation
+    returns a new StateVector over a new array.
     """
 
     amplitudes: np.ndarray
@@ -221,10 +226,6 @@ class StateVector:
         dim = 1 << total_qubits(self.grid.n, self.grid.d, len(self.particles))
         if amps.shape != (dim,):
             raise ValidationError(f"amplitude vector has shape {amps.shape}, expected ({dim},)")
-
-    @property
-    def codec(self) -> IndexCodec:
-        return IndexCodec(n=self.grid.n, d=self.grid.d, n_particles=len(self.particles))
 
     @property
     def dim(self) -> int:
@@ -253,6 +254,15 @@ class StateVector:
                 raise ValidationError("out must have the state's grid and particles")
             np.copyto(out.amplitudes, self.amplitudes)
         return out
+
+
+def slab_bounds(cells: int, cell_bytes: int, minimum: int = 1) -> list[int]:
+    """Cut points 0 = b_0 < ... < b_k = cells of k even slabs of cells:
+    at least minimum slabs, enough that none holds more than SLAB_BYTES at
+    cell_bytes per cell, and never more than one per cell."""
+    per_slab = max(1, SLAB_BYTES // cell_bytes) if cell_bytes > 0 else cells
+    count = min(cells, max(minimum, -(-cells // per_slab)))
+    return [cells * i // count for i in range(count + 1)]
 
 
 def encode_state(

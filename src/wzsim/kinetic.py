@@ -12,14 +12,18 @@ Two interchangeable single-axis methods are provided:
 * a spectral route: conjugation by the discrete Fourier transform, under
   which P is asymptotically diagonal with eigenvalues
   -(hbar/delta) sin(2 pi k / D), so the kinetic phase is applied exactly
-  in momentum space. The transforms run in place in numpy.fft. With
-  WZ_THREADS > 1 and more than one register, the register tensor is cut
-  along another axis into one slab per thread, and the slabs are
-  transformed at once on a small thread pool. Every 1-D line is
-  transformed alone, so the result does not depend on the cut.
+  in momentum space. The transforms run in place in numpy.fft.
 
 Both act on one register (one particle, one axis) at a time; registers
-are disjoint, so axis application order is irrelevant.
+are disjoint, so axis application order is irrelevant. With more than
+one register, both cut the register tensor along another axis into
+slabs and deal them out over WZ_THREADS threads, a count read once into
+the plan. The spectral route works in place, so it cuts one slab per
+thread. The scan holds three temporaries the size of its slab, so the
+Trotter route cuts as many more slabs as keep them under
+grid.SLAB_BYTES, at most one per cell of the cut axis. Every 1-D line
+is worked on alone, so the result does not depend on the cut or the
+thread count. A one-register state is one call on the caller's thread.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .grid import HBAR, StateVector
+from .grid import HBAR, StateVector, slab_bounds
 
 # fourier_conjugation_diagnostic builds O(D^2) dense intermediates.
 MAX_DIAGNOSTIC_DIM = 4096
 
-# Each FFT thread is an OS thread; a huge WZ_THREADS must not start
+# Each kinetic thread is an OS thread; a huge WZ_THREADS must not start
 # thousands of them. The thread count never changes output bytes.
 MAX_FFT_THREADS = 64
 
@@ -104,13 +108,14 @@ class KineticTrotterPlan:
         E_0 * B_1 * B_2 * ... * B_{D-2} * E_{D-1}
     where E_j is the endpoint phase exp(-xi |j><j|) and B_i the coupling
     block at cells (i-1, i, i+1). Applied to a state, the rightmost factor
-    acts first. The plan holds only D and xi: apply_trotter_plan evaluates
-    the product as a prefix scan, and trotter_factor_matrix builds the
-    dense matrix for reference.
+    acts first. The plan holds D, xi and the thread count:
+    apply_trotter_plan evaluates the product as a prefix scan, and
+    trotter_factor_matrix builds the dense matrix for reference.
     """
 
     dim: int
     xi: complex
+    workers: int
 
     @property
     def endpoint_phase(self) -> complex:
@@ -187,11 +192,11 @@ def _trotter_scan(o: np.ndarray, xi: complex) -> np.ndarray:
 
 def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticTrotterPlan:
     _check_register_size(D)
-    return KineticTrotterPlan(dim=D, xi=trotter_xi(delta, mass, eps))
+    return KineticTrotterPlan(dim=D, xi=trotter_xi(delta, mass, eps), workers=_worker_count())
 
 
 def _worker_count() -> int:
-    """FFT threads from WZ_THREADS; unset, empty or < 1 means 1, and more
+    """Kinetic threads from WZ_THREADS; unset, empty or < 1 means 1, and more
     than MAX_FFT_THREADS means MAX_FFT_THREADS."""
     raw = os.environ.get("WZ_THREADS", "1").strip() or "1"
     try:
@@ -253,35 +258,60 @@ def apply_trotter_plan(
     may be state itself) the result is written into out.amplitudes and out
     is returned; without it, a new StateVector."""
     out = state.copy_into(out)
+    registers = len(state.particles) * state.grid.d
     reg = particle * state.grid.d + axis
-    t = out.amplitudes.reshape((plan.dim,) * (len(state.particles) * state.grid.d))
-    _trotter_scan(t.swapaxes(0, reg), plan.xi)
+    t = out.amplitudes.reshape((plan.dim,) * registers)
+    if registers == 1:
+        _trotter_scan(t, plan.xi)
+        return out
+
+    def scan(slab: np.ndarray) -> None:
+        _trotter_scan(slab.swapaxes(0, reg), plan.xi)
+
+    # The scan holds c, shifted and ps * c[s:], each the size of its slab.
+    _on_slabs(scan, t, reg, plan.workers, temporaries=3)
     return out
 
 
 @functools.cache
 def _slab_pool(threads: int):
-    """The threads that transform every slab but the caller's own, made on
-    the first call with this count, so importing wzsim starts none."""
+    """The threads that work on slabs beside the caller's own, made on the
+    first call with this count, so importing wzsim starts none."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wzsim-fft")
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wzsim-slab")
 
 
-def _on_slabs(fn: Callable[[np.ndarray], None], t: np.ndarray, reg: int, workers: int) -> None:
-    """Call fn on min(workers, D) views that cut t along an axis other than
-    reg, concurrently. fn works on whole lines along reg, so any cut gives
-    the same bytes. One register, or one worker, is one call inline."""
-    split = 1 if reg == 0 else 0
-    count = min(workers, t.shape[split]) if t.ndim > 1 else 1
-    if count == 1:
+def _on_slabs(
+    fn: Callable[[np.ndarray], None],
+    t: np.ndarray,
+    reg: int,
+    workers: int,
+    temporaries: int = 0,
+) -> None:
+    """Call fn on views that cut t along an axis other than reg. fn works
+    on whole lines along reg, so any cut gives the same bytes. There is one
+    slab per worker or, when fn holds `temporaries` arrays of its slab's
+    size, as many more as keep them under SLAB_BYTES; at most one per cell
+    of the cut axis. The slabs, of equal size to within a cell, are dealt
+    in turn to min(workers, slabs) threads, the caller's among them. One
+    register is one call inline."""
+    if t.ndim == 1:
         fn(t)
         return
-    bounds = [t.shape[split] * i // count for i in range(count + 1)]
+    split = 1 if reg == 0 else 0
+    cells = t.shape[split]
+    bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)
     slabs = [t[(slice(None),) * split + (slice(lo, hi),)] for lo, hi in zip(bounds, bounds[1:])]
-    futures = [_slab_pool(count - 1).submit(fn, slab) for slab in slabs[1:]]
+    threads = min(workers, len(slabs))
+
+    def deal(first: int) -> None:
+        for slab in slabs[first::threads]:
+            fn(slab)
+
+    futures = [_slab_pool(threads - 1).submit(deal, i) for i in range(1, threads)]
     try:
-        fn(slabs[0])
+        deal(0)
     finally:
         for future in futures:
             future.result()

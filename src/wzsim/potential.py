@@ -18,7 +18,6 @@ from .errors import ValidationError
 from .grid import (
     HBAR,
     GridSpec,
-    IndexCodec,
     ParticleSpec,
     StateVector,
     clamped_position,
@@ -31,6 +30,11 @@ E_PRIME = 1.0
 COULOMB_TERMS = ("ee", "en", "nn", "all")
 
 ANTIDIAGONAL_TOL = 1e-10
+
+# composite_potential on a slab of cells holds at most this many float64
+# arrays of the slab's size at once: the running sum, the term being
+# built, one pair's distances, and the masks.
+SLAB_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,33 @@ def _pair_in_term(p: ParticleSpec, q: ParticleSpec, term: str) -> bool:
     raise ValidationError(f"unknown Coulomb term {term!r}")
 
 
-def _register_coordinates(grid: GridSpec, registers: int) -> list[np.ndarray]:
-    """Cell-center coordinate of every register, as views that broadcast
-    against a (D,)*registers array: entry r varies along axis r only."""
-    x = grid.delta * (np.arange(grid.cells_per_axis, dtype=float) + 0.5)
-    return [x.reshape((-1,) + (1,) * (registers - 1 - r)) for r in range(registers)]
+def _register_views(table: np.ndarray, registers: int, cells: tuple[int, int]) -> list[np.ndarray]:
+    """A per-cell table as one view per register that broadcasts against a
+    (hi - lo, D, ..., D) slab: entry r varies along axis r only, and entry 0
+    holds only register 0's cells lo..hi-1."""
+    lo, hi = cells
+    views = [table[lo:hi].reshape((-1,) + (1,) * (registers - 1))]
+    return views + [table.reshape((-1,) + (1,) * (registers - 1 - r)) for r in range(1, registers)]
+
+
+def _check_cells(grid: GridSpec, cells: tuple[int, int] | None) -> tuple[int, int]:
+    """The register-0 cell range [lo, hi); None means every cell."""
+    if cells is None:
+        return 0, grid.cells_per_axis
+    lo, hi = (int(c) for c in cells)
+    if not 0 <= lo < hi <= grid.cells_per_axis:
+        raise ValidationError(f"cell range [{lo}, {hi}) outside [0, {grid.cells_per_axis})")
+    return lo, hi
 
 
 def _inverse_distance(squares: Sequence[np.ndarray], delta: float) -> np.ndarray:
     """1 / sqrt(sum of squared axis displacements), with a vanishing
-    distance regularized to one cell width."""
-    dist = sum(squares[1:], squares[0])
+    distance regularized to one cell width. The sum is built in one array
+    of the broadcast shape."""
+    dist = np.empty(np.broadcast_shapes(*(s.shape for s in squares)))
+    dist[...] = squares[0]
+    for s in squares[1:]:
+        dist += s
     np.sqrt(dist, out=dist)
     same = dist == 0.0
     with np.errstate(divide="ignore"):
@@ -106,22 +126,30 @@ def _inverse_distance(squares: Sequence[np.ndarray], delta: float) -> np.ndarray
 
 
 def build_coulomb_diagonal(
-    grid: GridSpec, particles: Sequence[ParticleSpec], term: str
+    grid: GridSpec,
+    particles: Sequence[ParticleSpec],
+    term: str,
+    cells: tuple[int, int] | None = None,
 ) -> DiagonalOperator:
     """Sum of pair Coulomb energies for the selected term over the joint
     basis of the quantum particles. Clamped particles contribute through
     their fixed positions; a clamped-clamped pair adds a constant.
 
     Each pair's energies are built by broadcasting register coordinates,
-    so they span only the registers of that pair before being added in."""
+    so they span only the registers of that pair before being added in.
+    With cells = (lo, hi), only register-0 cells lo..hi-1 are built: the
+    contiguous slab of the full diagonal, with the same bytes."""
     if term not in COULOMB_TERMS:
         raise ValidationError(f"term must be one of {COULOMB_TERMS}, got {term!r}")
     particles = tuple(particles)
     quantum = quantum_particles(particles)
     if not quantum:
         raise ValidationError("need at least one quantum particle")
+    lo, hi = _check_cells(grid, cells)
     d = grid.d
-    coords = _register_coordinates(grid, len(quantum) * d)
+    D = grid.cells_per_axis
+    registers = len(quantum) * d
+    coords = _register_views(grid.delta * (np.arange(D, dtype=float) + 0.5), registers, (lo, hi))
     q_slot = {}
     slot = 0
     for i, p in enumerate(particles):
@@ -129,7 +157,7 @@ def build_coulomb_diagonal(
             q_slot[i] = slot
             slot += 1
 
-    energies = np.zeros((grid.cells_per_axis,) * len(coords), dtype=float)
+    energies = np.zeros((hi - lo,) + (D,) * (registers - 1), dtype=float)
     delta = grid.delta
     for i in range(len(particles)):
         for j in range(i + 1, len(particles)):
@@ -159,19 +187,27 @@ def build_coulomb_diagonal(
     return DiagonalOperator(energies=energies.reshape(-1), label=term)
 
 
+def _wall_energies(
+    grid: GridSpec, n_particles: int, v_wall: float, cells: tuple[int, int]
+) -> np.ndarray:
+    """v_wall for every axis whose cell index is 0 or D - 1, summed over
+    each particle's axes and then over the particles, from one 1-D table
+    broadcast per register. Register 0 spans only cells lo..hi-1."""
+    if v_wall < 0:
+        raise ValidationError("wall height must be nonnegative")
+    table = np.zeros(grid.cells_per_axis)
+    table[[0, -1]] += v_wall
+    views = _register_views(table, n_particles * grid.d, cells)
+    d = grid.d
+    per_particle = [sum(views[p * d + 1 : (p + 1) * d], views[p * d]) for p in range(n_particles)]
+    return sum(per_particle[1:], per_particle[0])
+
+
 def wall_potential(grid: GridSpec, v_wall: float) -> DiagonalOperator:
     """Single-particle box wall: v_wall added per axis whose cell index is
     0 or 2^n - 1."""
-    if v_wall < 0:
-        raise ValidationError("wall height must be nonnegative")
-    codec = IndexCodec(n=grid.n, d=grid.d, n_particles=1)
-    idx = np.arange(codec.dim, dtype=np.int64)
-    energies = np.zeros(codec.dim, dtype=float)
-    top = grid.cells_per_axis - 1
-    for a in range(grid.d):
-        cells = codec.register_cells(idx, 0, a)
-        energies += v_wall * ((cells == 0) | (cells == top))
-    return DiagonalOperator(energies=energies, label="wall")
+    energies = _wall_energies(grid, 1, v_wall, (0, grid.cells_per_axis))
+    return DiagonalOperator(energies=energies.reshape(-1), label="wall")
 
 
 def lift_single_particle(diag: DiagonalOperator, n_particles: int) -> DiagonalOperator:
@@ -192,20 +228,25 @@ def composite_potential(
     particles: Sequence[ParticleSpec],
     terms: Sequence[str],
     v_wall: float = 1e6,
+    cells: tuple[int, int] | None = None,
 ) -> DiagonalOperator | None:
     """Sum the requested potential diagonals ('U_ee', 'U_en', 'U_nn',
-    'wall') over the joint basis. Returns None when no term applies."""
+    'wall') over the joint basis, in that order. Returns None when no term
+    applies. With cells = (lo, hi), only register-0 cells lo..hi-1 are
+    built: flat entries lo * D^(R-1) to hi * D^(R-1) of the full diagonal,
+    bit for bit, for R registers."""
     quantum = quantum_particles(particles)
     if not quantum:
         raise ValidationError("need at least one quantum particle")
+    cells = _check_cells(grid, cells)
     total = None
     for term in ("U_ee", "U_en", "U_nn", "wall"):
         if term not in terms:
             continue
         if term == "wall":
-            piece = lift_single_particle(wall_potential(grid, v_wall), len(quantum)).energies
+            piece = _wall_energies(grid, len(quantum), v_wall, cells).reshape(-1)
         else:
-            piece = build_coulomb_diagonal(grid, particles, term.split("_")[1]).energies
+            piece = build_coulomb_diagonal(grid, particles, term.split("_")[1], cells).energies
         if total is None:
             total = piece
         else:

@@ -16,7 +16,7 @@ from wzsim.evolution import (
 from wzsim import grid as grid_mod
 from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state
 from wzsim.kinetic import apply_spectral_plan, apply_trotter_plan
-from wzsim.potential import composite_potential
+from wzsim.potential import SLAB_ARRAYS, composite_potential
 
 
 def electron():
@@ -80,6 +80,24 @@ class TestPreparedOperators:
         ops = prepare_operators(grid, roster, plan)
         assert ops.phase_full is None
         assert np.allclose(ops.phase_half, np.exp(-1j * plan.eps / 2 * diag.energies), atol=1e-15)
+
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    def test_slab_built_phase_is_bit_exact(self, monkeypatch, splitting):
+        # Two electrons in 2D on 8 cells: a register-0 cell holds 512
+        # amplitudes, 16 KiB of float slab arrays. A cap of three cells
+        # cuts uneven slabs of 2, 3 and 3 cells.
+        grid = build_grid(4.0, 3, 2)
+        roster = (*molecule_roster(grid), proton_clamped((0, 7)))
+        terms = {"T_e", "U_ee", "U_en", "U_nn", "wall"}
+        plan = EvolutionPlan(T=0.05, N_t=4, terms=terms, splitting=splitting, v_wall=30.0)
+        cell_bytes = SLAB_ARRAYS * 8 * 8**3
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 3 * cell_bytes)
+        assert grid_mod.slab_bounds(8, cell_bytes) == [0, 2, 5, 8]
+        ops = prepare_operators(grid, roster, plan)
+        phase = ops.phase_full if splitting == "first-order" else ops.phase_half
+        scale = -1j * plan.eps if splitting == "first-order" else -1j * (plan.eps / 2.0)
+        diag = composite_potential(grid, roster, ["U_ee", "U_en", "U_nn", "wall"], v_wall=30.0)
+        assert np.array_equal(phase, np.exp(scale * diag.energies))
 
     def test_kinetic_entries_cover_quantum_registers(self):
         grid = build_grid(1.0, 2, 2)
@@ -296,6 +314,69 @@ class TestWorkBuffer:
         assert np.array_equal(fresh.amplitudes, other.amplitudes)
         assert np.array_equal(fresh.amplitudes, state.amplitudes)
 
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    def test_overwrite_input_steps_the_callers_buffer(self, method):
+        grid = build_grid(4.0, 3, 2)
+        roster = molecule_roster(grid)
+        plan = EvolutionPlan(
+            T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, splitting="strang"
+        )
+        copied = evolve(random_state(grid, 2), plan, particles=roster, snapshot_steps=[2])
+        state = random_state(grid, 2)
+        buffer = state.amplitudes
+        report = evolve(state, plan, particles=roster, snapshot_steps=[2], overwrite_input=True)
+        assert report.final_state is state and state.amplitudes is buffer
+        assert np.array_equal(buffer, copied.final_state.amplitudes)
+        assert np.array_equal(report.norm_drift, copied.norm_drift)
+        assert np.array_equal(report.snapshots[0][1], copied.snapshots[0][1])
+
+    @pytest.mark.parametrize("wall", [False, True])
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    @pytest.mark.parametrize(
+        "n, d, particles",
+        # 2^16 amplitudes (1 MiB) in 1 and 2 particles, 2^18 in 3: every
+        # layout has more than one register, so every kinetic factor and
+        # every phase slab can be cut.
+        [(8, 2, 1), (4, 2, 2), (6, 1, 3)],
+    )
+    def test_peak_with_overwrite_is_state_plus_phase(
+        self, monkeypatch, n, d, particles, method, splitting, wall
+    ):
+        # Handing the state over leaves the phase as the only state-sized
+        # array evolve makes. The potential slabs stay under the cap, here
+        # a 32nd of the state, and so do the Trotter scan slabs, unless one
+        # cell of the cut axis is more: 3/16 of the state in temporaries at
+        # 16 cells. Each thread holds its own slab, so this runs on one.
+        # The rest is numpy's fixed-size FFT buffer, about 140 KiB.
+        monkeypatch.setenv("WZ_THREADS", "1")
+        grid = build_grid(4.0, n, d)
+        mid = grid.cells_per_axis // 2
+        roster = (electron(),) * particles + (proton_clamped((mid - 1,) * d),)
+        terms = {"T_e", "U_en"} | ({"U_ee"} if particles > 1 else set())
+        plan = EvolutionPlan(
+            T=0.002,
+            N_t=2,
+            kinetic_method=method,
+            terms=terms | ({"wall"} if wall else set()),
+            splitting=splitting,
+            v_wall=50.0,
+        )
+        state = random_state(grid, particles)
+        state_bytes = state.amplitudes.nbytes
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", state_bytes // 32)
+        evolve(random_state(grid, particles, seed=1), plan, particles=roster,
+               snapshot_steps=[], overwrite_input=True)  # warm-up: imports, pools, plans
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            report = evolve(state, plan, particles=roster, snapshot_steps=[], overwrite_input=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.final_state is state
+        assert peak - base <= 1.25 * state_bytes
+
     def test_peak_memory_is_a_few_states(self):
         grid = build_grid(4.0, 4, 2)
         state = random_state(grid, 2)
@@ -382,6 +463,17 @@ class TestSampling:
         chunked = sample_configurations(state, 1000, seed=5)
         assert np.array_equal(chunked, whole)
         assert chunked.dtype == np.int64 and chunked.sum() == 1000
+
+    def test_histogram_matches_reference_draw(self):
+        # The in-place normalization and cumulative sum are the arithmetic
+        # of cumsum(p / p.sum()), so the counts are those of one draw.
+        state = random_state(build_grid(4.0, 4, 2), 1, seed=3)
+        p = np.abs(state.amplitudes) ** 2
+        cdf = np.cumsum(p / p.sum())
+        cdf[-1] = 1.0
+        draws = np.random.Generator(np.random.Philox(9)).random(20000)
+        expected = np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=state.dim)
+        assert np.array_equal(sample_configurations(state, 20000, seed=9), expected)
 
     def test_shots_validated(self):
         grid = build_grid(1.0, 3, 1)

@@ -35,6 +35,7 @@ from wzsim.experiments import (
     run_sample,
     run_synth_report,
 )
+from wzsim import grid as grid_mod
 from wzsim.grid import ParticleSpec, build_grid
 from wzsim.kinetic import _worker_count, make_spectral_plan
 
@@ -402,10 +403,9 @@ class TestMoleculeRunner:
         for entry in summary["electrons"]:
             assert entry["marginal_sum"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        # Two electrons in 2D: four registers, so every transform but the
-        # last runs along a strided axis.
-        cfg = self.config(
+    def thread_config(self, **overrides):
+        """Two electrons in 2D, with a clamped proton either side."""
+        return self.config(
             particles=[
                 {"mass": 1.0, "charge": -1.0},
                 {"mass": 1.0, "charge": -1.0},
@@ -415,14 +415,23 @@ class TestMoleculeRunner:
             terms=["T_e", "U_ee", "U_en"],
             splitting="strang",
             electron_boxes=[[[0, 3], [1, 6]], [[4, 7], [2, 5]]],
+            **overrides,
         )
-        outputs = []
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("WZ_THREADS", threads)
-            run_molecule2d(cfg, tmp_path / threads)
-            outputs.append({f.name: f.read_bytes() for f in (tmp_path / threads).iterdir()})
-        assert "marginal_e1.csv" in outputs[0]
-        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # Two electrons in 2D: four registers, so every transform and scan
+        # but the last runs along a strided axis. A 16 KiB cap cuts the
+        # phase and each Trotter factor into 8 one-cell slabs.
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 1 << 14)
+        for method in ("spectral", "trotter"):
+            outputs = []
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("WZ_THREADS", threads)
+                out = tmp_path / method / threads
+                run_molecule2d(self.thread_config(kinetic_method=method), out)
+                outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+            assert "marginal_e1.csv" in outputs[0]
+            assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestSynthReportRunner:

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzsim import grid as grid_mod
 from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.kinetic import (
@@ -297,7 +298,8 @@ class TestApplyKinetic:
 
 
 class TestSpectralSlabs:
-    """apply_spectral_plan cuts the register tensor into WZ_THREADS slabs."""
+    """apply_spectral_plan cuts the register tensor into WZ_THREADS slabs;
+    apply_trotter_plan cuts as many more as keep its scan under the cap."""
 
     @staticmethod
     def random_state(grid, particles, seed):
@@ -356,6 +358,52 @@ class TestSpectralSlabs:
     def test_thread_count_is_capped(self, monkeypatch):
         monkeypatch.setenv("WZ_THREADS", str(10**6))
         assert make_spectral_plan(8, 0.125, 1.0, 1e-3).workers == MAX_FFT_THREADS
+        assert make_trotter_plan(8, 0.125, 1.0, 1e-3).workers == MAX_FFT_THREADS
+
+    @pytest.mark.parametrize(
+        "n, d, particles, threads, bounds",
+        # A cap of three cells' worth of scan temporaries cuts 16 cells into
+        # 6 uneven slabs, more than threads, and 8 cells into 3 uneven ones;
+        # 2 cells give one slab per cell.
+        [(4, 3, 1, t, [0, 2, 5, 8, 10, 13, 16]) for t in (1, 2, 3)]
+        + [(3, 2, 2, t, [0, 2, 5, 8]) for t in (1, 2, 3)]
+        + [(1, 2, 2, 3, [0, 1, 2])],
+    )
+    def test_trotter_slabs_match_whole_tensor_scan(
+        self, monkeypatch, n, d, particles, threads, bounds
+    ):
+        grid = build_grid(1.0, n, d)
+        D = grid.cells_per_axis
+        registers = particles * d
+        cell_bytes = 3 * 16 * D ** (registers - 1)
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 3 * cell_bytes)
+        assert grid_mod.slab_bounds(D, cell_bytes, threads) == bounds
+        monkeypatch.setenv("WZ_THREADS", str(threads))
+        plan = make_trotter_plan(D, grid.delta, 1.0, 0.05)
+        assert plan.workers == threads
+        for reg in range(registers):
+            state = self.random_state(grid, (electron(),) * particles, reg)
+            out = apply_trotter_plan(state, reg // d, reg % d, plan)
+            whole = state.amplitudes.copy().reshape((D,) * registers)
+            _trotter_scan(whole.swapaxes(0, reg), plan.xi)
+            assert np.array_equal(out.amplitudes, whole.reshape(-1))
+
+    @pytest.mark.parametrize("reg", range(4))
+    def test_trotter_out_targets_agree_under_threads(self, monkeypatch, reg):
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 1)
+        monkeypatch.setenv("WZ_THREADS", "3")
+        grid = build_grid(1.0, 3, 2)
+        particles = (electron(), electron())
+        plan = make_trotter_plan(8, grid.delta, 1.0, 0.05)
+        state = self.random_state(grid, particles, reg)
+        before = state.amplitudes.copy()
+        fresh = apply_trotter_plan(state, reg // 2, reg % 2, plan)
+        other = self.random_state(grid, particles, 99)
+        assert apply_trotter_plan(state, reg // 2, reg % 2, plan, out=other) is other
+        assert np.array_equal(state.amplitudes, before)
+        assert apply_trotter_plan(state, reg // 2, reg % 2, plan, out=state) is state
+        assert np.array_equal(fresh.amplitudes, other.amplitudes)
+        assert np.array_equal(fresh.amplitudes, state.amplitudes)
 
 
 class TestFourierDiagnostic:

@@ -154,6 +154,40 @@ class TestComposite:
         wall = lift_single_particle(wall_potential(grid, 5.0), 2).energies
         assert np.allclose(full.energies, ee + wall, atol=1e-14)
 
+    @pytest.mark.parametrize("n, d, particles", [(4, 1, 1), (2, 3, 1), (3, 2, 2), (3, 1, 3)])
+    def test_cell_ranges_are_slices_of_the_full_diagonal(self, n, d, particles):
+        # Every term, with two clamped nuclei so that U_nn adds a constant;
+        # single cells, uneven ranges and the whole register.
+        grid = build_grid(2.0, n, d)
+        D = grid.cells_per_axis
+        roster = (electron(),) * particles + (
+            proton_clamped((1,) * d),
+            ParticleSpec(mass=1836.0, charge=2.0, kind="clamped", clamped_cell=(D - 2,) * d),
+        )
+        terms = ("U_ee", "U_en", "U_nn", "wall")
+        full = composite_potential(grid, roster, terms, v_wall=0.1).energies
+        en = build_coulomb_diagonal(grid, roster, "en").energies
+        rows = full.size // D
+        for lo, hi in [(0, 1), (D - 1, D), (1, D // 2 + 1), (0, D)]:
+            piece = composite_potential(grid, roster, terms, v_wall=0.1, cells=(lo, hi))
+            assert np.array_equal(piece.energies, full[lo * rows : hi * rows])
+            piece = build_coulomb_diagonal(grid, roster, "en", cells=(lo, hi))
+            assert np.array_equal(piece.energies, en[lo * rows : hi * rows])
+
+    @pytest.mark.parametrize("cells", [(0, 0), (3, 2), (-1, 2), (2, 9)])
+    def test_cell_range_validated(self, cells):
+        grid = build_grid(1.0, 3, 1)
+        with pytest.raises(ValidationError):
+            composite_potential(grid, (electron(),), ("wall",), cells=cells)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_wall_tables_equal_the_lifted_wall(self, d):
+        # 0.1 is inexact, so any change in the order of the sums would show.
+        grid = build_grid(1.0, 2, d)
+        roster = (electron(), electron())
+        wall = composite_potential(grid, roster, ("wall",), v_wall=0.1).energies
+        assert np.array_equal(wall, lift_single_particle(wall_potential(grid, 0.1), 2).energies)
+
     def test_no_applicable_terms_returns_none(self):
         grid = build_grid(1.0, 2, 1)
         assert composite_potential(grid, (electron(),), ()) is None

@@ -1,0 +1,77 @@
+"""Print the output hashes of a fixed set of CLI runs as one JSON object.
+
+Each run goes through wzsim.cli.main into a temporary directory, and its
+manifest's "outputs" map (file name to SHA-256) is collected under the
+run's name. The JSON is sorted, so two prints compare with diff: run it
+under two WZ_THREADS values, or on two commits, to check that outputs
+are byte-identical.
+
+    PYTHONPATH=src WZ_THREADS=1 python3 scripts/manifest_hashes.py > a.json
+    PYTHONPATH=src WZ_THREADS=3 python3 scripts/manifest_hashes.py > b.json
+    diff a.json b.json
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from wzsim.cli import main as cli_main
+
+
+def nucleus(cell):
+    return {"mass": 1836.0, "charge": 1.0, "kind": "clamped", "clamped_cell": cell}
+
+
+ELECTRON = {"mass": 1.0, "charge": -1.0}
+
+# Two electrons and two protons on a 16x16 grid, with every molecule
+# term: a 1 MiB state, so the phase and the Trotter scans are cut into
+# several slabs.
+TWO_ELECTRONS = {
+    "qubits_per_axis": 4,
+    "steps": 50,
+    "particles": [ELECTRON, ELECTRON, nucleus([5, 8]), nucleus([10, 8])],
+    "terms": ["T_e", "U_ee", "U_en", "U_nn", "wall"],
+    "wall_height": 50.0,
+    "electron_boxes": [[[0, 7], [2, 13]], None],
+    "reflection_centers": [8, 8],
+}
+
+TROTTER_STRANG = {"kinetic_method": "trotter", "splitting": "strang"}
+
+RUNS = {
+    "box-evolve": ("box-evolve", {}),
+    "box-evolve-trotter": ("box-evolve", {"kinetic_method": "trotter"}),
+    "box-evolve-strang": ("box-evolve", {"splitting": "strang"}),
+    "box-evolve-trotter-strang": ("box-evolve", TROTTER_STRANG),
+    "convergence-spatial": ("convergence", {"axis": "spatial"}),
+    "convergence-temporal": ("convergence", {"axis": "temporal"}),
+    "molecule2d": ("molecule2d", {}),
+    "molecule2d-trotter": ("molecule2d", {"kinetic_method": "trotter"}),
+    "molecule2d-strang": ("molecule2d", {"splitting": "strang"}),
+    "molecule2d-trotter-strang": ("molecule2d", TROTTER_STRANG),
+    "molecule2d-2e-spectral": ("molecule2d", TWO_ELECTRONS),
+    "molecule2d-2e-trotter": ("molecule2d", {**TWO_ELECTRONS, "kinetic_method": "trotter"}),
+    "sample": ("sample", {}),
+    "synth-report": ("synth-report", {}),
+}
+
+
+def run_hashes() -> dict:
+    hashes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (command, payload) in RUNS.items():
+            config = Path(tmp) / f"{name}.json"
+            config.write_text(json.dumps(payload))
+            out = Path(tmp) / name
+            code = cli_main([command, "--config", str(config), "--out", str(out)])
+            if code != 0:
+                raise SystemExit(f"{name}: {command} exited {code}")
+            hashes[name] = json.loads((out / "manifest.json").read_text())["outputs"]
+    return hashes
+
+
+if __name__ == "__main__":
+    json.dump(run_hashes(), sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")

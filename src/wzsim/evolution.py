@@ -127,25 +127,14 @@ def prepare_operators(
             phase_half = phase
 
     kinetic: list[tuple[int, int, KineticTrotterPlan | SpectralKineticPlan]] = []
-    D = grid.cells_per_axis
-    trotter_cache: dict[float, KineticTrotterPlan] = {}
-    spectral_cache: dict[float, SpectralKineticPlan] = {}
+    make = make_trotter_plan if plan.kinetic_method == "trotter" else make_spectral_plan
+    plans: dict[float, KineticTrotterPlan | SpectralKineticPlan] = {}
     for pq, particle in enumerate(quantum):
         if _kinetic_term_for(particle) not in plan.terms:
             continue
-        for axis in range(grid.d):
-            if plan.kinetic_method == "trotter":
-                if particle.mass not in trotter_cache:
-                    trotter_cache[particle.mass] = make_trotter_plan(
-                        D, grid.delta, particle.mass, eps
-                    )
-                kinetic.append((pq, axis, trotter_cache[particle.mass]))
-            else:
-                if particle.mass not in spectral_cache:
-                    spectral_cache[particle.mass] = make_spectral_plan(
-                        D, grid.delta, particle.mass, eps
-                    )
-                kinetic.append((pq, axis, spectral_cache[particle.mass]))
+        if particle.mass not in plans:
+            plans[particle.mass] = make(grid.cells_per_axis, grid.delta, particle.mass, eps)
+        kinetic += [(pq, axis, plans[particle.mass]) for axis in range(grid.d)]
     return PreparedOperators(phase_full=phase_full, phase_half=phase_half, kinetic=kinetic)
 
 

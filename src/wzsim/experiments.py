@@ -36,9 +36,11 @@ from .grid import (
     ParticleSpec,
     StateVector,
     build_grid,
+    cell_centers,
     density,
     marginal_density,
     quantum_particles,
+    register_views,
     total_qubits,
 )
 
@@ -168,8 +170,12 @@ class RunConfig:
                 raise ValidationError("box experiments use exactly one quantum particle")
         if experiment in ("box-evolve", "convergence") and set(cfg.terms) != set(BOX_TERMS):
             raise ValidationError(f"{experiment} runs the terms {BOX_TERMS}, got {cfg.terms}")
-        if experiment == "sample" and (cfg.shots < 1 or cfg.seed < 0):
-            raise ValidationError("sample needs shots >= 1 and seed >= 0")
+        if experiment == "sample" and (
+            cfg.shots < 1 or cfg.seed < 0 or cfg.steps < 1 or cfg.total_time < 0
+        ):
+            raise ValidationError(
+                "sample needs shots >= 1, seed >= 0, steps >= 1 and total_time >= 0"
+            )
         if experiment == "synth-report":
             if len(cfg.pattern_angles) != 4:
                 raise ValidationError("pattern_angles needs exactly four entries")
@@ -296,12 +302,11 @@ def _write_manifest(out_dir: Path, cfg: RunConfig, files: Sequence[Path]) -> Pat
 def cell_indicator(grid: GridSpec, ranges: Sequence[Sequence[int]]) -> np.ndarray:
     """Indicator amplitudes over one particle's 2^(d*n) cells: 1 where the
     index on every axis a lies in the inclusive range ranges[a]."""
-    idx = np.arange(grid.cells_per_axis**grid.d)
-    keep = np.ones(idx.size, dtype=bool)
+    cells = np.arange(grid.cells_per_axis)
+    keep = np.ones((grid.cells_per_axis,) * grid.d, dtype=bool)
     for a, (lo, hi) in enumerate(ranges):
-        cells = (idx >> (grid.d - 1 - a) * grid.n) & (grid.cells_per_axis - 1)
-        keep &= (cells >= lo) & (cells <= hi)
-    return keep.astype(np.complex128)
+        keep &= register_views((cells >= lo) & (cells <= hi), grid.d)[a]
+    return keep.reshape(-1).astype(np.complex128)
 
 
 def box_initial_state(grid: GridSpec, particle: ParticleSpec, interior_only: bool) -> StateVector:
@@ -338,7 +343,7 @@ def box_run(
     )
     report = evolve(state, plan, snapshot_steps=[], overwrite_input=True)
     sim = density(report.final_state)
-    centers = grid.delta * (np.arange(grid.cells_per_axis) + 0.5)
+    centers = cell_centers(grid)
     exact = box_exact_density(centers, series) * grid.delta
     # The error metric compares density-scale values at the cell coordinates
     # x_i = i*delta; the exact density vanishes identically at the x_0 = 0 wall.
@@ -491,16 +496,12 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     D = grid.cells_per_axis
+    x = cell_centers(grid)
     files = []
     electrons_summary = []
     for e in range(len(electrons)):
         marg = marginal_density(report.final_state, e).reshape(D, D)
-        rows = []
-        for ix in range(D):
-            for iy in range(D):
-                rows.append(
-                    (ix, iy, grid.delta * (ix + 0.5), grid.delta * (iy + 0.5), marg[ix, iy])
-                )
+        rows = [(ix, iy, x[ix], x[iy], marg[ix, iy]) for ix in range(D) for iy in range(D)]
         name = f"marginal_e{e}.csv"
         _write_csv(out / name, ["ix", "iy", "x", "y", "probability"], rows)
         files.append(out / name)
@@ -533,7 +534,7 @@ def run_sample(cfg: RunConfig, out_dir) -> dict:
     particle = quantum_particles(particles_from_config(cfg))[0]
     grid = build_grid(cfg.box_length, cfg.qubits_per_axis, 1)
     state = box_initial_state(grid, particle, cfg.interior_only)
-    if cfg.total_time > 0 and cfg.steps > 0:
+    if cfg.total_time > 0:
         plan = EvolutionPlan(
             T=cfg.total_time,
             N_t=cfg.steps,

@@ -4,12 +4,16 @@ Conventions used throughout the package:
 
 * Hartree atomic units: hbar = 1, electron mass = 1, and the Coulomb
   coupling e^2/(4 pi eps0) = 1. Lengths are in bohr, energies in hartree.
-* Each spatial axis of the box [0, L]^d is split into 2^n cells of width
-  delta = L / 2^n; grid points sit at cell centers delta * (i + 1/2).
-* A quantum particle occupies d registers of n qubits each. The joint
-  basis index is particle-major, axes ordered x, y, z within a particle,
-  and big-endian within an axis register (qubit 0 is the most significant
-  bit of the whole index).
+* Each spatial axis of the box [0, L]^d is split into D = 2^n cells of
+  width delta = L / 2^n; grid points sit at cell centers delta * (i + 1/2),
+  which cell_centers returns for one axis.
+* A quantum particle occupies d registers of n qubits each; register
+  r = particle * d + axis, axes ordered x, y, z. The joint basis index is
+  the C-order ravel of the (D,) * R register tensor of R registers: the
+  index is big-endian, and qubit 0 is the most significant bit of
+  register 0 and of the whole index. StateVector.tensor is that tensor
+  as a view, register_views broadcasts a per-cell table along each of
+  its axes, and IndexCodec converts single indices for reference.
 """
 
 from __future__ import annotations
@@ -85,6 +89,24 @@ def cell_center(grid: GridSpec, idx: Sequence[int]) -> np.ndarray:
     return grid.delta * (np.asarray(idx, dtype=float) + 0.5)
 
 
+def cell_centers(grid: GridSpec) -> np.ndarray:
+    """The D cell-center coordinates of one axis."""
+    return grid.delta * (np.arange(grid.cells_per_axis, dtype=float) + 0.5)
+
+
+def register_views(
+    table: np.ndarray, registers: int, cells: tuple[int, int] | None = None
+) -> list[np.ndarray]:
+    """A per-cell table of one axis as one view per register of the
+    (D,) * registers tensor: view r varies along axis r only, so the views
+    broadcast against the tensor and against each other. With cells =
+    (lo, hi), view 0 holds only register 0's cells lo..hi-1 and the views
+    broadcast against the slab tensor[lo:hi]."""
+    head = table if cells is None else table[cells[0] : cells[1]]
+    views = [head.reshape((-1,) + (1,) * (registers - 1))]
+    return views + [table.reshape((-1,) + (1,) * (registers - 1 - r)) for r in range(1, registers)]
+
+
 @dataclass(frozen=True)
 class ParticleSpec:
     """A point particle. Clamped particles carry no register; they sit at
@@ -147,11 +169,8 @@ def total_qubits(n: int, d: int, n_particles: int) -> int:
 
 @dataclass(frozen=True)
 class IndexCodec:
-    """Bijection between flat basis indices and per-particle cell tuples.
-
-    Register r = particle * d + axis holds n bits; register 0 occupies the
-    most significant bits of the flat index.
-    """
+    """Bijection between flat basis indices and per-particle cell tuples:
+    the C-order ravel over the (2^n,) * registers register tensor."""
 
     n: int
     d: int
@@ -168,35 +187,22 @@ class IndexCodec:
     def dim(self) -> int:
         return 1 << (self.n * self.registers)
 
-    def register_shift(self, particle: int, axis: int) -> int:
-        r = particle * self.d + axis
-        return (self.registers - 1 - r) * self.n
-
     def flat_index(self, cells) -> int:
-        cells = np.asarray(cells, dtype=np.int64).reshape(self.n_particles, self.d)
+        cells = np.asarray(cells, dtype=np.int64)
+        if cells.shape != (self.n_particles, self.d):
+            raise ValidationError(
+                f"cells have shape {cells.shape}, expected ({self.n_particles}, {self.d})"
+            )
         if np.any(cells < 0) or np.any(cells >= (1 << self.n)):
             raise ValidationError("cell index outside the register range")
-        flat = 0
-        for p in range(self.n_particles):
-            for a in range(self.d):
-                flat = (flat << self.n) | int(cells[p, a])
-        return flat
+        return int(np.ravel_multi_index(tuple(cells.reshape(-1)), (1 << self.n,) * self.registers))
 
     def unflatten(self, flat: int) -> np.ndarray:
         flat = int(flat)
         if not 0 <= flat < self.dim:
             raise ValidationError(f"flat index {flat} outside [0, {self.dim})")
-        mask = (1 << self.n) - 1
-        cells = np.empty((self.n_particles, self.d), dtype=np.int64)
-        for p in range(self.n_particles):
-            for a in range(self.d):
-                cells[p, a] = (flat >> self.register_shift(p, a)) & mask
-        return cells
-
-    def register_cells(self, flat: np.ndarray, particle: int, axis: int) -> np.ndarray:
-        """Vectorized extraction of one register from an index array."""
-        mask = (1 << self.n) - 1
-        return (np.asarray(flat) >> self.register_shift(particle, axis)) & mask
+        cells = np.unravel_index(flat, (1 << self.n,) * self.registers)
+        return np.array(cells).reshape(self.n_particles, self.d)
 
 
 @dataclass(frozen=True)
@@ -230,6 +236,13 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The amplitudes as the (D,) * R register tensor, a view: axis r
+        is register r = particle * d + axis."""
+        registers = len(self.particles) * self.grid.d
+        return self.amplitudes.reshape((self.grid.cells_per_axis,) * registers)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -278,13 +291,9 @@ def encode_state(
     quantum = quantum_particles(particles)
     if not quantum:
         raise ValidationError("need at least one quantum particle to encode a state")
-    codec = IndexCodec(n=grid.n, d=grid.d, n_particles=len(quantum))
-    dim = codec.dim
-    idx = np.arange(dim, dtype=np.int64)
-    positions = np.empty((dim, len(quantum), grid.d), dtype=float)
-    for p in range(len(quantum)):
-        for a in range(grid.d):
-            positions[:, p, a] = grid.delta * (codec.register_cells(idx, p, a) + 0.5)
+    dim = 1 << total_qubits(grid.n, grid.d, len(quantum))
+    coords = np.broadcast_arrays(*register_views(cell_centers(grid), len(quantum) * grid.d))
+    positions = np.stack(coords, axis=-1).reshape(dim, len(quantum), grid.d)
     amps = np.empty(dim, dtype=np.complex128)
     for m in range(dim):
         amps[m] = sampler(*positions[m])

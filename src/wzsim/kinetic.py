@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .grid import HBAR, StateVector, slab_bounds
+from .grid import HBAR, StateVector, register_views, slab_bounds
 
 # fourier_conjugation_diagnostic builds O(D^2) dense intermediates.
 MAX_DIAGNOSTIC_DIM = 4096
@@ -257,11 +257,11 @@ def apply_trotter_plan(
     """Apply the finite-difference factor to one register. With out (which
     may be state itself) the result is written into out.amplitudes and out
     is returned; without it, a new StateVector."""
+    _check_plan_size(state, plan)
     out = state.copy_into(out)
-    registers = len(state.particles) * state.grid.d
+    t = out.tensor
     reg = particle * state.grid.d + axis
-    t = out.amplitudes.reshape((plan.dim,) * registers)
-    if registers == 1:
+    if t.ndim == 1:
         _trotter_scan(t, plan.xi)
         return out
 
@@ -271,6 +271,12 @@ def apply_trotter_plan(
     # The scan holds c, shifted and ps * c[s:], each the size of its slab.
     _on_slabs(scan, t, reg, plan.workers, temporaries=3)
     return out
+
+
+def _check_plan_size(state: StateVector, plan: KineticTrotterPlan | SpectralKineticPlan) -> None:
+    D = state.grid.cells_per_axis
+    if plan.dim != D:
+        raise ValidationError(f"a plan for {plan.dim} cells applied to registers of {D}")
 
 
 @functools.cache
@@ -326,19 +332,18 @@ def apply_spectral_plan(
 ) -> StateVector:
     """Apply the momentum-space phase to one register; out as in
     apply_trotter_plan."""
+    _check_plan_size(state, plan)
     out = state.copy_into(out)
-    registers = len(state.particles) * state.grid.d
+    t = out.tensor
     reg = particle * state.grid.d + axis
-    shape = [1] * registers
-    shape[reg] = plan.dim
-    phase = plan.phase_table.reshape(shape)
+    phase = register_views(plan.phase_table, t.ndim)[reg]
 
     def transform(slab: np.ndarray) -> None:
         np.fft.ifft(slab, axis=reg, norm="ortho", out=slab)
         slab *= phase
         np.fft.fft(slab, axis=reg, norm="ortho", out=slab)
 
-    _on_slabs(transform, out.amplitudes.reshape((plan.dim,) * registers), reg, plan.workers)
+    _on_slabs(transform, t, reg, plan.workers)
     return out
 
 

@@ -20,8 +20,10 @@ from .grid import (
     GridSpec,
     ParticleSpec,
     StateVector,
+    cell_centers,
     clamped_position,
     quantum_particles,
+    register_views,
 )
 
 # Coulomb coupling e^2 / (4 pi eps0) in atomic units.
@@ -90,15 +92,6 @@ def _pair_in_term(p: ParticleSpec, q: ParticleSpec, term: str) -> bool:
     raise ValidationError(f"unknown Coulomb term {term!r}")
 
 
-def _register_views(table: np.ndarray, registers: int, cells: tuple[int, int]) -> list[np.ndarray]:
-    """A per-cell table as one view per register that broadcasts against a
-    (hi - lo, D, ..., D) slab: entry r varies along axis r only, and entry 0
-    holds only register 0's cells lo..hi-1."""
-    lo, hi = cells
-    views = [table[lo:hi].reshape((-1,) + (1,) * (registers - 1))]
-    return views + [table.reshape((-1,) + (1,) * (registers - 1 - r)) for r in range(1, registers)]
-
-
 def _check_cells(grid: GridSpec, cells: tuple[int, int] | None) -> tuple[int, int]:
     """The register-0 cell range [lo, hi); None means every cell."""
     if cells is None:
@@ -149,7 +142,7 @@ def build_coulomb_diagonal(
     d = grid.d
     D = grid.cells_per_axis
     registers = len(quantum) * d
-    coords = _register_views(grid.delta * (np.arange(D, dtype=float) + 0.5), registers, (lo, hi))
+    coords = register_views(cell_centers(grid), registers, (lo, hi))
     q_slot = {}
     slot = 0
     for i, p in enumerate(particles):
@@ -197,7 +190,7 @@ def _wall_energies(
         raise ValidationError("wall height must be nonnegative")
     table = np.zeros(grid.cells_per_axis)
     table[[0, -1]] += v_wall
-    views = _register_views(table, n_particles * grid.d, cells)
+    views = register_views(table, n_particles * grid.d, cells)
     d = grid.d
     per_particle = [sum(views[p * d + 1 : (p + 1) * d], views[p * d]) for p in range(n_particles)]
     return sum(per_particle[1:], per_particle[0])

@@ -485,6 +485,9 @@ MALFORMED = [
     ("sample", {"seed": 1.5}),
     ("sample", {"shots": "10"}),
     ("sample", {"particles": [{"mass": 1.0, "charge": None}]}),
+    ("sample", {"steps": -3}),
+    ("sample", {"steps": 0}),
+    ("sample", {"total_time": -1.0}),
     ("molecule2d", {"qubits_per_axis": "5"}),
     ("molecule2d", {"electron_boxes": 5}),
     ("molecule2d", {"reflection_centers": 4}),

@@ -11,12 +11,15 @@ from wzsim.grid import (
     StateVector,
     build_grid,
     cell_center,
+    cell_centers,
     clamped_position,
     density,
     encode_state,
     marginal_density,
     quantum_particles,
+    register_views,
 )
+from wzsim.experiments import cell_indicator
 
 
 def electron(**kw):
@@ -104,10 +107,11 @@ class TestIndexCodec:
         # particle 0 occupies the most significant qubits
         assert codec.flat_index(np.array([[1], [2]])) == 1 * 4 + 2
 
-    def test_register_shift(self):
-        codec = IndexCodec(n=3, d=2, n_particles=2)
-        assert codec.register_shift(0, 0) == 9
-        assert codec.register_shift(1, 1) == 0
+    def test_flat_index_rejects_a_wrong_shape(self):
+        codec = IndexCodec(n=2, d=2, n_particles=2)
+        for cells in ([1, 2, 3, 0], [[1, 2, 3, 0]], [[1, 2], [3, 0], [0, 0]], [1, 2, 3], 1):
+            with pytest.raises(ValidationError, match="shape"):
+                codec.flat_index(cells)
 
     def test_total_qubit_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -135,14 +139,89 @@ class TestIndexCodec:
         assert 0 <= flat < codec.dim
         assert np.array_equal(codec.unflatten(flat), cells)
 
-    def test_register_cells_vectorized(self):
-        codec = IndexCodec(n=2, d=2, n_particles=2)
+
+# (n, d, quantum particles): one to six registers.
+LAYOUTS = [(1, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 3), (1, 3, 2), (2, 2, 2)]
+
+
+def shift_and_mask(flat, n, registers, r):
+    """Register r's cell in flat index flat: the n bits above the
+    (registers - 1 - r) * n low bits."""
+    return (flat >> (registers - 1 - r) * n) & ((1 << n) - 1)
+
+
+class TestRegisterLayout:
+    """The basis index is the C-order ravel of the (D,) * R register tensor."""
+
+    @pytest.mark.parametrize("n, d, n_q", LAYOUTS)
+    def test_tensor_axes_and_views_are_the_registers(self, n, d, n_q):
+        grid = build_grid(1.0, n, d)
+        codec = IndexCodec(n=n, d=d, n_particles=n_q)
+        R = n_q * d
         flat = np.arange(codec.dim)
-        for p in range(2):
-            for a in range(2):
-                cells = codec.register_cells(flat, p, a)
-                rebuilt = np.array([codec.unflatten(f)[p, a] for f in flat])
-                assert np.array_equal(cells, rebuilt)
+        state = StateVector(flat.astype(complex), grid, (electron(),) * n_q)
+        t = state.tensor
+        assert t.shape == (2**n,) * R and np.shares_memory(t, state.amplitudes)
+        at = t.real.astype(np.int64)  # the flat index held at each tensor position
+        unflat = np.array([codec.unflatten(m).reshape(-1) for m in at.reshape(-1)])
+        views = np.broadcast_arrays(*register_views(np.arange(2**n), R))
+        for r, (axis_cells, view) in enumerate(zip(np.indices(t.shape), views)):
+            assert np.array_equal(axis_cells, shift_and_mask(at, n, R, r))
+            assert np.array_equal(axis_cells.reshape(-1), unflat[:, r])
+            assert np.array_equal(view, axis_cells)
+        for m in flat:
+            cells = [shift_and_mask(m, n, R, r) for r in range(R)]
+            assert codec.flat_index(np.reshape(cells, (n_q, d))) == m
+
+    def test_cells_cut_register_zero(self):
+        table = np.arange(8.0) * 3
+        for registers in (1, 2, 3):
+            whole = register_views(table, registers)
+            for lo, hi in ((0, 8), (2, 5), (7, 8)):
+                views = register_views(table, registers, (lo, hi))
+                assert np.array_equal(views[0].reshape(-1), table[lo:hi])
+                assert views[0].shape == (hi - lo,) + (1,) * (registers - 1)
+                for cut, full in zip(views[1:], whole[1:]):
+                    assert cut.shape == full.shape and np.array_equal(cut, full)
+
+    @pytest.mark.parametrize("length, n", [(1.0, 1), (0.7, 3), (3.3, 6), (1e-3, 10)])
+    def test_cell_centers_match_cell_center(self, length, n):
+        grid = build_grid(length, n, 1)
+        centers = cell_centers(grid)
+        assert centers.shape == (2**n,)
+        for i in range(2**n):
+            assert centers[i].tobytes() == cell_center(grid, (i,)).tobytes()
+
+    @pytest.mark.parametrize("n, d, n_q", LAYOUTS)
+    def test_encode_state_matches_shift_and_mask(self, n, d, n_q):
+        grid = build_grid(0.9, n, d)
+        R = n_q * d
+        weights = np.arange(1.0, R + 1.0).reshape(n_q, d)
+
+        def sampler(*positions):
+            pos = np.array(positions)
+            return complex(np.sum(weights * pos), np.prod(np.cos(pos)))
+
+        state = encode_state(grid, (electron(),) * n_q, sampler)
+        amps = np.empty(2 ** (n * R), dtype=complex)
+        for m in range(amps.size):
+            cells = [shift_and_mask(m, n, R, r) for r in range(R)]
+            pos = grid.delta * (np.array(cells, dtype=float) + 0.5)
+            amps[m] = sampler(*pos.reshape(n_q, d))
+        assert state.amplitudes.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 1), (2, 2), (3, 2), (1, 3), (2, 3)])
+    def test_cell_indicator_matches_shift_and_mask(self, n, d):
+        grid = build_grid(1.0, n, d)
+        D = 2**n
+        idx = np.arange(D**d)
+        for ranges in ([(0, D - 1)] * d, [(1, D - 2)] * d, [(a % D, D - 1) for a in range(d)]):
+            keep = np.ones(idx.size, dtype=bool)
+            for a, (lo, hi) in enumerate(ranges):
+                cells = shift_and_mask(idx, n, d, a)
+                keep &= (cells >= lo) & (cells <= hi)
+            expected = keep.astype(np.complex128)
+            assert cell_indicator(grid, ranges).tobytes() == expected.tobytes()
 
 
 class TestStateVector:

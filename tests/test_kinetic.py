@@ -296,6 +296,20 @@ class TestApplyKinetic:
         with pytest.raises(ValidationError):
             apply_trotter_plan(state, 0, 0, plan, out=flat)
 
+    @pytest.mark.parametrize(
+        "make, apply",
+        [(make_trotter_plan, apply_trotter_plan), (make_spectral_plan, apply_spectral_plan)],
+    )
+    def test_plan_must_match_the_register_size(self, make, apply):
+        # 2 registers of 8 cells hold as many amplitudes as 1 of 64.
+        for n, d, wrong in ((3, 2, 64), (6, 1, 8), (3, 1, 16)):
+            grid = build_grid(1.0, n, d)
+            state = StateVector(np.ones(2 ** (n * d), complex), grid, (electron(),)).normalized()
+            before = state.amplitudes.copy()
+            with pytest.raises(ValidationError):
+                apply(state, 0, 0, make(wrong, grid.delta, 1.0, 1e-3), out=state)
+            assert np.array_equal(state.amplitudes, before)
+
 
 class TestSpectralSlabs:
     """apply_spectral_plan cuts the register tensor into WZ_THREADS slabs;

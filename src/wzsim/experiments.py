@@ -170,12 +170,15 @@ class RunConfig:
                 raise ValidationError("box experiments use exactly one quantum particle")
         if experiment in ("box-evolve", "convergence") and set(cfg.terms) != set(BOX_TERMS):
             raise ValidationError(f"{experiment} runs the terms {BOX_TERMS}, got {cfg.terms}")
-        if experiment == "sample" and (
-            cfg.shots < 1 or cfg.seed < 0 or cfg.steps < 1 or cfg.total_time < 0
-        ):
+        # Checked whether or not the experiment reads them: the manifest
+        # records every resolved value.
+        if cfg.steps < 1 or (cfg.total_time is not None and cfg.total_time < 0):
             raise ValidationError(
-                "sample needs shots >= 1, seed >= 0, steps >= 1 and total_time >= 0"
+                f"{experiment} needs steps >= 1 and total_time >= 0, "
+                f"got {cfg.steps} and {cfg.total_time}"
             )
+        if experiment == "sample" and (cfg.shots < 1 or cfg.seed < 0):
+            raise ValidationError("sample needs shots >= 1 and seed >= 0")
         if experiment == "synth-report":
             if len(cfg.pattern_angles) != 4:
                 raise ValidationError("pattern_angles needs exactly four entries")
@@ -329,7 +332,13 @@ def box_run(
     series_terms: int,
     particle: ParticleSpec,
 ) -> dict:
-    """One 1D box evolution compared against the truncated exact series."""
+    """One 1D box evolution compared against the truncated exact series,
+    which is evaluated once, at the cell edges the error metrics use.
+
+    Returns grid, simulated (the per-cell probabilities), series (the
+    BoxSeriesSpec: the exact probabilities at the cell centers are
+    box_exact_density(cell_centers(grid), series) * grid.delta), rmse,
+    yb_error and max_norm_drift."""
     grid = build_grid(length, n, 1)
     series = BoxSeriesSpec(length=length, mass=particle.mass, t=total_time, terms=series_terms)
     state = box_initial_state(grid, particle, interior_only)
@@ -343,8 +352,6 @@ def box_run(
     )
     report = evolve(state, plan, snapshot_steps=[], overwrite_input=True)
     sim = density(report.final_state)
-    centers = cell_centers(grid)
-    exact = box_exact_density(centers, series) * grid.delta
     # The error metric compares density-scale values at the cell coordinates
     # x_i = i*delta; the exact density vanishes identically at the x_0 = 0 wall.
     edges = grid.delta * np.arange(grid.cells_per_axis)
@@ -352,9 +359,8 @@ def box_run(
     err = rmse(sim / grid.delta, exact_at_edges)
     return {
         "grid": grid,
-        "centers": centers,
         "simulated": sim,
-        "exact": exact,
+        "series": series,
         "rmse": err,
         "yb_error": yb_error(err, n),
         "max_norm_drift": report.max_norm_drift,
@@ -385,13 +391,11 @@ def run_box_evolve(cfg: RunConfig, out_dir) -> dict:
     runs = []
     for i, t_total in enumerate(cfg.evolve_times):
         result = _box_run(cfg, cfg.qubits_per_axis, cfg.steps, float(t_total))
+        grid = result["grid"]
+        centers = cell_centers(grid)
+        exact = box_exact_density(centers, result["series"]) * grid.delta
         name = f"density_{i:02d}.csv"
-        rows = zip(
-            range(result["centers"].size),
-            result["centers"],
-            result["simulated"],
-            result["exact"],
-        )
+        rows = zip(range(centers.size), centers, result["simulated"], exact)
         _write_csv(
             out / name,
             ["cell_index", "cell_center", "simulated_probability", "exact_probability"],

@@ -18,12 +18,15 @@ Both act on one register (one particle, one axis) at a time; registers
 are disjoint, so axis application order is irrelevant. With more than
 one register, both cut the register tensor along another axis into
 slabs and deal them out over WZ_THREADS threads, a count read once into
-the plan. The spectral route works in place, so it cuts one slab per
-thread. The scan holds three temporaries the size of its slab, so the
-Trotter route cuts as many more slabs as keep them under
-grid.SLAB_BYTES, at most one per cell of the cut axis. Every 1-D line
-is worked on alone, so the result does not depend on the cut or the
-thread count. A one-register state is one call on the caller's thread.
+the plan. A thread is worth its hand-off only for grid.SLAB_BYTES of
+state, so a call uses at most max(1, state bytes // SLAB_BYTES)
+threads: a state under SLAB_BYTES runs on the caller's thread alone.
+The spectral route works in place, so it cuts one slab per thread. The
+scan holds three temporaries the size of its slab, so the Trotter route
+cuts as many more slabs as keep them under SLAB_BYTES, at most one per
+cell of the cut axis. Every 1-D line is worked on alone, so the result
+does not depend on the cut or the thread count. A one-register state is
+one call on the caller's thread.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from __future__ import annotations
 import cmath
 import functools
 import os
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import grid
 from .errors import ResourceLimitError, ValidationError
 from .grid import HBAR, StateVector, register_views, slab_bounds
 
@@ -100,6 +104,32 @@ def trotter_coupling_block(xi: complex) -> np.ndarray:
     )
 
 
+class ScanCoefficients(NamedTuple):
+    """The complex constants _trotter_scan multiplies by, for one D and xi:
+    cosh(xi), sinh(xi), mid = exp(-2 xi), cosh(xi) exp(-2 xi), top =
+    exp(xi), end = exp(-xi), and the pass strides s = 2, 4, ... < D, each
+    with its power p^(s/2) of the pole p = sinh(xi) exp(-2 xi)."""
+
+    cosh: complex
+    sinh: complex
+    mid: complex
+    cosh_mid: complex
+    top: complex
+    end: complex
+    powers: tuple[tuple[int, complex], ...]
+
+
+def scan_coefficients(D: int, xi: complex) -> ScanCoefficients:
+    """The ScanCoefficients of a register of D cells at coupling xi."""
+    ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
+    powers = []
+    s, ps = 2, sh * mid
+    while s < D:
+        powers.append((s, ps))
+        s, ps = 2 * s, ps * ps
+    return ScanCoefficients(ch, sh, mid, ch * mid, cmath.exp(xi), cmath.exp(-xi), tuple(powers))
+
+
 @dataclass
 class KineticTrotterPlan:
     """Composed finite-difference kinetic factor for one register.
@@ -108,18 +138,19 @@ class KineticTrotterPlan:
         E_0 * B_1 * B_2 * ... * B_{D-2} * E_{D-1}
     where E_j is the endpoint phase exp(-xi |j><j|) and B_i the coupling
     block at cells (i-1, i, i+1). Applied to a state, the rightmost factor
-    acts first. The plan holds D, xi and the thread count:
-    apply_trotter_plan evaluates the product as a prefix scan, and
-    trotter_factor_matrix builds the dense matrix for reference.
+    acts first. The plan holds D, xi, the thread count and the scan's
+    coefficients, computed once: apply_trotter_plan evaluates the product
+    as a prefix scan, and trotter_factor_matrix builds the dense matrix
+    for reference.
     """
 
     dim: int
     xi: complex
     workers: int
+    scan: ScanCoefficients = field(init=False, repr=False)
 
-    @property
-    def endpoint_phase(self) -> complex:
-        return np.exp(-self.xi)
+    def __post_init__(self) -> None:
+        self.scan = scan_coefficients(self.dim, self.xi)
 
 
 def trotter_xi(delta: float, mass: float, eps: float) -> complex:
@@ -155,9 +186,9 @@ def trotter_factor_matrix(D: int, xi: complex) -> np.ndarray:
     return _sweep_trotter(np.eye(D, dtype=np.complex128), xi)
 
 
-def _trotter_scan(o: np.ndarray, xi: complex) -> np.ndarray:
+def _trotter_scan(o: np.ndarray, k: ScanCoefficients) -> np.ndarray:
     """Apply the ordered block product along axis 0 of a complex (D, ...)
-    array, in place, and return it.
+    array, in place, and return it. k holds the constants of D and xi.
 
     Sweeping the blocks from the top, block i leaves its low cell holding
         c_i = cosh(xi) o[i-1] + p c_{i+2},   p = sinh(xi) exp(-2 xi),
@@ -173,20 +204,16 @@ def _trotter_scan(o: np.ndarray, xi: complex) -> np.ndarray:
     reversed operand would send the multiply into o down numpy's strided
     loop.
     """
-    D = o.shape[0]
-    ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
-    c = o * ch
-    c[D - 1] = cmath.exp(xi) * o[D - 1]
-    c[D - 2] = o[D - 2]
-    s, ps = 2, sh * mid
-    while s < D:
+    c = o * k.cosh
+    c[-1] = k.top * o[-1]
+    c[-2] = o[-2]
+    for s, ps in k.powers:
         c[:-s] += ps * c[s:]
-        s, ps = 2 * s, ps * ps
-    shifted = sh * o[:-2]
-    np.multiply(c, ch * mid, out=o)
+    shifted = k.sinh * o[:-2]
+    np.multiply(c, k.cosh_mid, out=o)
     o[2:] += shifted
-    o[0] = cmath.exp(-xi) * c[0]
-    o[1] = mid * c[1]
+    o[0] = k.end * c[0]
+    o[1] = k.mid * c[1]
     return o
 
 
@@ -262,11 +289,11 @@ def apply_trotter_plan(
     t = out.tensor
     reg = particle * state.grid.d + axis
     if t.ndim == 1:
-        _trotter_scan(t, plan.xi)
+        _trotter_scan(t, plan.scan)
         return out
 
     def scan(slab: np.ndarray) -> None:
-        _trotter_scan(slab.swapaxes(0, reg), plan.xi)
+        _trotter_scan(slab.swapaxes(0, reg), plan.scan)
 
     # The scan holds c, shifted and ps * c[s:], each the size of its slab.
     _on_slabs(scan, t, reg, plan.workers, temporaries=3)
@@ -300,11 +327,14 @@ def _on_slabs(
     slab per worker or, when fn holds `temporaries` arrays of its slab's
     size, as many more as keep them under SLAB_BYTES; at most one per cell
     of the cut axis. The slabs, of equal size to within a cell, are dealt
-    in turn to min(workers, slabs) threads, the caller's among them. One
-    register is one call inline."""
+    in turn to min(workers, slabs) threads, the caller's among them.
+    workers is first capped at t.nbytes // SLAB_BYTES, so that a thread's
+    share of t is worth its hand-off; below SLAB_BYTES the caller works
+    alone. One register is one call inline."""
     if t.ndim == 1:
         fn(t)
         return
+    workers = min(workers, max(1, t.nbytes // grid.SLAB_BYTES))
     split = 1 if reg == 0 else 0
     cells = t.shape[split]
     bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)

@@ -35,8 +35,11 @@ from wzsim.experiments import (
     run_sample,
     run_synth_report,
 )
+from wzsim import experiments as experiments_mod
 from wzsim import grid as grid_mod
-from wzsim.grid import ParticleSpec, build_grid
+from wzsim.analytic import BoxSeriesSpec, box_exact_density
+from wzsim.evolution import EvolutionPlan, evolve
+from wzsim.grid import ParticleSpec, build_grid, cell_centers, density
 from wzsim.kinetic import _worker_count, make_spectral_plan
 
 
@@ -277,6 +280,22 @@ class TestBoxEvolveRunner:
         for name in ("density_00.csv", "summary.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_density_bytes_match_the_series_at_the_centers(self, tmp_path):
+        # Each file is the evolved density and the series at the cell
+        # centers times delta, evaluated here apart from the runner.
+        times = [5e-4, 1e-3]
+        out, _ = self.run(tmp_path, "a", evolve_times=times)
+        grid = build_grid(1.0, 4, 1)
+        x = cell_centers(grid)
+        for i, t in enumerate(times):
+            state = box_initial_state(grid, ParticleSpec(mass=1.0, charge=-1.0), False)
+            plan = EvolutionPlan(T=t, N_t=50, terms=frozenset(BOX_TERMS))
+            sim = density(evolve(state, plan, snapshot_steps=[]).final_state)
+            exact = box_exact_density(x, BoxSeriesSpec(length=1.0, mass=1.0, t=t)) * grid.delta
+            rows = [",".join(_fmt(v) for v in row) for row in zip(range(16), x, sim, exact)]
+            header = "cell_index,cell_center,simulated_probability,exact_probability"
+            assert (out / f"density_{i:02d}.csv").read_text() == "\n".join([header, *rows]) + "\n"
+
     def test_dims_guard(self, tmp_path):
         cfg = RunConfig(dims=2)
         with pytest.raises(ValidationError):
@@ -307,6 +326,26 @@ class TestConvergenceRunner:
         summary = run_convergence(cfg, tmp_path / "t")
         assert (tmp_path / "t" / "temporal.csv").read_text().splitlines()[0] == "eps,rmse,yb_error"
         assert isinstance(summary["envelope_nonincreasing_toward_small_eps"], bool)
+
+    @pytest.mark.parametrize(
+        "overrides, sizes",
+        # The series is evaluated at the D - 1 inner cell edges, once a point.
+        [
+            ({"axis": "spatial", "sweep_qubits": [2, 3, 4]}, [3, 7, 15]),
+            ({"axis": "temporal", "qubits_per_axis": 3, "sweep_steps": [5, 10]}, [7, 7]),
+        ],
+    )
+    def test_one_series_call_per_sweep_point(self, tmp_path, monkeypatch, overrides, sizes):
+        calls = []
+        series = experiments_mod.box_exact_density
+
+        def counting(x, spec):
+            calls.append(len(x))
+            return series(x, spec)
+
+        monkeypatch.setattr(experiments_mod, "box_exact_density", counting)
+        run_convergence(RunConfig(steps=5, **overrides), tmp_path / "c")
+        assert calls == sizes
 
     def test_axis_argument_overrides(self, tmp_path):
         cfg = RunConfig(sweep_qubits=[3, 4], steps=20)
@@ -481,6 +520,8 @@ MALFORMED = [
     ("convergence", {"axis": "spatial", "sweep_qubits": [1, "2"]}),
     ("convergence", {"axis": "spatial", "sweep_qubits": [1, 2], "steps": 5, "terms": ["bogus"]}),
     ("convergence", {"axis": "temporal", "qubits_per_axis": 3, "sweep_steps": [2, 3.5]}),
+    ("convergence", {"axis": "temporal", "steps": -3}),
+    ("box-evolve", {"evolve_times": [1e-3], "total_time": -1.0}),
     ("sample", {"seed": -1}),
     ("sample", {"seed": 1.5}),
     ("sample", {"shots": "10"}),

@@ -231,6 +231,17 @@ class TestStateVector:
         assert st_.norm() == pytest.approx(2.0)
         assert st_.normalized().norm() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_norm_is_bit_equal_to_linalg_norm(self, n):
+        # From 2 to 2^20 amplitudes, a random state and its unit multiple.
+        grid = build_grid(1.0, n, 1)
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        for a in (amps, amps / np.linalg.norm(amps)):
+            norm = StateVector(a, grid, (electron(),)).norm()
+            assert type(norm) is float
+            assert norm == float(np.linalg.norm(a))
+
     def test_dim_mismatch_rejected(self):
         grid = build_grid(1.0, 2, 1)
         with pytest.raises(ValidationError):

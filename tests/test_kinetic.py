@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzsim import grid as grid_mod
+from wzsim import kinetic as kinetic_mod
 from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.kinetic import (
     MAX_FFT_THREADS,
+    KineticTrotterPlan,
     apply_kinetic_spectral,
     apply_kinetic_trotter,
     apply_spectral_plan,
@@ -21,6 +25,7 @@ from wzsim.kinetic import (
     momentum_eigenvalue,
     momentum_matrix,
     qft,
+    scan_coefficients,
     trotter_coupling_block,
     trotter_factor_matrix,
     trotter_xi,
@@ -30,9 +35,34 @@ from wzsim.kinetic import (
 
 POWERS = [2, 4, 8, 16, 32]
 
+METHODS = {
+    "trotter": (make_trotter_plan, apply_trotter_plan),
+    "spectral": (make_spectral_plan, apply_spectral_plan),
+}
+
 
 def electron():
     return ParticleSpec(mass=1.0, charge=-1.0)
+
+
+def scan_per_call(o: np.ndarray, xi: complex) -> np.ndarray:
+    """_trotter_scan with every constant computed on the call from xi, as
+    the scan did before the plan held them."""
+    D = o.shape[0]
+    ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
+    c = o * ch
+    c[D - 1] = cmath.exp(xi) * o[D - 1]
+    c[D - 2] = o[D - 2]
+    s, ps = 2, sh * mid
+    while s < D:
+        c[:-s] += ps * c[s:]
+        s, ps = 2 * s, ps * ps
+    shifted = sh * o[:-2]
+    np.multiply(c, ch * mid, out=o)
+    o[2:] += shifted
+    o[0] = cmath.exp(-xi) * c[0]
+    o[1] = mid * c[1]
+    return o
 
 
 def coupling_generator(D: int) -> np.ndarray:
@@ -170,7 +200,23 @@ class TestTrotterFactor:
         rng = np.random.default_rng(D)
         block = rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3))
         dense = trotter_factor_matrix(D, xi) @ block
-        assert np.max(np.abs(_trotter_scan(block, xi) - dense)) <= 1e-14
+        assert np.max(np.abs(_trotter_scan(block, scan_coefficients(D, xi)) - dense)) <= 1e-14
+
+    @pytest.mark.parametrize("D", [2**k for k in range(1, 11)])
+    @pytest.mark.parametrize("xi", [0.013j, 1j * np.pi / 2, 0.3 + 0.7j])
+    def test_plan_coefficients_scan_bit_equal_to_per_call_formula(self, D, xi):
+        # On one line, and along the middle axis of a (3, D, 2) tensor, a
+        # strided view as apply_trotter_plan scans. The dense-factor tests
+        # of this class hold the plan's scan to trotter_factor_matrix.
+        plan = KineticTrotterPlan(dim=D, xi=xi, workers=1)
+        rng = np.random.default_rng(D)
+        t = rng.normal(size=(3, D, 2)) + 1j * rng.normal(size=(3, D, 2))
+        line = t[1, :, 0].copy()
+        assert np.array_equal(_trotter_scan(line.copy(), plan.scan), scan_per_call(line, xi))
+        held, per_call = t.copy(), t.copy()
+        _trotter_scan(held.swapaxes(0, 1), plan.scan)
+        scan_per_call(per_call.swapaxes(0, 1), xi)
+        assert np.array_equal(held, per_call)
 
     @pytest.mark.parametrize("reg", [0, 1, 2])
     def test_scan_on_every_axis_of_three_registers(self, reg):
@@ -196,7 +242,7 @@ class TestTrotterFactor:
         block = rng.normal(size=(D, 2)) + 1j * rng.normal(size=(D, 2))
         block /= np.linalg.norm(block, axis=0)
         dense = trotter_factor_matrix(D, xi) @ block
-        assert np.max(np.abs(_trotter_scan(block, xi) - dense)) <= 1e-14
+        assert np.max(np.abs(_trotter_scan(block, scan_coefficients(D, xi)) - dense)) <= 1e-14
 
 
 class TestSpectral:
@@ -324,6 +370,9 @@ class TestSpectralSlabs:
 
     @staticmethod
     def apply(monkeypatch, threads, state, reg, out=None):
+        # A cap of one amplitude, so that no state here is too small for
+        # the threads.
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 16)
         monkeypatch.setenv("WZ_THREADS", str(threads))
         grid = state.grid
         plan = make_spectral_plan(grid.cells_per_axis, grid.delta, 1.0, 0.05)
@@ -378,10 +427,13 @@ class TestSpectralSlabs:
         "n, d, particles, threads, bounds",
         # A cap of three cells' worth of scan temporaries cuts 16 cells into
         # 6 uneven slabs, more than threads, and 8 cells into 3 uneven ones;
-        # 2 cells give one slab per cell.
+        # 2 cells give one slab per cell. Those states are under two caps,
+        # so the caller scans every slab. One particle in 2D on 32 cells is
+        # over three caps: 11 uneven slabs, dealt out to up to 3 threads.
         [(4, 3, 1, t, [0, 2, 5, 8, 10, 13, 16]) for t in (1, 2, 3)]
         + [(3, 2, 2, t, [0, 2, 5, 8]) for t in (1, 2, 3)]
-        + [(1, 2, 2, 3, [0, 1, 2])],
+        + [(1, 2, 2, 3, [0, 1, 2])]
+        + [(5, 2, 1, t, [0, 2, 5, 8, 11, 14, 17, 20, 23, 26, 29, 32]) for t in (1, 2, 3)],
     )
     def test_trotter_slabs_match_whole_tensor_scan(
         self, monkeypatch, n, d, particles, threads, bounds
@@ -399,8 +451,47 @@ class TestSpectralSlabs:
             state = self.random_state(grid, (electron(),) * particles, reg)
             out = apply_trotter_plan(state, reg // d, reg % d, plan)
             whole = state.amplitudes.copy().reshape((D,) * registers)
-            _trotter_scan(whole.swapaxes(0, reg), plan.xi)
+            _trotter_scan(whole.swapaxes(0, reg), plan.scan)
             assert np.array_equal(out.amplitudes, whole.reshape(-1))
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_small_states_stay_on_the_callers_thread(self, monkeypatch, method):
+        # Two electrons in 2D on 8 cells, 64 KiB, under the default cap and
+        # under a cap one amplitude over the state.
+        def no_pool(threads):
+            raise AssertionError(f"a pool of {threads} was asked for")
+
+        monkeypatch.setattr(kinetic_mod, "_slab_pool", no_pool)
+        monkeypatch.setenv("WZ_THREADS", "3")
+        grid = build_grid(1.0, 3, 2)
+        make, apply = METHODS[method]
+        plan = make(8, grid.delta, 1.0, 0.05)
+        state = self.random_state(grid, (electron(), electron()), 0)
+        for cap in (grid_mod.SLAB_BYTES, state.amplitudes.nbytes + 16):
+            monkeypatch.setattr(grid_mod, "SLAB_BYTES", cap)
+            for reg in range(4):
+                apply(state, reg // 2, reg % 2, plan, out=state)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("caps, threads", [(1, 1), (2, 2), (3, 3), (100, 3)])
+    def test_one_thread_per_cap_of_state(self, monkeypatch, method, caps, threads):
+        # WZ_THREADS=3 and a state of `caps` caps: the pool has threads - 1.
+        asked = []
+        pool = kinetic_mod._slab_pool
+
+        def spy(count):
+            asked.append(count)
+            return pool(count)
+
+        monkeypatch.setattr(kinetic_mod, "_slab_pool", spy)
+        monkeypatch.setenv("WZ_THREADS", "3")
+        grid = build_grid(1.0, 3, 2)
+        make, apply = METHODS[method]
+        plan = make(8, grid.delta, 1.0, 0.05)
+        state = self.random_state(grid, (electron(), electron()), 0)
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // caps)
+        apply(state, 0, 1, plan, out=state)
+        assert asked == [threads - 1] * (threads - 1)
 
     @pytest.mark.parametrize("reg", range(4))
     def test_trotter_out_targets_agree_under_threads(self, monkeypatch, reg):

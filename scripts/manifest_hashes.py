@@ -38,6 +38,24 @@ TWO_ELECTRONS = {
     "reflection_centers": [8, 8],
 }
 
+# Three electrons and one proton on an 8x8 grid, 4 steps: a 4 MiB state,
+# over grid.SLAB_BYTES per thread at up to 3 threads, so the kinetic
+# factors run on the slab pool when WZ_THREADS > 1.
+THREE_ELECTRONS = {
+    "qubits_per_axis": 3,
+    "steps": 4,
+    "total_time": 0.1,
+    "particles": [ELECTRON, ELECTRON, ELECTRON, nucleus([4, 4])],
+}
+
+# The series at a box length and mass other than 1, at two times.
+BOX_SCALED = {
+    "box_length": 8.0,
+    "qubits_per_axis": 7,
+    "particles": [{"mass": 2.5, "charge": -1.0}],
+    "evolve_times": [0.05, 0.4],
+}
+
 TROTTER_STRANG = {"kinetic_method": "trotter", "splitting": "strang"}
 
 RUNS = {
@@ -45,6 +63,7 @@ RUNS = {
     "box-evolve-trotter": ("box-evolve", {"kinetic_method": "trotter"}),
     "box-evolve-strang": ("box-evolve", {"splitting": "strang"}),
     "box-evolve-trotter-strang": ("box-evolve", TROTTER_STRANG),
+    "box-evolve-scaled": ("box-evolve", BOX_SCALED),
     "convergence-spatial": ("convergence", {"axis": "spatial"}),
     "convergence-temporal": ("convergence", {"axis": "temporal"}),
     "molecule2d": ("molecule2d", {}),
@@ -53,6 +72,8 @@ RUNS = {
     "molecule2d-trotter-strang": ("molecule2d", TROTTER_STRANG),
     "molecule2d-2e-spectral": ("molecule2d", TWO_ELECTRONS),
     "molecule2d-2e-trotter": ("molecule2d", {**TWO_ELECTRONS, "kinetic_method": "trotter"}),
+    "molecule2d-3e-spectral": ("molecule2d", THREE_ELECTRONS),
+    "molecule2d-3e-trotter": ("molecule2d", {**THREE_ELECTRONS, "kinetic_method": "trotter"}),
     "sample": ("sample", {}),
     "synth-report": ("synth-report", {}),
 }

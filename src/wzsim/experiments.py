@@ -177,6 +177,12 @@ class RunConfig:
                 f"{experiment} needs steps >= 1 and total_time >= 0, "
                 f"got {cfg.steps} and {cfg.total_time}"
             )
+        if experiment == "convergence":
+            swept = cfg.sweep_qubits if cfg.axis == "spatial" else cfg.sweep_steps
+            if len(set(swept)) < 2:
+                raise ValidationError(
+                    f"a {cfg.axis} sweep needs at least two distinct values, got {swept}"
+                )
         if experiment == "sample" and (cfg.shots < 1 or cfg.seed < 0):
             raise ValidationError("sample needs shots >= 1 and seed >= 0")
         if experiment == "synth-report":
@@ -333,12 +339,12 @@ def box_run(
     particle: ParticleSpec,
 ) -> dict:
     """One 1D box evolution compared against the truncated exact series,
-    which is evaluated once, at the cell edges the error metrics use.
+    which is evaluated once, on the lattice of cell edges and centers.
 
-    Returns grid, simulated (the per-cell probabilities), series (the
-    BoxSeriesSpec: the exact probabilities at the cell centers are
-    box_exact_density(cell_centers(grid), series) * grid.delta), rmse,
-    yb_error and max_norm_drift."""
+    Returns grid, simulated (the per-cell probabilities), exact (the
+    series' probabilities at the cell centers, density times delta),
+    rmse and yb_error (of the density at the cell edges) and
+    max_norm_drift."""
     grid = build_grid(length, n, 1)
     series = BoxSeriesSpec(length=length, mass=particle.mass, t=total_time, terms=series_terms)
     state = box_initial_state(grid, particle, interior_only)
@@ -352,15 +358,16 @@ def box_run(
     )
     report = evolve(state, plan, snapshot_steps=[], overwrite_input=True)
     sim = density(report.final_state)
-    # The error metric compares density-scale values at the cell coordinates
-    # x_i = i*delta; the exact density vanishes identically at the x_0 = 0 wall.
-    edges = grid.delta * np.arange(grid.cells_per_axis)
-    exact_at_edges = np.concatenate([[0.0], box_exact_density(edges[1:], series)])
-    err = rmse(sim / grid.delta, exact_at_edges)
+    # The series at x_j = j*delta/2. The even points are the cell edges
+    # x_i = i*delta, where the error metric compares density-scale values
+    # (the series is exactly 0 at the x_0 = 0 wall); the odd points are
+    # the cell centers.
+    exact = box_exact_density(2 * grid.cells_per_axis, series)
+    err = rmse(sim / grid.delta, exact[::2])
     return {
         "grid": grid,
         "simulated": sim,
-        "series": series,
+        "exact": exact[1::2] * grid.delta,
         "rmse": err,
         "yb_error": yb_error(err, n),
         "max_norm_drift": report.max_norm_drift,
@@ -391,11 +398,9 @@ def run_box_evolve(cfg: RunConfig, out_dir) -> dict:
     runs = []
     for i, t_total in enumerate(cfg.evolve_times):
         result = _box_run(cfg, cfg.qubits_per_axis, cfg.steps, float(t_total))
-        grid = result["grid"]
-        centers = cell_centers(grid)
-        exact = box_exact_density(centers, result["series"]) * grid.delta
+        centers = cell_centers(result["grid"])
         name = f"density_{i:02d}.csv"
-        rows = zip(range(centers.size), centers, result["simulated"], exact)
+        rows = zip(range(centers.size), centers, result["simulated"], result["exact"])
         _write_csv(
             out / name,
             ["cell_index", "cell_center", "simulated_probability", "exact_probability"],

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from wzsim.analytic import (
     MAX_ORACLE_DIM,
-    SERIES_BLOCK_ENTRIES,
+    MAX_SERIES_TERMS,
     BoxSeriesSpec,
     box_exact_density,
     dense_evolution_oracle,
@@ -18,7 +19,7 @@ from wzsim.analytic import (
     yb_error,
 )
 from wzsim.errors import ResourceLimitError, ValidationError
-from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state
+from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid, encode_state
 from wzsim.kinetic import momentum_matrix
 from wzsim.potential import composite_potential
 
@@ -35,6 +36,27 @@ def series_density_oracle(x, length, mass, t, terms):
     return abs(psi) ** 2
 
 
+def series_density_direct(points, specs, block_entries=1 << 18):
+    """The series at x_j = j L / points as a dense sine block, positions by
+    terms, evaluated on row blocks of at most block_entries entries. The
+    specs share L and K, and each gives one row of the result."""
+    length, terms = specs[0].length, specs[0].terms
+    assert all((s.length, s.terms) == (length, terms) for s in specs)
+    x = length * np.arange(points) / points
+    a = 2.0 * np.arange(1, terms + 1) - 1.0
+    weights = np.empty((terms, len(specs)), dtype=np.complex128)
+    for i, spec in enumerate(specs):
+        energies = a**2 * np.pi**2 * HBAR**2 / (2.0 * spec.mass * length**2)
+        weights[:, i] = np.exp(-1j * energies * spec.t / HBAR) / a
+    rows = max(1, block_entries // terms)
+    psi = np.empty((points, len(specs)), dtype=np.complex128)
+    for lo in range(0, points, rows):
+        block = x[lo : lo + rows]
+        modes = np.sqrt(2.0 / length) * np.sin(np.outer(block, a) * np.pi / length)
+        psi[lo : lo + rows] = (2.0**1.5 / np.pi) * (modes @ weights)
+    return np.abs(psi.T) ** 2
+
+
 def electron():
     return ParticleSpec(mass=1.0, charge=-1.0)
 
@@ -48,75 +70,84 @@ class TestBoxSeries:
         with pytest.raises(ValidationError):
             BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=0)
         with pytest.raises(ResourceLimitError):
-            BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=SERIES_BLOCK_ENTRIES + 1)
+            BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=MAX_SERIES_TERMS + 1)
 
-    def test_blocks_match_one_block(self, monkeypatch):
-        # 1000 positions against 200 terms: one block by default; at a
-        # budget of 7400 entries, 27 blocks of 37 rows and one of 1 row.
-        # Each row is the same dot product, but BLAS may order its sum by
-        # block shape, so the bound is a few ulps of the density.
-        import wzsim.analytic as analytic_mod
+    @pytest.mark.parametrize("length", [1.0, 8.0, 3.0])
+    def test_lattice_matches_direct_sum(self, length):
+        # The worst case, about 7e-13 at t = 0 and K = 5000, is the direct
+        # sum's own rounding: its phases sin(a pi x / L) are not reduced.
+        for terms in (1, 7, 1000, 5000):
+            specs = [
+                BoxSeriesSpec(length=length, mass=mass, t=t, terms=terms)
+                for mass in (1.0, 1836.0)
+                for t in (0.0, 1e-3, 0.37)
+            ]
+            for points in (2, 3, 8, 64, 1024, 4096):
+                direct = series_density_direct(points, specs)
+                for spec, expected in zip(specs, direct):
+                    got = box_exact_density(points, spec)
+                    assert got.shape == (points,)
+                    assert np.max(np.abs(got - expected)) <= 1e-12
 
-        spec = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=200)
-        x = (np.arange(1000) + 0.5) / 1000
-        whole = box_exact_density(x, spec)
-        monkeypatch.setattr(analytic_mod, "SERIES_BLOCK_ENTRIES", 37 * 200)
-        # Reversed, so a block left unwritten cannot pass by holding the
-        # freed buffer of the first call.
-        blocked = box_exact_density(x[::-1], spec)[::-1]
-        assert blocked.shape == whole.shape
-        assert np.max(np.abs(blocked - whole)) <= 1e-14
+    @pytest.mark.parametrize("points", [1, 2, 3, 1024])
+    def test_wall_entry_is_exactly_zero(self, points):
+        for t in (0.0, 1e-3, 0.37):
+            spec = BoxSeriesSpec(length=3.0, mass=1.0, t=t, terms=5000)
+            assert box_exact_density(points, spec)[0] == 0.0
 
-    def test_one_block_up_to_two_thousand_positions(self):
-        # conv_spatial_trotter evaluates n <= 10 at the default 1000 terms.
-        assert SERIES_BLOCK_ENTRIES // 1000 >= 2**11
+    @pytest.mark.parametrize("points", [0, -4, True, False, 2.0, "8", None, [8]])
+    def test_points_must_be_a_positive_int(self, points):
+        spec = BoxSeriesSpec(length=1.0, mass=1.0, t=0.0)
+        with pytest.raises(ValidationError):
+            box_exact_density(points, spec)
+
+    @pytest.mark.parametrize(
+        "points, terms", [(2**17, 1000), (2**21, 1000), (2**10, 200000), (2**17, 200000)]
+    )
+    def test_memory_is_linear_in_points_and_terms(self, points, terms):
+        spec = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=terms)
+        tracemalloc.start()
+        try:
+            box_exact_density(points, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * points + 64 * terms
 
     def test_initial_density_is_flat_inside(self):
         spec = BoxSeriesSpec(length=2.0, mass=1.0, t=0.0, terms=2000)
-        x = np.linspace(0.2, 1.8, 33)
-        rho = box_exact_density(x, spec)
+        # x_j = j / 80: the 129 points of [0.2, 1.8].
+        rho = box_exact_density(160, spec)[16:145]
         assert np.all(np.abs(rho - 0.5) < 0.02 * 0.5)
-
-    def test_positions_must_be_interior(self):
-        spec = BoxSeriesSpec(length=1.0, mass=1.0, t=0.0)
-        with pytest.raises(ValidationError):
-            box_exact_density([0.0], spec)
-        with pytest.raises(ValidationError):
-            box_exact_density([1.0], spec)
-        with pytest.raises(ValidationError):
-            box_exact_density([-0.5], spec)
 
     def test_matches_independent_summation(self):
         spec = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=1000)
-        for x in (0.125, 0.5, 0.8):
-            assert box_exact_density([x], spec)[0] == pytest.approx(
-                series_density_oracle(x, 1.0, 1.0, 1e-3, 1000), abs=1e-12
+        rho = box_exact_density(40, spec)
+        for j in (5, 20, 32):
+            assert rho[j] == pytest.approx(
+                series_density_oracle(j / 40, 1.0, 1.0, 1e-3, 1000), abs=1e-12
             )
 
     def test_reference_value_short_series(self):
         spec = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=1000)
-        assert box_exact_density([0.5], spec)[0] == pytest.approx(
-            0.91159992941212276, abs=1e-12
-        )
+        assert box_exact_density(2, spec)[1] == pytest.approx(0.91159992941212276, abs=1e-12)
 
     def test_reference_value_long_series(self):
         spec = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=100000)
-        assert box_exact_density([0.5], spec)[0] == pytest.approx(
-            0.9226113357687572, abs=1e-9
-        )
+        assert box_exact_density(2, spec)[1] == pytest.approx(0.9226113357687572, abs=1e-9)
 
     def test_truncation_tail_is_visible_at_short_times(self):
         short = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=1000)
         long = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=100000)
-        gap = abs(box_exact_density([0.5], short)[0] - box_exact_density([0.5], long)[0])
+        gap = abs(box_exact_density(2, short)[1] - box_exact_density(2, long)[1])
         assert 1e-3 < gap < 5e-2
 
     @pytest.mark.parametrize("n", [7, 8, 10])
     def test_midpoint_riemann_sum_near_unity(self, n):
         grid = build_grid(1.0, n, 1)
-        centers = grid.delta * (np.arange(grid.cells_per_axis) + 0.5)
         spec = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=1000)
-        total = np.sum(box_exact_density(centers, spec)) * grid.delta
+        # The odd lattice points of 2D are the cell centers.
+        total = np.sum(box_exact_density(2 * grid.cells_per_axis, spec)[1::2]) * grid.delta
         assert abs(total - 1.0) < 0.01
 
     def test_midpoint_riemann_sum_coarse_grid(self):
@@ -125,12 +156,11 @@ class TestBoxSeries:
         # reaches the 1% budget once the layers span multiple cells; the
         # flat t = 0 profile already integrates cleanly at n = 6.
         grid = build_grid(1.0, 6, 1)
-        centers = grid.delta * (np.arange(grid.cells_per_axis) + 0.5)
         flat = BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=1000)
-        total = np.sum(box_exact_density(centers, flat)) * grid.delta
+        total = np.sum(box_exact_density(128, flat)[1::2]) * grid.delta
         assert abs(total - 1.0) < 0.01
         layered = BoxSeriesSpec(length=1.0, mass=1.0, t=1e-3, terms=1000)
-        total = np.sum(box_exact_density(centers, layered)) * grid.delta
+        total = np.sum(box_exact_density(128, layered)[1::2]) * grid.delta
         assert abs(total - 1.0) < 0.02
 
 

@@ -291,7 +291,8 @@ class TestBoxEvolveRunner:
             state = box_initial_state(grid, ParticleSpec(mass=1.0, charge=-1.0), False)
             plan = EvolutionPlan(T=t, N_t=50, terms=frozenset(BOX_TERMS))
             sim = density(evolve(state, plan, snapshot_steps=[]).final_state)
-            exact = box_exact_density(x, BoxSeriesSpec(length=1.0, mass=1.0, t=t)) * grid.delta
+            spec = BoxSeriesSpec(length=1.0, mass=1.0, t=t)
+            exact = box_exact_density(32, spec)[1::2] * grid.delta
             rows = [",".join(_fmt(v) for v in row) for row in zip(range(16), x, sim, exact)]
             header = "cell_index,cell_center,simulated_probability,exact_probability"
             assert (out / f"density_{i:02d}.csv").read_text() == "\n".join([header, *rows]) + "\n"
@@ -329,19 +330,19 @@ class TestConvergenceRunner:
 
     @pytest.mark.parametrize(
         "overrides, sizes",
-        # The series is evaluated at the D - 1 inner cell edges, once a point.
+        # The series is evaluated on the 2D cell edges and centers, once a point.
         [
-            ({"axis": "spatial", "sweep_qubits": [2, 3, 4]}, [3, 7, 15]),
-            ({"axis": "temporal", "qubits_per_axis": 3, "sweep_steps": [5, 10]}, [7, 7]),
+            ({"axis": "spatial", "sweep_qubits": [2, 3, 4]}, [8, 16, 32]),
+            ({"axis": "temporal", "qubits_per_axis": 3, "sweep_steps": [5, 10]}, [16, 16]),
         ],
     )
     def test_one_series_call_per_sweep_point(self, tmp_path, monkeypatch, overrides, sizes):
         calls = []
         series = experiments_mod.box_exact_density
 
-        def counting(x, spec):
-            calls.append(len(x))
-            return series(x, spec)
+        def counting(points, spec):
+            calls.append(points)
+            return series(points, spec)
 
         monkeypatch.setattr(experiments_mod, "box_exact_density", counting)
         run_convergence(RunConfig(steps=5, **overrides), tmp_path / "c")
@@ -521,6 +522,10 @@ MALFORMED = [
     ("convergence", {"axis": "spatial", "sweep_qubits": [1, 2], "steps": 5, "terms": ["bogus"]}),
     ("convergence", {"axis": "temporal", "qubits_per_axis": 3, "sweep_steps": [2, 3.5]}),
     ("convergence", {"axis": "temporal", "steps": -3}),
+    ("convergence", {"axis": "spatial", "sweep_qubits": [3]}),
+    ("convergence", {"axis": "spatial", "sweep_qubits": []}),
+    ("convergence", {"axis": "spatial", "sweep_qubits": [3, 3]}),
+    ("convergence", {"axis": "temporal", "sweep_steps": [50, 50]}),
     ("box-evolve", {"evolve_times": [1e-3], "total_time": -1.0}),
     ("sample", {"seed": -1}),
     ("sample", {"seed": 1.5}),
@@ -567,9 +572,11 @@ class TestCli:
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, command, payload):
         cfg = write_config(tmp_path / "c.json", payload)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

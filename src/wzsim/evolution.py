@@ -6,15 +6,14 @@ kinetic factor (Strang). Kinetic factors act register by register in
 particle-major, axis-ascending order; the registers are disjoint so the
 order only fixes a convention.
 
-evolve steps one work buffer: a StateVector over a copy of the initial
-amplitudes, or, with overwrite_input=True, the caller's state itself.
-Every step writes into it through out=, so the phases, the FFTs and the
-Trotter scans all act in place on that one array and no state-sized
-array or StateVector is made per operator. The potential phase is built
-slab by slab of register-0 cells, straight into its complex array, so no
-full-size energy diagonal exists. A run with overwrite_input=True thus
-peaks at two states, the state and the phase, plus slab-sized
-temporaries.
+Every operator is a unitary on the one state vector, and it acts in
+place: step, apply_trotter_plan and apply_spectral_plan write into the
+amplitudes of the StateVector they are given, and evolve steps the
+caller's state itself. No state-sized array or StateVector is made per
+operator. The potential phase is built slab by slab of register-0 cells,
+straight into its complex array, so no full-size energy diagonal exists.
+A run thus peaks at two states, the state and the phase, plus
+slab-sized temporaries.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NormDriftError, ValidationError
+from .errors import NormDriftError, ResourceLimitError, ValidationError
 from .grid import (
     GridSpec,
     ParticleSpec,
@@ -48,10 +47,21 @@ SPLITTINGS = ("first-order", "strang")
 HAMILTONIAN_TERMS = ("T_e", "T_n", "U_ee", "U_en", "U_nn", "wall")
 
 NORM_ABORT_TOL = 1e-6
-DEFAULT_SNAPSHOT_COUNT = 10
+
+# The most steps a plan takes: evolve keeps one float of norm drift per
+# step, 128 MiB at this bound.
+MAX_STEPS = 1 << 24
 
 # sample_configurations draws this many shots at a time.
 SHOT_CHUNK = 1 << 20
+
+
+def check_steps(n_t: int) -> None:
+    """Raise unless 1 <= n_t <= MAX_STEPS."""
+    if n_t < 1:
+        raise ValidationError(f"need at least one step, got {n_t}")
+    if n_t > MAX_STEPS:
+        raise ResourceLimitError(f"{n_t} steps exceed the limit of {MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +79,7 @@ class EvolutionPlan:
         object.__setattr__(self, "terms", frozenset(self.terms))
         if self.T < 0 or not np.isfinite(self.T):
             raise ValidationError(f"T must be nonnegative, got {self.T}")
-        if self.N_t < 1:
-            raise ValidationError(f"N_t must be >= 1, got {self.N_t}")
+        check_steps(self.N_t)
         if self.kinetic_method not in KINETIC_METHODS:
             raise ValidationError(f"kinetic_method must be one of {KINETIC_METHODS}")
         if self.splitting not in SPLITTINGS:
@@ -87,11 +96,11 @@ class EvolutionPlan:
 @dataclass
 class PreparedOperators:
     """Potential phase and per-register kinetic plans precomputed for one
-    eps. Only the phase the splitting uses is built: phase_full for
-    first-order, phase_half for Strang; the other stays None."""
+    eps. phase is the factor the splitting applies, exp(-i eps V) for
+    first-order and exp(-i eps V / 2) for Strang, or None without a
+    potential term."""
 
-    phase_full: np.ndarray | None
-    phase_half: np.ndarray | None
+    phase: np.ndarray | None
     kinetic: list[tuple[int, int, KineticTrotterPlan | SpectralKineticPlan]]
 
 
@@ -107,7 +116,7 @@ def prepare_operators(
         raise ValidationError("need at least one quantum particle")
     potential_terms = [t for t in plan.terms if t.startswith("U_") or t == "wall"]
     eps = plan.eps
-    phase_full = phase_half = None
+    phase = None
     if potential_terms:
         scale = -1j * eps if plan.splitting == "first-order" else -1j * (eps / 2.0)
         D = grid.cells_per_axis
@@ -121,10 +130,6 @@ def prepare_operators(
             slab = phase[lo * rows : hi * rows]
             np.multiply(scale, diag.energies, out=slab)
             np.exp(slab, out=slab)
-        if plan.splitting == "first-order":
-            phase_full = phase
-        else:
-            phase_half = phase
 
     kinetic: list[tuple[int, int, KineticTrotterPlan | SpectralKineticPlan]] = []
     make = make_trotter_plan if plan.kinetic_method == "trotter" else make_spectral_plan
@@ -135,33 +140,23 @@ def prepare_operators(
         if particle.mass not in plans:
             plans[particle.mass] = make(grid.cells_per_axis, grid.delta, particle.mass, eps)
         kinetic += [(pq, axis, plans[particle.mass]) for axis in range(grid.d)]
-    return PreparedOperators(phase_full=phase_full, phase_half=phase_half, kinetic=kinetic)
+    return PreparedOperators(phase=phase, kinetic=kinetic)
 
 
-def step(
-    state: StateVector,
-    plan: EvolutionPlan,
-    operators: PreparedOperators,
-    out: StateVector | None = None,
-) -> StateVector:
-    """Advance one eps: potential phase then kinetic factor, or the Strang
-    half-phase sandwich. With out (which may be state itself) the result is
-    written into out.amplitudes and out is returned; without it, a new
-    StateVector."""
-    out = state.copy_into(out)
-    a = out.amplitudes
-    first_order = plan.splitting == "first-order"
-    phase = operators.phase_full if first_order else operators.phase_half
+def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) -> None:
+    """Advance state by one eps, in place: the potential phase then the
+    kinetic factors, or the Strang half-phase sandwich."""
+    a = state.amplitudes
+    phase = operators.phase
     if phase is not None:
         np.multiply(a, phase, out=a)
     for pq, axis, kplan in operators.kinetic:
         if isinstance(kplan, KineticTrotterPlan):
-            apply_trotter_plan(out, pq, axis, kplan, out=out)
+            apply_trotter_plan(state, pq, axis, kplan)
         else:
-            apply_spectral_plan(out, pq, axis, kplan, out=out)
-    if not first_order and phase is not None:
+            apply_spectral_plan(state, pq, axis, kplan)
+    if phase is not None and plan.splitting == "strang":
         np.multiply(a, phase, out=a)
-    return out
 
 
 @dataclass
@@ -175,26 +170,21 @@ class EvolutionReport:
         return float(self.norm_drift.max()) if self.norm_drift.size else 0.0
 
 
-def default_snapshot_steps(n_t: int, count: int = DEFAULT_SNAPSHOT_COUNT) -> tuple[int, ...]:
-    return tuple(sorted({max(1, round(i * n_t / count)) for i in range(1, count + 1)}))
-
-
 def evolve(
     state: StateVector,
     plan: EvolutionPlan,
     particles: Sequence[ParticleSpec] | None = None,
-    snapshot_steps: Sequence[int] | None = None,
-    overwrite_input: bool = False,
+    snapshot_steps: Sequence[int] = (),
 ) -> EvolutionReport:
-    """Run N_t steps, recording per-step norm drift and density snapshots.
+    """Run N_t steps on state in place, recording the per-step norm drift
+    and the density after each step in snapshot_steps.
 
     particles may include clamped nuclei; its quantum subset must match the
     state's register layout. Aborts when |norm - 1| exceeds 1e-6.
 
-    By default the steps act on a copy and state is left as it was. With
-    overwrite_input, as numpy's overwrite_x, state's own amplitudes are the
-    work buffer: no copy is made, the report's final_state is state, and
-    state holds the last step taken, also when the norm check aborts.
+    state's own amplitudes are the work buffer: the report's final_state is
+    state, and state holds the last step taken, also when the norm check
+    aborts. To keep the initial state, pass a copy.
     """
     roster = tuple(particles) if particles is not None else state.particles
     quantum = quantum_particles(roster)
@@ -202,8 +192,6 @@ def evolve(
         raise ValidationError("quantum particle count does not match the state")
     if any(q.mass != s.mass or q.charge != s.charge for q, s in zip(quantum, state.particles)):
         raise ValidationError("quantum roster does not match the state's particles")
-    if snapshot_steps is None:
-        snapshot_steps = default_snapshot_steps(plan.N_t)
     wanted = set(int(s) for s in snapshot_steps)
     bad = [s for s in wanted if not 1 <= s <= plan.N_t]
     if bad:
@@ -212,17 +200,16 @@ def evolve(
     ops = prepare_operators(state.grid, roster, plan)
     drift = np.empty(plan.N_t, dtype=float)
     snapshots: list[tuple[int, np.ndarray]] = []
-    work = state if overwrite_input else state.with_amplitudes(state.amplitudes.copy())
     for k in range(1, plan.N_t + 1):
-        step(work, plan, ops, out=work)
-        drift[k - 1] = abs(work.norm() - 1.0)
+        step(state, plan, ops)
+        drift[k - 1] = abs(state.norm() - 1.0)
         if drift[k - 1] > NORM_ABORT_TOL:
             raise NormDriftError(
                 f"norm drift {drift[k - 1]:.3e} at step {k} exceeds {NORM_ABORT_TOL}"
             )
         if k in wanted:
-            snapshots.append((k, density(work)))
-    return EvolutionReport(final_state=work, norm_drift=drift, snapshots=snapshots)
+            snapshots.append((k, density(state)))
+    return EvolutionReport(final_state=state, norm_drift=drift, snapshots=snapshots)
 
 
 def sample_configurations(state: StateVector, shots: int, seed: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .circuits import (
     synthesize_diagonal,
 )
 from .errors import ValidationError
-from .evolution import EvolutionPlan, evolve, sample_configurations
+from .evolution import EvolutionPlan, check_steps, evolve, sample_configurations
 from .grid import (
     GridSpec,
     ParticleSpec,
@@ -168,15 +168,19 @@ class RunConfig:
                 raise ValidationError(f"{experiment} runs on the one-dimensional box")
             if len(quantum_particles(particles_from_config(cfg))) != 1:
                 raise ValidationError("box experiments use exactly one quantum particle")
+            # Every grid the run builds, before the first one evolves.
+            for n in [cfg.qubits_per_axis, *(cfg.sweep_qubits or [])]:
+                build_grid(cfg.box_length, n, 1)
         if experiment in ("box-evolve", "convergence") and set(cfg.terms) != set(BOX_TERMS):
             raise ValidationError(f"{experiment} runs the terms {BOX_TERMS}, got {cfg.terms}")
         # Checked whether or not the experiment reads them: the manifest
-        # records every resolved value.
-        if cfg.steps < 1 or (cfg.total_time is not None and cfg.total_time < 0):
-            raise ValidationError(
-                f"{experiment} needs steps >= 1 and total_time >= 0, "
-                f"got {cfg.steps} and {cfg.total_time}"
-            )
+        # records every resolved value. Every sweep point is checked, so
+        # none fails after an earlier one has run.
+        times = [t for t in [cfg.total_time, *(cfg.evolve_times or [])] if t is not None]
+        if any(t < 0 for t in times):
+            raise ValidationError(f"{experiment} needs times >= 0, got {times}")
+        for steps in [cfg.steps, *(cfg.sweep_steps or [])]:
+            check_steps(steps)
         if experiment == "convergence":
             swept = cfg.sweep_qubits if cfg.axis == "spatial" else cfg.sweep_steps
             if len(set(swept)) < 2:
@@ -326,37 +330,35 @@ def box_initial_state(grid: GridSpec, particle: ParticleSpec, interior_only: boo
     return state.normalized()
 
 
-def box_run(
-    length: float,
-    n: int,
-    steps: int,
-    total_time: float,
-    kinetic_method: str,
-    splitting: str,
-    wall_height: float,
-    interior_only: bool,
-    series_terms: int,
-    particle: ParticleSpec,
-) -> dict:
-    """One 1D box evolution compared against the truncated exact series,
-    which is evaluated once, on the lattice of cell edges and centers.
+def _evolution_plan(cfg: RunConfig, total_time: float, steps: int) -> EvolutionPlan:
+    """The EvolutionPlan of a resolved config over total_time in steps."""
+    return EvolutionPlan(
+        T=total_time,
+        N_t=steps,
+        kinetic_method=cfg.kinetic_method,
+        terms=cfg.terms,
+        splitting=cfg.splitting,
+        v_wall=cfg.wall_height,
+    )
+
+
+def box_run(cfg: RunConfig, n: int, steps: int, total_time: float) -> dict:
+    """One 1D box evolution of a resolved box config at n qubits, compared
+    against the truncated exact series, which is evaluated once, on the
+    lattice of cell edges and centers. The state is built here and
+    evolved in place.
 
     Returns grid, simulated (the per-cell probabilities), exact (the
     series' probabilities at the cell centers, density times delta),
     rmse and yb_error (of the density at the cell edges) and
     max_norm_drift."""
-    grid = build_grid(length, n, 1)
-    series = BoxSeriesSpec(length=length, mass=particle.mass, t=total_time, terms=series_terms)
-    state = box_initial_state(grid, particle, interior_only)
-    plan = EvolutionPlan(
-        T=total_time,
-        N_t=steps,
-        kinetic_method=kinetic_method,
-        terms=frozenset({"T_e", "wall"}),
-        splitting=splitting,
-        v_wall=wall_height,
+    particle = quantum_particles(particles_from_config(cfg))[0]
+    grid = build_grid(cfg.box_length, n, 1)
+    series = BoxSeriesSpec(
+        length=cfg.box_length, mass=particle.mass, t=total_time, terms=cfg.series_terms
     )
-    report = evolve(state, plan, snapshot_steps=[], overwrite_input=True)
+    state = box_initial_state(grid, particle, cfg.interior_only)
+    report = evolve(state, _evolution_plan(cfg, total_time, steps))
     sim = density(report.final_state)
     # The series at x_j = j*delta/2. The even points are the cell edges
     # x_i = i*delta, where the error metric compares density-scale values
@@ -374,22 +376,6 @@ def box_run(
     }
 
 
-def _box_run(cfg: RunConfig, n: int, steps: int, total_time: float) -> dict:
-    """box_run with the resolved config's fixed settings."""
-    return box_run(
-        length=cfg.box_length,
-        n=n,
-        steps=steps,
-        total_time=total_time,
-        kinetic_method=cfg.kinetic_method,
-        splitting=cfg.splitting,
-        wall_height=cfg.wall_height,
-        interior_only=cfg.interior_only,
-        series_terms=cfg.series_terms,
-        particle=quantum_particles(particles_from_config(cfg))[0],
-    )
-
-
 def run_box_evolve(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("box-evolve")
     out = Path(out_dir)
@@ -397,7 +383,7 @@ def run_box_evolve(cfg: RunConfig, out_dir) -> dict:
     files = []
     runs = []
     for i, t_total in enumerate(cfg.evolve_times):
-        result = _box_run(cfg, cfg.qubits_per_axis, cfg.steps, float(t_total))
+        result = box_run(cfg, cfg.qubits_per_axis, cfg.steps, float(t_total))
         centers = cell_centers(result["grid"])
         name = f"density_{i:02d}.csv"
         rows = zip(range(centers.size), centers, result["simulated"], result["exact"])
@@ -446,7 +432,7 @@ def run_convergence(cfg: RunConfig, out_dir, axis: str | None = None) -> dict:
         csv_name, x_name = "temporal.csv", "eps"
     points = []
     for n, steps in pairs:
-        r = _box_run(cfg, n, steps, cfg.total_time)
+        r = box_run(cfg, n, steps, cfg.total_time)
         x = r["grid"].delta if spatial else cfg.total_time / steps
         points.append({"x": x, "rmse": r["rmse"], "yb": r["yb_error"]})
 
@@ -492,15 +478,8 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
     state = StateVector(amplitudes=amps, grid=grid, particles=electrons)
     del amps, parts
 
-    plan = EvolutionPlan(
-        T=cfg.total_time,
-        N_t=cfg.steps,
-        kinetic_method=cfg.kinetic_method,
-        terms=frozenset(cfg.terms),
-        splitting=cfg.splitting,
-        v_wall=cfg.wall_height,
-    )
-    report = evolve(state, plan, particles=particles, snapshot_steps=[], overwrite_input=True)
+    plan = _evolution_plan(cfg, cfg.total_time, cfg.steps)
+    report = evolve(state, plan, particles=particles)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -544,15 +523,7 @@ def run_sample(cfg: RunConfig, out_dir) -> dict:
     grid = build_grid(cfg.box_length, cfg.qubits_per_axis, 1)
     state = box_initial_state(grid, particle, cfg.interior_only)
     if cfg.total_time > 0:
-        plan = EvolutionPlan(
-            T=cfg.total_time,
-            N_t=cfg.steps,
-            kinetic_method=cfg.kinetic_method,
-            terms=frozenset(cfg.terms),
-            splitting=cfg.splitting,
-            v_wall=cfg.wall_height,
-        )
-        state = evolve(state, plan, snapshot_steps=[], overwrite_input=True).final_state
+        evolve(state, _evolution_plan(cfg, cfg.total_time, cfg.steps))
     counts = sample_configurations(state, cfg.shots, cfg.seed)
     p = density(state)
     tv = 0.5 * float(np.abs(counts / cfg.shots - p).sum())

@@ -210,12 +210,12 @@ class IndexCodec:
 class StateVector:
     """Joint state of the quantum particles on a grid.
 
-    amplitudes is a contiguous vector of length 2^(d*n*N_q). No operation
-    mutates it except through an explicit out= argument (step,
-    apply_trotter_plan, apply_spectral_plan), which writes the result into
-    out.amplitudes and returns out, or evolve(..., overwrite_input=True),
-    which steps the state's own amplitudes; otherwise every operation
-    returns a new StateVector over a new array.
+    amplitudes is a contiguous vector of length 2^(d*n*N_q). The stepping
+    core acts on it in place: evolve, step, apply_trotter_plan and
+    apply_spectral_plan write into the amplitudes of the state they are
+    given. Every other operation, apply_kinetic_trotter and
+    apply_kinetic_spectral among them, returns a new StateVector over a
+    new array.
     """
 
     amplitudes: np.ndarray
@@ -223,8 +223,8 @@ class StateVector:
     particles: tuple[ParticleSpec, ...]
 
     def __post_init__(self) -> None:
-        # Contiguous, so that reshaping for a register is a view and out=
-        # writes land in amplitudes.
+        # Contiguous, so that reshaping for a register is a view and
+        # in-place writes land in amplitudes.
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "particles", tuple(self.particles))
@@ -261,18 +261,6 @@ class StateVector:
 
     def with_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
         return StateVector(amplitudes=amplitudes, grid=self.grid, particles=self.particles)
-
-    def copy_into(self, out: "StateVector | None") -> "StateVector":
-        """The state an out= operation writes its result into: out holding
-        these amplitudes (nothing is copied when out is self), or a new
-        StateVector over a copy when out is None."""
-        if out is None:
-            return self.with_amplitudes(self.amplitudes.copy())
-        if out is not self:
-            if out.grid != self.grid or out.particles != self.particles:
-                raise ValidationError("out must have the state's grid and particles")
-            np.copyto(out.amplitudes, self.amplitudes)
-        return out
 
 
 def slab_bounds(cells: int, cell_bytes: int, minimum: int = 1) -> list[int]:

@@ -14,8 +14,10 @@ Two interchangeable single-axis methods are provided:
   -(hbar/delta) sin(2 pi k / D), so the kinetic phase is applied exactly
   in momentum space. The transforms run in place in numpy.fft.
 
-Both act on one register (one particle, one axis) at a time; registers
-are disjoint, so axis application order is irrelevant. With more than
+Both act in place on one register (one particle, one axis) of the state
+they are given; registers are disjoint, so axis application order is
+irrelevant. apply_kinetic_trotter and apply_kinetic_spectral are the
+non-mutating forms: they apply the factor to a copy. With more than
 one register, both cut the register tensor along another axis into
 slabs and deal them out over WZ_THREADS threads, a count read once into
 the plan. A thread is worth its hand-off only for grid.SLAB_BYTES of
@@ -275,29 +277,22 @@ def iqft(values: np.ndarray) -> np.ndarray:
 
 
 def apply_trotter_plan(
-    state: StateVector,
-    particle: int,
-    axis: int,
-    plan: KineticTrotterPlan,
-    out: StateVector | None = None,
-) -> StateVector:
-    """Apply the finite-difference factor to one register. With out (which
-    may be state itself) the result is written into out.amplitudes and out
-    is returned; without it, a new StateVector."""
+    state: StateVector, particle: int, axis: int, plan: KineticTrotterPlan
+) -> None:
+    """Apply the finite-difference factor to one register of state, in
+    place."""
     _check_plan_size(state, plan)
-    out = state.copy_into(out)
-    t = out.tensor
+    t = state.tensor
     reg = particle * state.grid.d + axis
     if t.ndim == 1:
         _trotter_scan(t, plan.scan)
-        return out
+        return
 
     def scan(slab: np.ndarray) -> None:
         _trotter_scan(slab.swapaxes(0, reg), plan.scan)
 
     # The scan holds c, shifted and ps * c[s:], each the size of its slab.
     _on_slabs(scan, t, reg, plan.workers, temporaries=3)
-    return out
 
 
 def _check_plan_size(state: StateVector, plan: KineticTrotterPlan | SpectralKineticPlan) -> None:
@@ -354,17 +349,11 @@ def _on_slabs(
 
 
 def apply_spectral_plan(
-    state: StateVector,
-    particle: int,
-    axis: int,
-    plan: SpectralKineticPlan,
-    out: StateVector | None = None,
-) -> StateVector:
-    """Apply the momentum-space phase to one register; out as in
-    apply_trotter_plan."""
+    state: StateVector, particle: int, axis: int, plan: SpectralKineticPlan
+) -> None:
+    """Apply the momentum-space phase to one register of state, in place."""
     _check_plan_size(state, plan)
-    out = state.copy_into(out)
-    t = out.tensor
+    t = state.tensor
     reg = particle * state.grid.d + axis
     phase = register_views(plan.phase_table, t.ndim)[reg]
 
@@ -374,7 +363,6 @@ def apply_spectral_plan(
         np.fft.fft(slab, axis=reg, norm="ortho", out=slab)
 
     _on_slabs(transform, t, reg, plan.workers)
-    return out
 
 
 def _check_particle_axis(state: StateVector, particle: int, axis: int) -> None:
@@ -387,19 +375,25 @@ def _check_particle_axis(state: StateVector, particle: int, axis: int) -> None:
 def apply_kinetic_trotter(
     state: StateVector, particle: int, axis: int, mass: float, eps: float
 ) -> StateVector:
-    """One finite-difference kinetic factor on the addressed register."""
+    """One finite-difference kinetic factor on the addressed register, as
+    a new StateVector: state is left as it was."""
     _check_particle_axis(state, particle, axis)
     plan = make_trotter_plan(state.grid.cells_per_axis, state.grid.delta, mass, eps)
-    return apply_trotter_plan(state, particle, axis, plan)
+    out = state.with_amplitudes(state.amplitudes.copy())
+    apply_trotter_plan(out, particle, axis, plan)
+    return out
 
 
 def apply_kinetic_spectral(
     state: StateVector, particle: int, axis: int, mass: float, eps: float
 ) -> StateVector:
-    """Exact kinetic phase in momentum space on the addressed register."""
+    """Exact kinetic phase in momentum space on the addressed register, as
+    a new StateVector: state is left as it was."""
     _check_particle_axis(state, particle, axis)
     plan = make_spectral_plan(state.grid.cells_per_axis, state.grid.delta, mass, eps)
-    return apply_spectral_plan(state, particle, axis, plan)
+    out = state.with_amplitudes(state.amplitudes.copy())
+    apply_spectral_plan(out, particle, axis, plan)
+    return out
 
 
 def fourier_conjugation_diagnostic(D: int, delta: float) -> tuple[float, np.ndarray]:

@@ -60,7 +60,7 @@ def test_criterion_01_unitarity():
             plan = EvolutionPlan(
                 T=1e-3, N_t=1000, kinetic_method=method, terms={"T_e", "wall"}
             )
-            report = evolve(state, plan, snapshot_steps=[])
+            report = evolve(state, plan)
             worst = max(worst, report.max_norm_drift)
     ok = worst < 1e-10
     assert _report(1, f"norm drift {worst:.2e} < 1e-10 for both methods, n in 4..10", ok)
@@ -79,7 +79,7 @@ def test_criterion_02_oracle_equivalence():
         plan = EvolutionPlan(
             T=T, N_t=n_t, kinetic_method=method, terms=set(terms), splitting=splitting
         )
-        report = evolve(state, plan, snapshot_steps=[])
+        report = evolve(state.with_amplitudes(state.amplitudes.copy()), plan)
         return float(
             np.linalg.norm(report.final_state.amplitudes - oracle(state).amplitudes)
         )
@@ -282,18 +282,16 @@ def test_criterion_10_molecule_symmetry(tmp_path):
 
 def test_criterion_11_wall_height_insensitivity():
     def error_at(v_wall):
-        return box_run(
-            length=1.0,
-            n=6,
-            steps=1000,
-            total_time=1e-3,
+        cfg = RunConfig(
+            box_length=1.0,
             kinetic_method="spectral",
             splitting="first-order",
             wall_height=v_wall,
             interior_only=False,
             series_terms=1000,
-            particle=electron(),
-        )["rmse"]
+            particles=[{"mass": 1.0, "charge": -1.0}],
+        ).resolved("box-evolve")
+        return box_run(cfg, n=6, steps=1000, total_time=1e-3)["rmse"]
 
     lo, hi = error_at(1e6), error_at(1e7)
     rel = abs(hi - lo) / lo

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from wzsim.analytic import dense_evolution_oracle
-from wzsim.errors import NormDriftError, ValidationError
+from wzsim.errors import NormDriftError, ResourceLimitError, ValidationError
 from wzsim.evolution import (
+    MAX_STEPS,
     EvolutionPlan,
-    default_snapshot_steps,
     evolve,
     prepare_operators,
     sample_configurations,
     step,
 )
 from wzsim import grid as grid_mod
-from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state
+from wzsim.grid import ParticleSpec, StateVector, build_grid, density, encode_state
 from wzsim.kinetic import apply_spectral_plan, apply_trotter_plan
 from wzsim.potential import SLAB_ARRAYS, composite_potential
 
@@ -25,6 +25,10 @@ def electron():
 
 def proton_clamped(cell):
     return ParticleSpec(mass=1836.0, charge=1.0, kind="clamped", clamped_cell=cell)
+
+
+def copy_of(state):
+    return state.with_amplitudes(state.amplitudes.copy())
 
 
 def gaussian_state(grid, roster, sigma=0.1, mu=0.5):
@@ -53,6 +57,11 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             EvolutionPlan(T=1.0, N_t=10, terms={"T_e", "U_xx"})
 
+    def test_step_count_is_bounded(self):
+        assert EvolutionPlan(T=1.0, N_t=MAX_STEPS).N_t == MAX_STEPS
+        with pytest.raises(ResourceLimitError):
+            EvolutionPlan(T=1.0, N_t=MAX_STEPS + 1)
+
     def test_terms_coerced_to_frozenset(self):
         plan = EvolutionPlan(T=1.0, N_t=10, terms=["T_e", "wall"])
         assert plan.terms == frozenset({"T_e", "wall"})
@@ -63,23 +72,21 @@ class TestPreparedOperators:
         grid = build_grid(1.0, 3, 1)
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e"})
         ops = prepare_operators(grid, (electron(),), plan)
-        assert ops.phase_full is None and ops.phase_half is None
+        assert ops.phase is None
         assert len(ops.kinetic) == 1
 
     def test_phases_match_composite_diagonal(self):
-        # Only the phase the splitting applies is stored.
+        # The phase is the factor the splitting applies.
         grid = build_grid(1.0, 3, 1)
         roster = (electron(), electron())
         diag = composite_potential(grid, roster, ["U_ee", "wall"], v_wall=10.0)
         terms = {"T_e", "U_ee", "wall"}
         plan = EvolutionPlan(T=1e-3, N_t=10, terms=terms, splitting="first-order", v_wall=10.0)
         ops = prepare_operators(grid, roster, plan)
-        assert ops.phase_half is None
-        assert np.allclose(ops.phase_full, np.exp(-1j * plan.eps * diag.energies), atol=1e-15)
+        assert np.allclose(ops.phase, np.exp(-1j * plan.eps * diag.energies), atol=1e-15)
         plan = EvolutionPlan(T=1e-3, N_t=10, terms=terms, splitting="strang", v_wall=10.0)
         ops = prepare_operators(grid, roster, plan)
-        assert ops.phase_full is None
-        assert np.allclose(ops.phase_half, np.exp(-1j * plan.eps / 2 * diag.energies), atol=1e-15)
+        assert np.allclose(ops.phase, np.exp(-1j * plan.eps / 2 * diag.energies), atol=1e-15)
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     def test_slab_built_phase_is_bit_exact(self, monkeypatch, splitting):
@@ -94,7 +101,7 @@ class TestPreparedOperators:
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", 3 * cell_bytes)
         assert grid_mod.slab_bounds(8, cell_bytes) == [0, 2, 5, 8]
         ops = prepare_operators(grid, roster, plan)
-        phase = ops.phase_full if splitting == "first-order" else ops.phase_half
+        phase = ops.phase
         scale = -1j * plan.eps if splitting == "first-order" else -1j * (plan.eps / 2.0)
         diag = composite_potential(grid, roster, ["U_ee", "U_en", "U_nn", "wall"], v_wall=30.0)
         assert np.array_equal(phase, np.exp(scale * diag.energies))
@@ -125,10 +132,9 @@ class TestStepComposition:
     def _manual_kinetic(self, state, ops):
         for pq, axis, kplan in ops.kinetic:
             if hasattr(kplan, "xi"):
-                state = apply_trotter_plan(state, pq, axis, kplan)
+                apply_trotter_plan(state, pq, axis, kplan)
             else:
-                state = apply_spectral_plan(state, pq, axis, kplan)
-        return state
+                apply_spectral_plan(state, pq, axis, kplan)
 
     def test_first_order_is_phase_then_kinetic(self):
         grid = build_grid(1.0, 4, 1)
@@ -136,8 +142,10 @@ class TestStepComposition:
         state = gaussian_state(grid, roster)
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "wall"}, splitting="first-order")
         ops = prepare_operators(grid, roster, plan)
-        stepped = step(state, plan, ops)
-        manual = self._manual_kinetic(state.with_amplitudes(state.amplitudes * ops.phase_full), ops)
+        stepped = copy_of(state)
+        step(stepped, plan, ops)
+        manual = state.with_amplitudes(state.amplitudes * ops.phase)
+        self._manual_kinetic(manual, ops)
         assert np.array_equal(stepped.amplitudes, manual.amplitudes)
 
     def test_strang_is_half_phase_sandwich(self):
@@ -146,10 +154,11 @@ class TestStepComposition:
         state = gaussian_state(grid, roster)
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "wall"}, splitting="strang")
         ops = prepare_operators(grid, roster, plan)
-        stepped = step(state, plan, ops)
-        manual = state.with_amplitudes(state.amplitudes * ops.phase_half)
-        manual = self._manual_kinetic(manual, ops)
-        manual = manual.with_amplitudes(manual.amplitudes * ops.phase_half)
+        stepped = copy_of(state)
+        step(stepped, plan, ops)
+        manual = state.with_amplitudes(state.amplitudes * ops.phase)
+        self._manual_kinetic(manual, ops)
+        manual = manual.with_amplitudes(manual.amplitudes * ops.phase)
         assert np.array_equal(stepped.amplitudes, manual.amplitudes)
 
 
@@ -197,7 +206,8 @@ class TestEvolve:
                 terms={"T_e", "wall"},
                 splitting="strang",
             )
-            return np.linalg.norm(evolve(state, plan).final_state.amplitudes - exact.amplitudes)
+            report = evolve(copy_of(state), plan)
+            return np.linalg.norm(report.final_state.amplitudes - exact.amplitudes)
 
         coarse, fine = distance(100), distance(800)
         assert fine < coarse / 10
@@ -226,9 +236,9 @@ class TestEvolve:
         roster = (electron(), proton_clamped((4,)))
         state = gaussian_state(grid, (electron(),))
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "U_en"})
-        report = evolve(state, plan, particles=roster)
+        report = evolve(copy_of(state), plan, particles=roster)
         assert report.max_norm_drift < 1e-12
-        free = evolve(state, EvolutionPlan(T=1e-3, N_t=10, terms={"T_e"}))
+        free = evolve(copy_of(state), EvolutionPlan(T=1e-3, N_t=10, terms={"T_e"}))
         assert not np.allclose(report.final_state.amplitudes, free.final_state.amplitudes)
 
     def test_roster_mismatch_rejected(self):
@@ -266,16 +276,7 @@ def random_state(grid, n_particles, seed=0):
 
 
 class TestWorkBuffer:
-    """evolve steps one work buffer in place through step(..., out=)."""
-
-    def test_caller_state_is_left_unchanged(self):
-        grid = build_grid(4.0, 3, 2)
-        state = random_state(grid, 2)
-        before = state.amplitudes.copy()
-        plan = EvolutionPlan(T=0.05, N_t=3, terms=MOLECULE_TERMS, splitting="strang")
-        report = evolve(state, plan, particles=molecule_roster(grid), snapshot_steps=[])
-        assert np.array_equal(state.amplitudes, before)
-        assert not np.shares_memory(report.final_state.amplitudes, state.amplitudes)
+    """evolve steps the caller's state in place, one step call at a time."""
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
@@ -286,16 +287,18 @@ class TestWorkBuffer:
         plan = EvolutionPlan(
             T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, splitting=splitting
         )
-        report = evolve(state, plan, particles=roster, snapshot_steps=[])
+        report = evolve(copy_of(state), plan, particles=roster)
         ops = prepare_operators(grid, roster, plan)
-        chained = state
+        chained = copy_of(state)
         for _ in range(plan.N_t):
-            chained = step(chained, plan, ops)
+            step(chained, plan, ops)
         assert np.array_equal(report.final_state.amplitudes, chained.amplitudes)
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
-    def test_step_out_targets_agree(self, method, splitting):
+    def test_step_acts_on_the_state_it_is_given(self, method, splitting):
+        # Two electrons and two clamped protons in 2D: four registers, so
+        # the phase and every kinetic factor act on a multi-register state.
         grid = build_grid(4.0, 3, 2)
         roster = molecule_roster(grid)
         plan = EvolutionPlan(
@@ -303,56 +306,68 @@ class TestWorkBuffer:
         )
         ops = prepare_operators(grid, roster, plan)
         state = random_state(grid, 2)
-        before = state.amplitudes.copy()
-        fresh = step(state, plan, ops)
-        other = random_state(grid, 2, seed=1)
-        into_other = step(state, plan, ops, out=other)
-        assert into_other is other
-        assert np.array_equal(state.amplitudes, before)
-        in_place = step(state, plan, ops, out=state)
-        assert in_place is state
-        assert np.array_equal(fresh.amplitudes, other.amplitudes)
-        assert np.array_equal(fresh.amplitudes, state.amplitudes)
+        manual = copy_of(state)
+        buffer = state.amplitudes
+        assert step(state, plan, ops) is None
+        assert state.amplitudes is buffer
+        manual.amplitudes[:] *= ops.phase
+        for pq, axis, kplan in ops.kinetic:
+            (apply_trotter_plan if method == "trotter" else apply_spectral_plan)(
+                manual, pq, axis, kplan
+            )
+        if splitting == "strang":
+            manual.amplitudes[:] *= ops.phase
+        assert np.array_equal(state.amplitudes, manual.amplitudes)
 
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
-    def test_overwrite_input_steps_the_callers_buffer(self, method):
+    def test_snapshots_and_drift_match_chained_steps(self, method):
         grid = build_grid(4.0, 3, 2)
         roster = molecule_roster(grid)
         plan = EvolutionPlan(
             T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, splitting="strang"
         )
-        copied = evolve(random_state(grid, 2), plan, particles=roster, snapshot_steps=[2])
         state = random_state(grid, 2)
-        buffer = state.amplitudes
-        report = evolve(state, plan, particles=roster, snapshot_steps=[2], overwrite_input=True)
-        assert report.final_state is state and state.amplitudes is buffer
-        assert np.array_equal(buffer, copied.final_state.amplitudes)
-        assert np.array_equal(report.norm_drift, copied.norm_drift)
-        assert np.array_equal(report.snapshots[0][1], copied.snapshots[0][1])
+        chained = copy_of(state)
+        report = evolve(state, plan, particles=roster, snapshot_steps=[2, 4])
+        ops = prepare_operators(grid, roster, plan)
+        drift, densities = [], []
+        for k in range(1, plan.N_t + 1):
+            step(chained, plan, ops)
+            drift.append(abs(chained.norm() - 1.0))
+            if k in (2, 4):
+                densities.append(density(chained))
+        assert np.array_equal(report.norm_drift, drift)
+        assert [k for k, _ in report.snapshots] == [2, 4]
+        for (_, got), want in zip(report.snapshots, densities):
+            assert np.array_equal(got, want)
+        assert np.array_equal(report.snapshots[-1][1], density(report.final_state))
 
     @pytest.mark.parametrize("wall", [False, True])
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
     @pytest.mark.parametrize(
-        "n, d, particles",
+        "n, d, particles, protons",
         # 2^16 amplitudes (1 MiB) in 1 and 2 particles, 2^18 in 3: every
         # layout has more than one register, so every kinetic factor and
-        # every phase slab can be cut.
-        [(8, 2, 1), (4, 2, 2), (6, 1, 3)],
+        # every phase slab can be cut. The last is two electrons around
+        # two protons.
+        [(8, 2, 1, 1), (4, 2, 2, 1), (6, 1, 3, 1), (4, 2, 2, 2)],
     )
-    def test_peak_with_overwrite_is_state_plus_phase(
-        self, monkeypatch, n, d, particles, method, splitting, wall
+    def test_evolve_peaks_at_state_plus_phase(
+        self, monkeypatch, n, d, particles, protons, method, splitting, wall
     ):
-        # Handing the state over leaves the phase as the only state-sized
-        # array evolve makes. The potential slabs stay under the cap, here
-        # a 32nd of the state, and so do the Trotter scan slabs, unless one
-        # cell of the cut axis is more: 3/16 of the state in temporaries at
-        # 16 cells. Each thread holds its own slab, so this runs on one.
-        # The rest is numpy's fixed-size FFT buffer, about 140 KiB.
+        # The steps act on the caller's state, so the phase is the only
+        # state-sized array evolve makes, and no snapshot is taken unless
+        # asked for. The potential slabs stay under the cap, here a 32nd
+        # of the state, and so do the Trotter scan slabs, unless one cell
+        # of the cut axis is more: 3/16 of the state in temporaries at 16
+        # cells. Each thread holds its own slab, so this runs on one. The
+        # rest is numpy's fixed-size FFT buffer, about 140 KiB.
         monkeypatch.setenv("WZ_THREADS", "1")
         grid = build_grid(4.0, n, d)
         mid = grid.cells_per_axis // 2
-        roster = (electron(),) * particles + (proton_clamped((mid - 1,) * d),)
+        cells = [(mid - 1,) * d] if protons == 1 else [(mid - 1, mid), (mid + 1, mid)]
+        roster = (electron(),) * particles + tuple(proton_clamped(c) for c in cells)
         terms = {"T_e", "U_en"} | ({"U_ee"} if particles > 1 else set())
         plan = EvolutionPlan(
             T=0.002,
@@ -363,36 +378,21 @@ class TestWorkBuffer:
             v_wall=50.0,
         )
         state = random_state(grid, particles)
-        state_bytes = state.amplitudes.nbytes
+        buffer = state.amplitudes
+        state_bytes = buffer.nbytes
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state_bytes // 32)
-        evolve(random_state(grid, particles, seed=1), plan, particles=roster,
-               snapshot_steps=[], overwrite_input=True)  # warm-up: imports, pools, plans
+        # A warm-up run: imports, pools, plans.
+        evolve(random_state(grid, particles, seed=1), plan, particles=roster)
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            report = evolve(state, plan, particles=roster, snapshot_steps=[], overwrite_input=True)
+            report = evolve(state, plan, particles=roster)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.final_state is state
+        assert report.final_state is state and state.amplitudes is buffer
+        assert report.snapshots == []
         assert peak - base <= 1.25 * state_bytes
-
-    def test_peak_memory_is_a_few_states(self):
-        grid = build_grid(4.0, 4, 2)
-        state = random_state(grid, 2)
-        plan = EvolutionPlan(
-            T=0.04, N_t=2, kinetic_method="spectral", terms=MOLECULE_TERMS, splitting="strang"
-        )
-        roster = molecule_roster(grid)
-        evolve(state, plan, particles=roster, snapshot_steps=[])  # the first run imports numpy.fft
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            evolve(state, plan, particles=roster, snapshot_steps=[])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 3.5 * state.amplitudes.nbytes
 
     def test_statevector_builds_do_not_grow_with_steps(self, monkeypatch):
         builds = []
@@ -411,19 +411,9 @@ class TestWorkBuffer:
             for method in ("trotter", "spectral"):
                 plan = EvolutionPlan(T=0.05, N_t=n_t, kinetic_method=method, terms=MOLECULE_TERMS)
                 builds.clear()
-                evolve(state, plan, particles=roster, snapshot_steps=[])
+                evolve(state, plan, particles=roster)
                 counts.append(len(builds))
         assert counts[:2] == counts[2:]
-
-
-class TestSnapshotSteps:
-    @pytest.mark.parametrize("n_t", [1, 3, 10, 1000, 1234])
-    def test_sorted_unique_and_ends_at_n_t(self, n_t):
-        steps = default_snapshot_steps(n_t)
-        assert list(steps) == sorted(set(steps))
-        assert steps[0] >= 1
-        assert steps[-1] == n_t
-        assert len(steps) <= 10
 
 
 class TestSampling:

@@ -38,7 +38,7 @@ from wzsim.experiments import (
 from wzsim import experiments as experiments_mod
 from wzsim import grid as grid_mod
 from wzsim.analytic import BoxSeriesSpec, box_exact_density
-from wzsim.evolution import EvolutionPlan, evolve
+from wzsim.evolution import MAX_STEPS, EvolutionPlan, evolve
 from wzsim.grid import ParticleSpec, build_grid, cell_centers, density
 from wzsim.kinetic import _worker_count, make_spectral_plan
 
@@ -230,18 +230,16 @@ class TestBoxState:
         assert np.array_equal(keep, ((1 <= x) & (x <= 2) & (y <= 1)).astype(complex))
 
     def test_box_run_sanity(self):
-        result = box_run(
-            length=1.0,
-            n=4,
-            steps=50,
-            total_time=1e-3,
+        cfg = RunConfig(
+            box_length=1.0,
             kinetic_method="spectral",
             splitting="first-order",
             wall_height=1e6,
             interior_only=False,
             series_terms=1000,
-            particle=ParticleSpec(mass=1.0, charge=-1.0),
-        )
+            particles=[{"mass": 1.0, "charge": -1.0}],
+        ).resolved("box-evolve")
+        result = box_run(cfg, n=4, steps=50, total_time=1e-3)
         assert 0 < result["rmse"] < 1.0
         assert result["yb_error"] == pytest.approx(result["rmse"] / 4)
         assert result["max_norm_drift"] < 1e-12
@@ -290,7 +288,7 @@ class TestBoxEvolveRunner:
         for i, t in enumerate(times):
             state = box_initial_state(grid, ParticleSpec(mass=1.0, charge=-1.0), False)
             plan = EvolutionPlan(T=t, N_t=50, terms=frozenset(BOX_TERMS))
-            sim = density(evolve(state, plan, snapshot_steps=[]).final_state)
+            sim = density(evolve(state, plan).final_state)
             spec = BoxSeriesSpec(length=1.0, mass=1.0, t=t)
             exact = box_exact_density(32, spec)[1::2] * grid.delta
             rows = [",".join(_fmt(v) for v in row) for row in zip(range(16), x, sim, exact)]
@@ -543,6 +541,22 @@ MALFORMED = [
     ("synth-report", {"count_qubits": [15000]}),
 ]
 
+# Bad grids, step counts and times, among them later sweep points and a
+# step count whose drift series would not fit in memory. They fail before
+# the first point runs: with evolve patched to raise, the exit code shows
+# that nothing evolved.
+CHECKED_BEFORE_EVOLVE = [
+    ("convergence", {"axis": "spatial", "sweep_qubits": [10, 25]}, 3),
+    ("convergence", {"axis": "spatial", "sweep_qubits": [3, 0]}, 2),
+    ("convergence", {"axis": "temporal", "sweep_steps": [10, 0]}, 2),
+    ("convergence", {"axis": "temporal", "sweep_steps": [10, MAX_STEPS + 1]}, 3),
+    ("box-evolve", {"qubits_per_axis": 21}, 3),
+    ("box-evolve", {"qubits_per_axis": 3, "evolve_times": [1e-3, -1.0]}, 2),
+    ("sample", {"qubits_per_axis": 0}, 2),
+    ("sample", {"steps": MAX_STEPS + 1}, 3),
+    ("molecule2d", {"steps": 10**12}, 3),
+]
+
 # Small valid configs, one per experiment, for the single-key fuzz test.
 FUZZ_BASES = {
     "box-evolve": {"qubits_per_axis": 3, "steps": 2},
@@ -574,6 +588,25 @@ class TestCli:
         cfg = write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, payload, code",
+        CHECKED_BEFORE_EVOLVE,
+        ids=[f"{c}-{json.dumps(p)[:60]}" for c, p, _ in CHECKED_BEFORE_EVOLVE],
+    )
+    def test_every_run_is_checked_before_the_first_evolves(
+        self, tmp_path, capsys, monkeypatch, command, payload, code
+    ):
+        def evolve(*args, **kwargs):
+            raise AssertionError("evolve was called")
+
+        monkeypatch.setattr(experiments_mod, "evolve", evolve)
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())

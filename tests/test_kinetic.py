@@ -45,6 +45,10 @@ def electron():
     return ParticleSpec(mass=1.0, charge=-1.0)
 
 
+def copy_of(state: StateVector) -> StateVector:
+    return state.with_amplitudes(state.amplitudes.copy())
+
+
 def scan_per_call(o: np.ndarray, xi: complex) -> np.ndarray:
     """_trotter_scan with every constant computed on the call from xi, as
     the scan did before the plan held them."""
@@ -225,7 +229,8 @@ class TestTrotterFactor:
         amps = rng.normal(size=16**3) + 1j * rng.normal(size=16**3)
         st_ = StateVector(amps, grid, (electron(),)).normalized()
         plan = make_trotter_plan(16, grid.delta, 1.0, 1e-3)
-        out = apply_trotter_plan(st_, 0, reg, plan)
+        out = copy_of(st_)
+        apply_trotter_plan(out, 0, reg, plan)
         t = st_.amplitudes.reshape((16,) * 3)
         dense = np.tensordot(trotter_factor_matrix(16, plan.xi), t, axes=(1, reg))
         dense = np.moveaxis(dense, 0, reg).reshape(-1)
@@ -308,39 +313,24 @@ class TestApplyKinetic:
         with pytest.raises(ValidationError):
             apply_kinetic_spectral(st_, 0, 1, 1.0, 1e-4)
 
-    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("reg", [0, 1, 2, 3])
-    def test_out_targets_agree(self, method, reg):
-        # Two electrons in 2D: four registers of 8 cells each.
+    def test_copying_helpers_leave_the_input_unchanged(self, method, reg):
+        # Two electrons in 2D: four registers of 8 cells each. The helper
+        # returns what the in-place plan call leaves in the state.
         grid = build_grid(1.0, 3, 2)
         rng = np.random.default_rng(reg)
-
-        def random_state():
-            amps = rng.normal(size=8**4) + 1j * rng.normal(size=8**4)
-            return StateVector(amps, grid, (electron(), electron())).normalized()
-
-        if method == "trotter":
-            apply, plan = apply_trotter_plan, make_trotter_plan(8, grid.delta, 1.0, 1e-3)
-        else:
-            apply, plan = apply_spectral_plan, make_spectral_plan(8, grid.delta, 1.0, 1e-3)
-        state = random_state()
+        amps = rng.normal(size=8**4) + 1j * rng.normal(size=8**4)
+        state = StateVector(amps, grid, (electron(), electron())).normalized()
         before = state.amplitudes.copy()
-        fresh = apply(state, reg // 2, reg % 2, plan)
-        other = random_state()
-        assert apply(state, reg // 2, reg % 2, plan, out=other) is other
+        helper = apply_kinetic_trotter if method == "trotter" else apply_kinetic_spectral
+        fresh = helper(state, reg // 2, reg % 2, 1.0, 1e-3)
         assert np.array_equal(state.amplitudes, before)
-        assert apply(state, reg // 2, reg % 2, plan, out=state) is state
-        assert np.array_equal(fresh.amplitudes, other.amplitudes)
+        assert not np.shares_memory(fresh.amplitudes, state.amplitudes)
+        make, apply = METHODS[method]
+        apply(state, reg // 2, reg % 2, make(8, grid.delta, 1.0, 1e-3))
         assert np.array_equal(fresh.amplitudes, state.amplitudes)
         assert not np.array_equal(fresh.amplitudes, before)
-
-    def test_out_must_match_the_state_layout(self):
-        grid = build_grid(1.0, 3, 2)
-        state = StateVector(np.ones(8**4, complex), grid, (electron(), electron())).normalized()
-        flat = StateVector(np.ones(8**4, complex), build_grid(1.0, 6, 1), (electron(), electron()))
-        plan = make_trotter_plan(8, grid.delta, 1.0, 1e-3)
-        with pytest.raises(ValidationError):
-            apply_trotter_plan(state, 0, 0, plan, out=flat)
 
     @pytest.mark.parametrize(
         "make, apply",
@@ -353,7 +343,7 @@ class TestApplyKinetic:
             state = StateVector(np.ones(2 ** (n * d), complex), grid, (electron(),)).normalized()
             before = state.amplitudes.copy()
             with pytest.raises(ValidationError):
-                apply(state, 0, 0, make(wrong, grid.delta, 1.0, 1e-3), out=state)
+                apply(state, 0, 0, make(wrong, grid.delta, 1.0, 1e-3))
             assert np.array_equal(state.amplitudes, before)
 
 
@@ -369,15 +359,18 @@ class TestSpectralSlabs:
         return StateVector(amps, grid, particles).normalized()
 
     @staticmethod
-    def apply(monkeypatch, threads, state, reg, out=None):
-        # A cap of one amplitude, so that no state here is too small for
-        # the threads.
+    def apply(monkeypatch, threads, state, reg):
+        """The factor applied to a copy of state, and its plan. A cap of
+        one amplitude, so that no state here is too small for the
+        threads."""
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", 16)
         monkeypatch.setenv("WZ_THREADS", str(threads))
         grid = state.grid
         plan = make_spectral_plan(grid.cells_per_axis, grid.delta, 1.0, 0.05)
         assert plan.workers == threads
-        return apply_spectral_plan(state, reg // grid.d, reg % grid.d, plan, out=out), plan
+        out = copy_of(state)
+        apply_spectral_plan(out, reg // grid.d, reg % grid.d, plan)
+        return out, plan
 
     @staticmethod
     def dense_reference(state, reg, plan):
@@ -403,20 +396,6 @@ class TestSpectralSlabs:
             assert np.max(np.abs(out.amplitudes - self.dense_reference(state, reg, plan))) <= 1e-15
             single, _ = self.apply(monkeypatch, 1, state, reg)
             assert np.array_equal(out.amplitudes, single.amplitudes)
-
-    @pytest.mark.parametrize("reg", range(4))
-    def test_out_targets_agree_under_threads(self, monkeypatch, reg):
-        grid = build_grid(1.0, 3, 2)
-        particles = (electron(), electron())
-        state = self.random_state(grid, particles, reg)
-        before = state.amplitudes.copy()
-        fresh, _ = self.apply(monkeypatch, 3, state, reg)
-        other = self.random_state(grid, particles, 99)
-        assert self.apply(monkeypatch, 3, state, reg, out=other)[0] is other
-        assert np.array_equal(state.amplitudes, before)
-        assert self.apply(monkeypatch, 3, state, reg, out=state)[0] is state
-        assert np.array_equal(fresh.amplitudes, other.amplitudes)
-        assert np.array_equal(fresh.amplitudes, state.amplitudes)
 
     def test_thread_count_is_capped(self, monkeypatch):
         monkeypatch.setenv("WZ_THREADS", str(10**6))
@@ -449,7 +428,8 @@ class TestSpectralSlabs:
         assert plan.workers == threads
         for reg in range(registers):
             state = self.random_state(grid, (electron(),) * particles, reg)
-            out = apply_trotter_plan(state, reg // d, reg % d, plan)
+            out = copy_of(state)
+            apply_trotter_plan(out, reg // d, reg % d, plan)
             whole = state.amplitudes.copy().reshape((D,) * registers)
             _trotter_scan(whole.swapaxes(0, reg), plan.scan)
             assert np.array_equal(out.amplitudes, whole.reshape(-1))
@@ -470,7 +450,7 @@ class TestSpectralSlabs:
         for cap in (grid_mod.SLAB_BYTES, state.amplitudes.nbytes + 16):
             monkeypatch.setattr(grid_mod, "SLAB_BYTES", cap)
             for reg in range(4):
-                apply(state, reg // 2, reg % 2, plan, out=state)
+                apply(state, reg // 2, reg % 2, plan)
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("caps, threads", [(1, 1), (2, 2), (3, 3), (100, 3)])
@@ -490,25 +470,8 @@ class TestSpectralSlabs:
         plan = make(8, grid.delta, 1.0, 0.05)
         state = self.random_state(grid, (electron(), electron()), 0)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // caps)
-        apply(state, 0, 1, plan, out=state)
+        apply(state, 0, 1, plan)
         assert asked == [threads - 1] * (threads - 1)
-
-    @pytest.mark.parametrize("reg", range(4))
-    def test_trotter_out_targets_agree_under_threads(self, monkeypatch, reg):
-        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 1)
-        monkeypatch.setenv("WZ_THREADS", "3")
-        grid = build_grid(1.0, 3, 2)
-        particles = (electron(), electron())
-        plan = make_trotter_plan(8, grid.delta, 1.0, 0.05)
-        state = self.random_state(grid, particles, reg)
-        before = state.amplitudes.copy()
-        fresh = apply_trotter_plan(state, reg // 2, reg % 2, plan)
-        other = self.random_state(grid, particles, 99)
-        assert apply_trotter_plan(state, reg // 2, reg % 2, plan, out=other) is other
-        assert np.array_equal(state.amplitudes, before)
-        assert apply_trotter_plan(state, reg // 2, reg % 2, plan, out=state) is state
-        assert np.array_equal(fresh.amplitudes, other.amplitudes)
-        assert np.array_equal(fresh.amplitudes, state.amplitudes)
 
 
 class TestFourierDiagnostic:

@@ -45,10 +45,11 @@ from .grid import (
     marginal_density,
 )
 from .kinetic import (
-    apply_kinetic_spectral,
-    apply_kinetic_trotter,
+    apply_kinetic_plan,
     derivative_matrix,
     fourier_conjugation_diagnostic,
+    make_spectral_plan,
+    make_trotter_plan,
     momentum_matrix,
     trotter_coupling_block,
     trotter_factor_matrix,
@@ -57,7 +58,6 @@ from .potential import (
     DiagonalOperator,
     antidiagonal_fold,
     antidiagonal_symmetry_check,
-    apply_diagonal_phase,
     build_coulomb_diagonal,
     composite_potential,
     level_spacing,
@@ -82,9 +82,7 @@ __all__ = [
     "ValidationError",
     "antidiagonal_fold",
     "antidiagonal_symmetry_check",
-    "apply_diagonal_phase",
-    "apply_kinetic_spectral",
-    "apply_kinetic_trotter",
+    "apply_kinetic_plan",
     "box_exact_density",
     "build_coulomb_diagonal",
     "build_grid",
@@ -102,6 +100,8 @@ __all__ = [
     "fourier_conjugation_diagnostic",
     "level_spacing",
     "loglog_slope",
+    "make_spectral_plan",
+    "make_trotter_plan",
     "marginal_density",
     "momentum_matrix",
     "potential_bounds",

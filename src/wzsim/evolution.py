@@ -7,9 +7,9 @@ particle-major, axis-ascending order; the registers are disjoint so the
 order only fixes a convention.
 
 Every operator is a unitary on the one state vector, and it acts in
-place: step, apply_trotter_plan and apply_spectral_plan write into the
-amplitudes of the StateVector they are given, and evolve steps the
-caller's state itself. No state-sized array or StateVector is made per
+place: step and kinetic.apply_kinetic_plan write into the amplitudes of
+the StateVector they are given, and evolve steps the caller's state
+itself. No state-sized array or StateVector is made per
 operator. The potential phase is built slab by slab of register-0 cells,
 straight into its complex array, so no full-size energy diagonal exists.
 A run thus peaks at two states, the state and the phase, plus
@@ -35,8 +35,7 @@ from .grid import (
 from .kinetic import (
     KineticTrotterPlan,
     SpectralKineticPlan,
-    apply_spectral_plan,
-    apply_trotter_plan,
+    apply_kinetic_plan,
     make_spectral_plan,
     make_trotter_plan,
 )
@@ -151,10 +150,7 @@ def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) 
     if phase is not None:
         np.multiply(a, phase, out=a)
     for pq, axis, kplan in operators.kinetic:
-        if isinstance(kplan, KineticTrotterPlan):
-            apply_trotter_plan(state, pq, axis, kplan)
-        else:
-            apply_spectral_plan(state, pq, axis, kplan)
+        apply_kinetic_plan(state, pq, axis, kplan)
     if phase is not None and plan.splitting == "strang":
         np.multiply(a, phase, out=a)
 

@@ -211,11 +211,9 @@ class StateVector:
     """Joint state of the quantum particles on a grid.
 
     amplitudes is a contiguous vector of length 2^(d*n*N_q). The stepping
-    core acts on it in place: evolve, step, apply_trotter_plan and
-    apply_spectral_plan write into the amplitudes of the state they are
-    given. Every other operation, apply_kinetic_trotter and
-    apply_kinetic_spectral among them, returns a new StateVector over a
-    new array.
+    core acts on it in place: evolve, step and apply_kinetic_plan write
+    into the amplitudes of the state they are given. Every other
+    operation returns a new StateVector over a new array.
     """
 
     amplitudes: np.ndarray

@@ -14,21 +14,21 @@ Two interchangeable single-axis methods are provided:
   -(hbar/delta) sin(2 pi k / D), so the kinetic phase is applied exactly
   in momentum space. The transforms run in place in numpy.fft.
 
-Both act in place on one register (one particle, one axis) of the state
-they are given; registers are disjoint, so axis application order is
-irrelevant. apply_kinetic_trotter and apply_kinetic_spectral are the
-non-mutating forms: they apply the factor to a copy. With more than
-one register, both cut the register tensor along another axis into
-slabs and deal them out over WZ_THREADS threads, a count read once into
-the plan. A thread is worth its hand-off only for grid.SLAB_BYTES of
-state, so a call uses at most max(1, state bytes // SLAB_BYTES)
+Each plan carries its line kernel: lines(a) applies the factor along
+axis 0 of a, in place. apply_kinetic_plan, the one apply path, runs it
+on one register (one particle, one axis) of the state it is given;
+registers are disjoint, so axis application order is irrelevant. With
+more than one register, it cuts the register tensor along another axis
+into slabs and deals them out over WZ_THREADS threads, a count read once
+into the plan. A thread is worth its hand-off only for grid.SLAB_BYTES
+of state, so a call uses at most max(1, state bytes // SLAB_BYTES)
 threads: a state under SLAB_BYTES runs on the caller's thread alone.
-The spectral route works in place, so it cuts one slab per thread. The
-scan holds three temporaries the size of its slab, so the Trotter route
-cuts as many more slabs as keep them under SLAB_BYTES, at most one per
-cell of the cut axis. Every 1-D line is worked on alone, so the result
-does not depend on the cut or the thread count. A one-register state is
-one call on the caller's thread.
+The spectral kernel works in place, so its tensor is cut into one slab
+per thread. The scan holds three temporaries the size of its slab, so
+the Trotter tensor is cut into as many more as keep them under
+SLAB_BYTES, at most one per cell of the cut axis. Every 1-D line is worked on alone, so the
+result does not depend on the cut or the thread count. A one-register
+state is one call on the caller's thread.
 """
 
 from __future__ import annotations
@@ -37,13 +37,13 @@ import cmath
 import functools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
 from . import grid
 from .errors import ResourceLimitError, ValidationError
-from .grid import HBAR, StateVector, register_views, slab_bounds
+from .grid import HBAR, StateVector, slab_bounds
 
 # fourier_conjugation_diagnostic builds O(D^2) dense intermediates.
 MAX_DIAGNOSTIC_DIM = 4096
@@ -141,18 +141,23 @@ class KineticTrotterPlan:
     where E_j is the endpoint phase exp(-xi |j><j|) and B_i the coupling
     block at cells (i-1, i, i+1). Applied to a state, the rightmost factor
     acts first. The plan holds D, xi, the thread count and the scan's
-    coefficients, computed once: apply_trotter_plan evaluates the product
-    as a prefix scan, and trotter_factor_matrix builds the dense matrix
-    for reference.
+    coefficients, computed once: lines evaluates the product as a prefix
+    scan, and trotter_factor_matrix builds the dense matrix for reference.
     """
 
     dim: int
     xi: complex
     workers: int
     scan: ScanCoefficients = field(init=False, repr=False)
+    # The scan holds c, shifted and ps * c[s:], each the size of its input.
+    temporaries: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
         self.scan = scan_coefficients(self.dim, self.xi)
+
+    def lines(self, a: np.ndarray) -> None:
+        """Apply the block product along axis 0 of a, in place."""
+        _trotter_scan(a, self.scan)
 
 
 def trotter_xi(delta: float, mass: float, eps: float) -> complex:
@@ -243,6 +248,13 @@ class SpectralKineticPlan:
     dim: int
     phase_table: np.ndarray
     workers: int
+    temporaries: ClassVar[int] = 0
+
+    def lines(self, a: np.ndarray) -> None:
+        """Apply the momentum-space phase along axis 0 of a, in place."""
+        np.fft.ifft(a, axis=0, norm="ortho", out=a)
+        a *= self.phase_table.reshape((self.dim,) + (1,) * (a.ndim - 1))
+        np.fft.fft(a, axis=0, norm="ortho", out=a)
 
 
 def momentum_eigenvalue(k: int, D: int, delta: float) -> float:
@@ -276,29 +288,29 @@ def iqft(values: np.ndarray) -> np.ndarray:
     return np.fft.fft(values, norm="ortho")
 
 
-def apply_trotter_plan(
-    state: StateVector, particle: int, axis: int, plan: KineticTrotterPlan
+def apply_kinetic_plan(
+    state: StateVector,
+    particle: int,
+    axis: int,
+    plan: KineticTrotterPlan | SpectralKineticPlan,
 ) -> None:
-    """Apply the finite-difference factor to one register of state, in
+    """Apply plan's kinetic factor to the register of particle's axis, in
     place."""
-    _check_plan_size(state, plan)
-    t = state.tensor
-    reg = particle * state.grid.d + axis
-    if t.ndim == 1:
-        _trotter_scan(t, plan.scan)
-        return
-
-    def scan(slab: np.ndarray) -> None:
-        _trotter_scan(slab.swapaxes(0, reg), plan.scan)
-
-    # The scan holds c, shifted and ps * c[s:], each the size of its slab.
-    _on_slabs(scan, t, reg, plan.workers, temporaries=3)
-
-
-def _check_plan_size(state: StateVector, plan: KineticTrotterPlan | SpectralKineticPlan) -> None:
+    if not 0 <= particle < len(state.particles):
+        raise ValidationError(f"particle index {particle} out of range")
+    if not 0 <= axis < state.grid.d:
+        raise ValidationError(f"axis {axis} out of range for d={state.grid.d}")
     D = state.grid.cells_per_axis
     if plan.dim != D:
         raise ValidationError(f"a plan for {plan.dim} cells applied to registers of {D}")
+    t = state.tensor
+    if t.ndim == 1:
+        plan.lines(t)
+        return
+    reg = particle * state.grid.d + axis
+    _on_slabs(
+        lambda slab: plan.lines(slab.swapaxes(0, reg)), t, reg, plan.workers, plan.temporaries
+    )
 
 
 @functools.cache
@@ -315,7 +327,7 @@ def _on_slabs(
     t: np.ndarray,
     reg: int,
     workers: int,
-    temporaries: int = 0,
+    temporaries: int,
 ) -> None:
     """Call fn on views that cut t along an axis other than reg. fn works
     on whole lines along reg, so any cut gives the same bytes. There is one
@@ -325,10 +337,7 @@ def _on_slabs(
     in turn to min(workers, slabs) threads, the caller's among them.
     workers is first capped at t.nbytes // SLAB_BYTES, so that a thread's
     share of t is worth its hand-off; below SLAB_BYTES the caller works
-    alone. One register is one call inline."""
-    if t.ndim == 1:
-        fn(t)
-        return
+    alone. t has at least two registers."""
     workers = min(workers, max(1, t.nbytes // grid.SLAB_BYTES))
     split = 1 if reg == 0 else 0
     cells = t.shape[split]
@@ -346,54 +355,6 @@ def _on_slabs(
     finally:
         for future in futures:
             future.result()
-
-
-def apply_spectral_plan(
-    state: StateVector, particle: int, axis: int, plan: SpectralKineticPlan
-) -> None:
-    """Apply the momentum-space phase to one register of state, in place."""
-    _check_plan_size(state, plan)
-    t = state.tensor
-    reg = particle * state.grid.d + axis
-    phase = register_views(plan.phase_table, t.ndim)[reg]
-
-    def transform(slab: np.ndarray) -> None:
-        np.fft.ifft(slab, axis=reg, norm="ortho", out=slab)
-        slab *= phase
-        np.fft.fft(slab, axis=reg, norm="ortho", out=slab)
-
-    _on_slabs(transform, t, reg, plan.workers)
-
-
-def _check_particle_axis(state: StateVector, particle: int, axis: int) -> None:
-    if not 0 <= particle < len(state.particles):
-        raise ValidationError(f"particle index {particle} out of range")
-    if not 0 <= axis < state.grid.d:
-        raise ValidationError(f"axis {axis} out of range for d={state.grid.d}")
-
-
-def apply_kinetic_trotter(
-    state: StateVector, particle: int, axis: int, mass: float, eps: float
-) -> StateVector:
-    """One finite-difference kinetic factor on the addressed register, as
-    a new StateVector: state is left as it was."""
-    _check_particle_axis(state, particle, axis)
-    plan = make_trotter_plan(state.grid.cells_per_axis, state.grid.delta, mass, eps)
-    out = state.with_amplitudes(state.amplitudes.copy())
-    apply_trotter_plan(out, particle, axis, plan)
-    return out
-
-
-def apply_kinetic_spectral(
-    state: StateVector, particle: int, axis: int, mass: float, eps: float
-) -> StateVector:
-    """Exact kinetic phase in momentum space on the addressed register, as
-    a new StateVector: state is left as it was."""
-    _check_particle_axis(state, particle, axis)
-    plan = make_spectral_plan(state.grid.cells_per_axis, state.grid.delta, mass, eps)
-    out = state.with_amplitudes(state.amplitudes.copy())
-    apply_spectral_plan(out, particle, axis, plan)
-    return out
 
 
 def fourier_conjugation_diagnostic(D: int, delta: float) -> tuple[float, np.ndarray]:

@@ -16,10 +16,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .grid import (
-    HBAR,
     GridSpec,
     ParticleSpec,
-    StateVector,
     cell_centers,
     clamped_position,
     quantum_particles,
@@ -247,18 +245,6 @@ def composite_potential(
     if total is None:
         return None
     return DiagonalOperator(energies=total, label="+".join(sorted(terms)))
-
-
-def apply_diagonal_phase(state: StateVector, diag: DiagonalOperator, eps: float) -> StateVector:
-    """Multiply amplitudes by exp(-i eps E / hbar). Exactly norm-preserving."""
-    if diag.dim != state.dim:
-        raise ValidationError(
-            f"diagonal dimension {diag.dim} does not match state dimension {state.dim}"
-        )
-    phases = np.multiply(-1j * eps, diag.energies, dtype=np.complex128)
-    phases /= HBAR
-    np.exp(phases, out=phases)
-    return state.with_amplitudes(np.multiply(state.amplitudes, phases, out=phases))
 
 
 def potential_bounds(grid: GridSpec, particles: Sequence[ParticleSpec]) -> tuple[float, float]:

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wzsim.analytic import dense_evolution_oracle
+from wzsim.analytic import dense_evolution_oracle, loglog_slope
 from wzsim.errors import NormDriftError, ResourceLimitError, ValidationError
 from wzsim.evolution import (
     MAX_STEPS,
@@ -15,7 +15,7 @@ from wzsim.evolution import (
 )
 from wzsim import grid as grid_mod
 from wzsim.grid import ParticleSpec, StateVector, build_grid, density, encode_state
-from wzsim.kinetic import apply_spectral_plan, apply_trotter_plan
+from wzsim.kinetic import apply_kinetic_plan
 from wzsim.potential import SLAB_ARRAYS, composite_potential
 
 
@@ -131,10 +131,7 @@ class TestPreparedOperators:
 class TestStepComposition:
     def _manual_kinetic(self, state, ops):
         for pq, axis, kplan in ops.kinetic:
-            if hasattr(kplan, "xi"):
-                apply_trotter_plan(state, pq, axis, kplan)
-            else:
-                apply_spectral_plan(state, pq, axis, kplan)
+            apply_kinetic_plan(state, pq, axis, kplan)
 
     def test_first_order_is_phase_then_kinetic(self):
         grid = build_grid(1.0, 4, 1)
@@ -268,6 +265,11 @@ def molecule_roster(grid):
     return (electron(), electron(), proton_clamped((mid - 1, mid)), proton_clamped((mid + 1, mid)))
 
 
+def one_ion_roster(grid):
+    """Two electrons and a proton clamped at the middle cell, in 1D."""
+    return (electron(), electron(), proton_clamped((grid.cells_per_axis // 2,)))
+
+
 def random_state(grid, n_particles, seed=0):
     rng = np.random.default_rng(seed)
     dim = 1 << (grid.n * grid.d * n_particles)
@@ -312,9 +314,7 @@ class TestWorkBuffer:
         assert state.amplitudes is buffer
         manual.amplitudes[:] *= ops.phase
         for pq, axis, kplan in ops.kinetic:
-            (apply_trotter_plan if method == "trotter" else apply_spectral_plan)(
-                manual, pq, axis, kplan
-            )
+            apply_kinetic_plan(manual, pq, axis, kplan)
         if splitting == "strang":
             manual.amplitudes[:] *= ops.phase
         assert np.array_equal(state.amplitudes, manual.amplitudes)
@@ -414,6 +414,82 @@ class TestWorkBuffer:
                 evolve(state, plan, particles=roster)
                 counts.append(len(builds))
         assert counts[:2] == counts[2:]
+
+
+class TestInteractingOracle:
+    """Two electrons and a clamped proton in 1D, with U_ee, U_en and the
+    wall, stepped from a random state and measured against the dense
+    propagator of the generator each route exponentiates."""
+
+    T, STEPS = 0.05, (10, 40, 160)
+    # The least log-log slope of the distance against eps, and a bound on
+    # the distance at the finest step. The block product is itself first
+    # order, so the Trotter route is first order under either splitting.
+    BOUNDS = {
+        ("trotter", "first-order"): (0.9, 1e-2),
+        ("trotter", "strang"): (0.9, 1e-2),
+        ("spectral", "first-order"): (0.9, 1e-3),
+        ("spectral", "strang"): (1.8, 1e-6),
+    }
+
+    @staticmethod
+    def system():
+        grid = build_grid(4.0, 5, 1)
+        return grid, one_ion_roster(grid), random_state(grid, 2, 3)
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        """The exact final state for each kinetic method, one oracle each."""
+        grid, roster, state = self.system()
+        generators = {"trotter": "finite_difference", "spectral": "spectral"}
+        return {
+            method: dense_evolution_oracle(
+                grid, roster, MOLECULE_TERMS, self.T, v_wall=10.0, kinetic_generator=generator
+            )(state).amplitudes
+            for method, generator in generators.items()
+        }
+
+    @pytest.mark.parametrize("method, splitting", sorted(BOUNDS))
+    def test_distance_shrinks_at_the_splitting_order(self, exact, method, splitting):
+        grid, roster, state = self.system()
+        distances = []
+        for n_t in self.STEPS:
+            plan = EvolutionPlan(
+                T=self.T, N_t=n_t, kinetic_method=method, terms=MOLECULE_TERMS,
+                splitting=splitting, v_wall=10.0,
+            )
+            final = evolve(copy_of(state), plan, particles=roster).final_state
+            distances.append(np.linalg.norm(final.amplitudes - exact[method]))
+        slope_min, finest_max = self.BOUNDS[method, splitting]
+        assert loglog_slope([(self.T / k, d) for k, d in zip(self.STEPS, distances)]) >= slope_min
+        assert distances[-1] < finest_max
+
+
+class TestExchangeSymmetry:
+    """Swapping two identical electrons commutes with a step, up to the
+    rounding of the potential's pair sums, which the swap reorders."""
+
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    @pytest.mark.parametrize("n, d", [(5, 1), (3, 2)])
+    def test_swap_commutes_with_a_step(self, n, d, method, splitting):
+        grid = build_grid(4.0, n, d)
+        roster = molecule_roster(grid) if d == 2 else one_ion_roster(grid)
+        plan = EvolutionPlan(
+            T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, splitting=splitting
+        )
+        ops = prepare_operators(grid, roster, plan)
+        order = tuple(range(d, 2 * d)) + tuple(range(d))
+
+        def swapped(state):
+            return state.with_amplitudes(state.tensor.transpose(order).reshape(-1))
+
+        state = random_state(grid, 2, 5)
+        before, after = swapped(state), copy_of(state)
+        step(before, plan, ops)
+        step(after, plan, ops)
+        after = swapped(after)
+        assert np.max(np.abs(before.amplitudes - after.amplitudes)) <= 1e-14
 
 
 class TestSampling:

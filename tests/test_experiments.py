@@ -48,6 +48,11 @@ def write_config(path: Path, payload: dict) -> str:
     return str(path)
 
 
+def test_every_export_resolves():
+    # A public function deleted without its export would leave a dead name.
+    assert [name for name in wzsim.__all__ if not hasattr(wzsim, name)] == []
+
+
 class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValidationError):

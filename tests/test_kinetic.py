@@ -13,10 +13,7 @@ from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.kinetic import (
     MAX_FFT_THREADS,
     KineticTrotterPlan,
-    apply_kinetic_spectral,
-    apply_kinetic_trotter,
-    apply_spectral_plan,
-    apply_trotter_plan,
+    apply_kinetic_plan,
     derivative_matrix,
     fourier_conjugation_diagnostic,
     iqft,
@@ -35,10 +32,7 @@ from wzsim.kinetic import (
 
 POWERS = [2, 4, 8, 16, 32]
 
-METHODS = {
-    "trotter": (make_trotter_plan, apply_trotter_plan),
-    "spectral": (make_spectral_plan, apply_spectral_plan),
-}
+METHODS = {"trotter": make_trotter_plan, "spectral": make_spectral_plan}
 
 
 def electron():
@@ -210,7 +204,7 @@ class TestTrotterFactor:
     @pytest.mark.parametrize("xi", [0.013j, 1j * np.pi / 2, 0.3 + 0.7j])
     def test_plan_coefficients_scan_bit_equal_to_per_call_formula(self, D, xi):
         # On one line, and along the middle axis of a (3, D, 2) tensor, a
-        # strided view as apply_trotter_plan scans. The dense-factor tests
+        # strided view as apply_kinetic_plan scans. The dense-factor tests
         # of this class hold the plan's scan to trotter_factor_matrix.
         plan = KineticTrotterPlan(dim=D, xi=xi, workers=1)
         rng = np.random.default_rng(D)
@@ -230,7 +224,7 @@ class TestTrotterFactor:
         st_ = StateVector(amps, grid, (electron(),)).normalized()
         plan = make_trotter_plan(16, grid.delta, 1.0, 1e-3)
         out = copy_of(st_)
-        apply_trotter_plan(out, 0, reg, plan)
+        apply_kinetic_plan(out, 0, reg, plan)
         t = st_.amplitudes.reshape((16,) * 3)
         dense = np.tensordot(trotter_factor_matrix(16, plan.xi), t, axes=(1, reg))
         dense = np.moveaxis(dense, 0, reg).reshape(-1)
@@ -284,13 +278,13 @@ class TestSpectral:
 
 
 class TestApplyKinetic:
-    @pytest.mark.parametrize("apply_fn", [apply_kinetic_trotter, apply_kinetic_spectral])
-    def test_norm_preserved(self, apply_fn):
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_norm_preserved(self, method):
         grid = build_grid(1.0, 3, 1)
         rng = np.random.default_rng(9)
         amps = rng.normal(size=64) + 1j * rng.normal(size=64)
-        st_ = StateVector(amps, grid, (electron(), electron())).normalized()
-        out = apply_fn(st_, 1, 0, 1.0, 1e-4)
+        out = StateVector(amps, grid, (electron(), electron())).normalized()
+        apply_kinetic_plan(out, 1, 0, METHODS[method](8, grid.delta, 1.0, 1e-4))
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_acts_only_on_addressed_register(self):
@@ -298,58 +292,44 @@ class TestApplyKinetic:
         rng = np.random.default_rng(11)
         a = rng.normal(size=8) + 1j * rng.normal(size=8)
         b = rng.normal(size=8) + 1j * rng.normal(size=8)
-        joint = StateVector(np.kron(a, b), grid, (electron(), electron())).normalized()
-        out = apply_kinetic_trotter(joint, 0, 0, 1.0, 1e-4)
-        factor = trotter_factor_matrix(8, trotter_xi(grid.delta, 1.0, 1e-4))
-        expected = np.kron(factor @ a, b)
+        out = StateVector(np.kron(a, b), grid, (electron(), electron())).normalized()
+        plan = make_trotter_plan(8, grid.delta, 1.0, 1e-4)
+        apply_kinetic_plan(out, 0, 0, plan)
+        expected = np.kron(trotter_factor_matrix(8, plan.xi) @ a, b)
         expected /= np.linalg.norm(np.kron(a, b))
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
 
-    def test_register_bounds_checked(self):
-        grid = build_grid(1.0, 3, 1)
-        st_ = StateVector(np.ones(8, complex), grid, (electron(),)).normalized()
-        with pytest.raises(ValidationError):
-            apply_kinetic_trotter(st_, 1, 0, 1.0, 1e-4)
-        with pytest.raises(ValidationError):
-            apply_kinetic_spectral(st_, 0, 1, 1.0, 1e-4)
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @pytest.mark.parametrize("particles, d", [(1, 1), (2, 1), (1, 2)])
+    def test_register_bounds_checked(self, method, particles, d):
+        # One register, and two as two particles or as two axes: every
+        # particle or axis index outside the state is refused, and the
+        # state is left as it was.
+        grid = build_grid(1.0, 2, d)
+        state = TestSpectralSlabs.random_state(grid, (electron(),) * particles, 0)
+        before = state.amplitudes.copy()
+        plan = METHODS[method](4, grid.delta, 1.0, 1e-3)
+        for particle, axis in ((particles, 0), (-1, 0), (0, d), (0, -1), (particles, d)):
+            with pytest.raises(ValidationError):
+                apply_kinetic_plan(state, particle, axis, plan)
+        assert np.array_equal(state.amplitudes, before)
 
     @pytest.mark.parametrize("method", sorted(METHODS))
-    @pytest.mark.parametrize("reg", [0, 1, 2, 3])
-    def test_copying_helpers_leave_the_input_unchanged(self, method, reg):
-        # Two electrons in 2D: four registers of 8 cells each. The helper
-        # returns what the in-place plan call leaves in the state.
-        grid = build_grid(1.0, 3, 2)
-        rng = np.random.default_rng(reg)
-        amps = rng.normal(size=8**4) + 1j * rng.normal(size=8**4)
-        state = StateVector(amps, grid, (electron(), electron())).normalized()
-        before = state.amplitudes.copy()
-        helper = apply_kinetic_trotter if method == "trotter" else apply_kinetic_spectral
-        fresh = helper(state, reg // 2, reg % 2, 1.0, 1e-3)
-        assert np.array_equal(state.amplitudes, before)
-        assert not np.shares_memory(fresh.amplitudes, state.amplitudes)
-        make, apply = METHODS[method]
-        apply(state, reg // 2, reg % 2, make(8, grid.delta, 1.0, 1e-3))
-        assert np.array_equal(fresh.amplitudes, state.amplitudes)
-        assert not np.array_equal(fresh.amplitudes, before)
-
-    @pytest.mark.parametrize(
-        "make, apply",
-        [(make_trotter_plan, apply_trotter_plan), (make_spectral_plan, apply_spectral_plan)],
-    )
-    def test_plan_must_match_the_register_size(self, make, apply):
+    def test_plan_must_match_the_register_size(self, method):
         # 2 registers of 8 cells hold as many amplitudes as 1 of 64.
         for n, d, wrong in ((3, 2, 64), (6, 1, 8), (3, 1, 16)):
             grid = build_grid(1.0, n, d)
             state = StateVector(np.ones(2 ** (n * d), complex), grid, (electron(),)).normalized()
             before = state.amplitudes.copy()
             with pytest.raises(ValidationError):
-                apply(state, 0, 0, make(wrong, grid.delta, 1.0, 1e-3))
+                apply_kinetic_plan(state, 0, 0, METHODS[method](wrong, grid.delta, 1.0, 1e-3))
             assert np.array_equal(state.amplitudes, before)
 
 
 class TestSpectralSlabs:
-    """apply_spectral_plan cuts the register tensor into WZ_THREADS slabs;
-    apply_trotter_plan cuts as many more as keep its scan under the cap."""
+    """apply_kinetic_plan cuts the register tensor into WZ_THREADS slabs
+    for the spectral kernel, and into as many more as keep the scan under
+    the cap for the Trotter kernel."""
 
     @staticmethod
     def random_state(grid, particles, seed):
@@ -369,7 +349,7 @@ class TestSpectralSlabs:
         plan = make_spectral_plan(grid.cells_per_axis, grid.delta, 1.0, 0.05)
         assert plan.workers == threads
         out = copy_of(state)
-        apply_spectral_plan(out, reg // grid.d, reg % grid.d, plan)
+        apply_kinetic_plan(out, reg // grid.d, reg % grid.d, plan)
         return out, plan
 
     @staticmethod
@@ -429,7 +409,7 @@ class TestSpectralSlabs:
         for reg in range(registers):
             state = self.random_state(grid, (electron(),) * particles, reg)
             out = copy_of(state)
-            apply_trotter_plan(out, reg // d, reg % d, plan)
+            apply_kinetic_plan(out, reg // d, reg % d, plan)
             whole = state.amplitudes.copy().reshape((D,) * registers)
             _trotter_scan(whole.swapaxes(0, reg), plan.scan)
             assert np.array_equal(out.amplitudes, whole.reshape(-1))
@@ -444,13 +424,12 @@ class TestSpectralSlabs:
         monkeypatch.setattr(kinetic_mod, "_slab_pool", no_pool)
         monkeypatch.setenv("WZ_THREADS", "3")
         grid = build_grid(1.0, 3, 2)
-        make, apply = METHODS[method]
-        plan = make(8, grid.delta, 1.0, 0.05)
+        plan = METHODS[method](8, grid.delta, 1.0, 0.05)
         state = self.random_state(grid, (electron(), electron()), 0)
         for cap in (grid_mod.SLAB_BYTES, state.amplitudes.nbytes + 16):
             monkeypatch.setattr(grid_mod, "SLAB_BYTES", cap)
             for reg in range(4):
-                apply(state, reg // 2, reg % 2, plan)
+                apply_kinetic_plan(state, reg // 2, reg % 2, plan)
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("caps, threads", [(1, 1), (2, 2), (3, 3), (100, 3)])
@@ -466,11 +445,10 @@ class TestSpectralSlabs:
         monkeypatch.setattr(kinetic_mod, "_slab_pool", spy)
         monkeypatch.setenv("WZ_THREADS", "3")
         grid = build_grid(1.0, 3, 2)
-        make, apply = METHODS[method]
-        plan = make(8, grid.delta, 1.0, 0.05)
+        plan = METHODS[method](8, grid.delta, 1.0, 0.05)
         state = self.random_state(grid, (electron(), electron()), 0)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // caps)
-        apply(state, 0, 1, plan)
+        apply_kinetic_plan(state, 0, 1, plan)
         assert asked == [threads - 1] * (threads - 1)
 
 

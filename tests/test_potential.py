@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wzsim.errors import ValidationError
-from wzsim.grid import IndexCodec, ParticleSpec, StateVector, build_grid, cell_center
+from wzsim.grid import IndexCodec, ParticleSpec, build_grid, cell_center
 from wzsim.potential import (
     DiagonalOperator,
     antidiagonal_fold,
     antidiagonal_symmetry_check,
-    apply_diagonal_phase,
     build_coulomb_diagonal,
     composite_potential,
     level_spacing,
@@ -191,21 +190,6 @@ class TestComposite:
     def test_no_applicable_terms_returns_none(self):
         grid = build_grid(1.0, 2, 1)
         assert composite_potential(grid, (electron(),), ()) is None
-
-    def test_phase_application(self):
-        grid = build_grid(1.0, 2, 1)
-        st_ = StateVector(np.ones(4, complex), grid, (electron(),)).normalized()
-        diag = DiagonalOperator(energies=np.array([0.0, 1.0, 2.0, 3.0]), label="v")
-        eps = 0.1
-        out = apply_diagonal_phase(st_, diag, eps)
-        expected = st_.amplitudes * np.exp(-1j * eps * diag.energies)
-        assert np.max(np.abs(out.amplitudes - expected)) == 0.0
-
-    def test_phase_dim_mismatch(self):
-        grid = build_grid(1.0, 2, 1)
-        st_ = StateVector(np.ones(4, complex), grid, (electron(),)).normalized()
-        with pytest.raises(ValidationError):
-            apply_diagonal_phase(st_, DiagonalOperator(energies=np.ones(8), label="v"), 0.1)
 
 
 class TestBoundsAndLevels:

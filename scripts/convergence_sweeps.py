@@ -25,8 +25,8 @@ def main() -> None:
 
     axes = ["spatial", "temporal"] if args.axis == "both" else [args.axis]
     for axis in axes:
-        cfg = RunConfig(kinetic_method=args.method)
-        summary = run_convergence(cfg, f"{args.out}/{axis}", axis=axis)
+        cfg = RunConfig(kinetic_method=args.method, axis=axis)
+        summary = run_convergence(cfg, f"{args.out}/{axis}")
         print(
             f"{axis}: rmse slope {summary['rmse_slope']:.4f}, "
             f"yb slope {summary['yb_slope']:.4f}"

@@ -2,15 +2,18 @@
 
 Each run goes through wzsim.cli.main into a temporary directory, and its
 manifest's "outputs" map (file name to SHA-256) is collected under the
-run's name. The JSON is sorted, so two prints compare with diff: run it
-under two WZ_THREADS values, or on two commits, to check that outputs
-are byte-identical.
+run's name. Every file in the directory is hashed again from disk, and
+the script exits non-zero unless those hashes equal the manifest's, so a
+manifest that misreports what was written fails. The JSON is sorted, so
+two prints compare with diff: run it under two WZ_THREADS values, or on
+two commits, to check that outputs are byte-identical.
 
     PYTHONPATH=src WZ_THREADS=1 python3 scripts/manifest_hashes.py > a.json
     PYTHONPATH=src WZ_THREADS=3 python3 scripts/manifest_hashes.py > b.json
     diff a.json b.json
 """
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -58,12 +61,16 @@ BOX_SCALED = {
 
 TROTTER_STRANG = {"kinetic_method": "trotter", "splitting": "strang"}
 
+# 8192 density rows: the CSV writer streams them in more than one block.
+BOX_MANY_ROWS = {"qubits_per_axis": 13, "steps": 100}
+
 RUNS = {
     "box-evolve": ("box-evolve", {}),
     "box-evolve-trotter": ("box-evolve", {"kinetic_method": "trotter"}),
     "box-evolve-strang": ("box-evolve", {"splitting": "strang"}),
     "box-evolve-trotter-strang": ("box-evolve", TROTTER_STRANG),
     "box-evolve-scaled": ("box-evolve", BOX_SCALED),
+    "box-evolve-8192-rows": ("box-evolve", BOX_MANY_ROWS),
     "convergence-spatial": ("convergence", {"axis": "spatial"}),
     "convergence-temporal": ("convergence", {"axis": "temporal"}),
     "molecule2d": ("molecule2d", {}),
@@ -89,7 +96,15 @@ def run_hashes() -> dict:
             code = cli_main([command, "--config", str(config), "--out", str(out)])
             if code != 0:
                 raise SystemExit(f"{name}: {command} exited {code}")
-            hashes[name] = json.loads((out / "manifest.json").read_text())["outputs"]
+            recorded = json.loads((out / "manifest.json").read_text())["outputs"]
+            on_disk = {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()
+                if p.name != "manifest.json"
+            }
+            if on_disk != recorded:
+                raise SystemExit(f"{name}: the manifest's hashes differ from the files on disk")
+            hashes[name] = recorded
     return hashes
 
 

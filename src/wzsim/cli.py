@@ -26,13 +26,14 @@ from .kinetic import _worker_count
 
 
 def load_config(path: str) -> RunConfig:
-    p = Path(path)
-    if not p.is_file():
-        raise ValidationError(f"config file not found: {path}")
+    """The RunConfig in a UTF-8 JSON file. A file that cannot be read or
+    decoded raises ValidationError."""
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError also covers bytes that are not UTF-8, malformed JSON and
+    # integers of over 4300 digits; RecursionError, nesting too deep.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
     return RunConfig.from_dict(data)
 
 
@@ -50,15 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("box-evolve", help="evolve the 1D box and compare to the exact series")
     _add_common(p)
-    p.add_argument("--qubits", type=int, help="override qubits per axis")
+    p.add_argument("--qubits", dest="qubits_per_axis", type=int, help="override qubits per axis")
     p.add_argument("--steps", type=int, help="override time step count")
-    p.add_argument("--method", choices=sorted(KINETIC_METHODS), help="override kinetic method")
+    p.add_argument("--method", dest="kinetic_method", choices=sorted(KINETIC_METHODS), help="override kinetic method")
     p.add_argument("--splitting", choices=sorted(SPLITTINGS), help="override operator splitting")
 
     p = sub.add_parser("convergence", help="error scaling sweeps")
     _add_common(p)
     p.add_argument("--axis", choices=["spatial", "temporal"], help="sweep axis")
-    p.add_argument("--method", choices=sorted(KINETIC_METHODS), help="override kinetic method")
+    p.add_argument("--method", dest="kinetic_method", choices=sorted(KINETIC_METHODS), help="override kinetic method")
 
     p = sub.add_parser("molecule2d", help="2D electrons around clamped nuclei")
     _add_common(p)
@@ -75,41 +76,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    mapping = {
-        "qubits": "qubits_per_axis",
-        "steps": "steps",
-        "method": "kinetic_method",
-        "splitting": "splitting",
-        "shots": "shots",
-        "seed": "seed",
-        "axis": "axis",
-    }
-    updates = {}
-    for arg_name, field in mapping.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            updates[field] = value
-    return dataclasses.replace(cfg, **updates) if updates else cfg
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Looked up when main runs, so a replaced module attribute is the one called.
+    runners = {
+        "box-evolve": run_box_evolve,
+        "convergence": run_convergence,
+        "molecule2d": run_molecule2d,
+        "sample": run_sample,
+        "synth-report": run_synth_report,
+    }
+    # Each flag's dest is the RunConfig field it overrides.
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     try:
         # Validated on every run, not only where a spectral plan reads it.
         _worker_count()
-        cfg = _apply_overrides(load_config(args.config), args)
-        if args.command == "box-evolve":
-            run_box_evolve(cfg, args.out)
-        elif args.command == "convergence":
-            run_convergence(cfg, args.out)
-        elif args.command == "molecule2d":
-            run_molecule2d(cfg, args.out)
-        elif args.command == "sample":
-            run_sample(cfg, args.out)
-        elif args.command == "synth-report":
-            run_synth_report(cfg, args.out)
+        cfg = dataclasses.replace(load_config(args.config), **overrides)
+        runners[args.command](cfg, args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,21 +1,26 @@
 """Experiment drivers behind the CLI subcommands.
 
-Every run resolves its config to explicit values, writes CSV/JSON outputs
-at full float precision, and drops a manifest.json with the resolved
-config and content hashes so a run can be reproduced byte for byte.
+Every run resolves its config to explicit values and then opens its
+output directory, before any state is built. Each output file (CSV at
+full float precision, circuit text, summary.json) is written through one
+_Outputs object, which streams CSV rows in blocks of CSV_BLOCK_ROWS and
+takes each file's SHA-256 from the bytes as they are written. Last comes
+a manifest.json with the resolved config and those hashes, so a run can
+be reproduced byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import sys
 import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -134,6 +139,8 @@ class RunConfig:
         if experiment == "box-evolve":
             put("qubits_per_axis", 10)
             put("evolve_times", [cfg.total_time])
+            if not cfg.evolve_times:
+                raise ValidationError("box-evolve needs at least one evolve time")
         if experiment == "convergence":
             if cfg.axis not in ("spatial", "temporal"):
                 raise ValidationError("convergence needs axis 'spatial' or 'temporal'")
@@ -286,30 +293,59 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+# Rows formatted and written at a time: the writer holds one block, however
+# many rows a file has.
+CSV_BLOCK_ROWS = 4096
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+class _Outputs:
+    """One run's output directory, created when this is built. Every file
+    goes through _write, which hashes the bytes it writes, so finish()
+    writes the manifest without reading any file back."""
+
+    def __init__(self, out_dir) -> None:
+        self.dir = Path(out_dir)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"cannot create output directory {out_dir}: {exc}") from exc
+        self.digests: dict[str, str] = {}
+
+    def _write(self, name: str, chunks: Iterable[str]) -> None:
+        digest = hashlib.sha256()
+        with open(self.dir / name, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode()
+                fh.write(data)
+                digest.update(data)
+        self.digests[name] = digest.hexdigest()
+
+    def text(self, name: str, text: str) -> None:
+        self._write(name, [text])
+
+    def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+        """A header line, then one line of _fmt values per row."""
+
+        def blocks():
+            yield ",".join(header) + "\n"
+            rest = iter(rows)
+            # Each row makes at least its newline, so only the end is empty.
+            while block := "".join(
+                ",".join(map(_fmt, row)) + "\n" for row in itertools.islice(rest, CSV_BLOCK_ROWS)
+            ):
+                yield block
+
+        self._write(name, blocks())
+
+    def finish(self, cfg: RunConfig, summary: dict) -> None:
+        """summary.json, then manifest.json over every file written."""
+        self._write("summary.json", [_json(summary)])
+        manifest = {"artifact_version": __version__, "config": cfg.to_dict(), "outputs": self.digests}
+        (self.dir / "manifest.json").write_text(_json(manifest))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(out_dir: Path, cfg: RunConfig, files: Sequence[Path]) -> Path:
-    manifest = {
-        "artifact_version": __version__,
-        "config": cfg.to_dict(),
-        "outputs": {p.name: _sha256(p) for p in files},
-    }
-    path = out_dir / "manifest.json"
-    _write_json(path, manifest)
-    return path
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def cell_indicator(grid: GridSpec, ranges: Sequence[Sequence[int]]) -> np.ndarray:
@@ -378,21 +414,17 @@ def box_run(cfg: RunConfig, n: int, steps: int, total_time: float) -> dict:
 
 def run_box_evolve(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("box-evolve")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
+    out = _Outputs(out_dir)
     runs = []
     for i, t_total in enumerate(cfg.evolve_times):
         result = box_run(cfg, cfg.qubits_per_axis, cfg.steps, float(t_total))
         centers = cell_centers(result["grid"])
         name = f"density_{i:02d}.csv"
-        rows = zip(range(centers.size), centers, result["simulated"], result["exact"])
-        _write_csv(
-            out / name,
+        out.csv(
+            name,
             ["cell_index", "cell_center", "simulated_probability", "exact_probability"],
-            list(rows),
+            zip(range(centers.size), centers, result["simulated"], result["exact"]),
         )
-        files.append(out / name)
         runs.append(
             {
                 "T": float(t_total),
@@ -410,18 +442,13 @@ def run_box_evolve(cfg: RunConfig, out_dir) -> dict:
         "steps": cfg.steps,
         "runs": runs,
     }
-    _write_json(out / "summary.json", summary)
-    files.append(out / "summary.json")
-    _write_manifest(out, cfg, files)
+    out.finish(cfg, summary)
     return summary
 
 
-def run_convergence(cfg: RunConfig, out_dir, axis: str | None = None) -> dict:
-    if axis is not None:
-        cfg = dataclasses.replace(cfg, axis=axis)
+def run_convergence(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("convergence")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _Outputs(out_dir)
 
     spatial = cfg.axis == "spatial"
     if spatial:
@@ -436,8 +463,7 @@ def run_convergence(cfg: RunConfig, out_dir, axis: str | None = None) -> dict:
         x = r["grid"].delta if spatial else cfg.total_time / steps
         points.append({"x": x, "rmse": r["rmse"], "yb": r["yb_error"]})
 
-    rows = [(p["x"], p["rmse"], p["yb"]) for p in points]
-    _write_csv(out / csv_name, [x_name, "rmse", "yb_error"], rows)
+    out.csv(csv_name, [x_name, "rmse", "yb_error"], ((p["x"], p["rmse"], p["yb"]) for p in points))
     rmse_slope = loglog_slope([(p["x"], p["rmse"]) for p in points])
     yb_slope = loglog_slope([(p["x"], p["yb"]) for p in points])
     summary = {
@@ -456,13 +482,13 @@ def run_convergence(cfg: RunConfig, out_dir, axis: str | None = None) -> dict:
         small = max(p["rmse"] for p in by_eps[:half])
         large = max(p["rmse"] for p in by_eps[half:])
         summary["envelope_nonincreasing_toward_small_eps"] = bool(small <= large)
-    _write_json(out / "summary.json", summary)
-    _write_manifest(out, cfg, [out / csv_name, out / "summary.json"])
+    out.finish(cfg, summary)
     return summary
 
 
 def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("molecule2d")
+    out = _Outputs(out_dir)
     particles = particles_from_config(cfg)
     electrons = quantum_particles(particles)
     grid = build_grid(cfg.box_length, cfg.qubits_per_axis, 2)
@@ -481,18 +507,17 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
     plan = _evolution_plan(cfg, cfg.total_time, cfg.steps)
     report = evolve(state, plan, particles=particles)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     D = grid.cells_per_axis
     x = cell_centers(grid)
-    files = []
     electrons_summary = []
     for e in range(len(electrons)):
         marg = marginal_density(report.final_state, e).reshape(D, D)
-        rows = [(ix, iy, x[ix], x[iy], marg[ix, iy]) for ix in range(D) for iy in range(D)]
         name = f"marginal_e{e}.csv"
-        _write_csv(out / name, ["ix", "iy", "x", "y", "probability"], rows)
-        files.append(out / name)
+        out.csv(
+            name,
+            ["ix", "iy", "x", "y", "probability"],
+            ((ix, iy, x[ix], x[iy], marg[ix, iy]) for ix in range(D) for iy in range(D)),
+        )
         entry = {"file": name, "marginal_sum": float(marg.sum())}
         if cfg.reflection_centers is not None:
             asym = []
@@ -511,14 +536,13 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
         "max_norm_drift": report.max_norm_drift,
         "electrons": electrons_summary,
     }
-    _write_json(out / "summary.json", summary)
-    files.append(out / "summary.json")
-    _write_manifest(out, cfg, files)
+    out.finish(cfg, summary)
     return summary
 
 
 def run_sample(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("sample")
+    out = _Outputs(out_dir)
     particle = quantum_particles(particles_from_config(cfg))[0]
     grid = build_grid(cfg.box_length, cfg.qubits_per_axis, 1)
     state = box_initial_state(grid, particle, cfg.interior_only)
@@ -528,10 +552,8 @@ def run_sample(cfg: RunConfig, out_dir) -> dict:
     p = density(state)
     tv = 0.5 * float(np.abs(counts / cfg.shots - p).sum())
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     nz = np.nonzero(counts)[0]
-    _write_csv(out / "histogram.csv", ["configuration_index", "count"], [(int(i), int(counts[i])) for i in nz])
+    out.csv("histogram.csv", ["configuration_index", "count"], zip(nz, counts[nz]))
     summary = {
         "experiment": "sample",
         "dim": int(state.dim),
@@ -539,13 +561,13 @@ def run_sample(cfg: RunConfig, out_dir) -> dict:
         "seed": int(cfg.seed),
         "tv_distance": tv,
     }
-    _write_json(out / "summary.json", summary)
-    _write_manifest(out, cfg, [out / "histogram.csv", out / "summary.json"])
+    out.finish(cfg, summary)
     return summary
 
 
 def run_synth_report(cfg: RunConfig, out_dir) -> dict:
     cfg = cfg.resolved("synth-report")
+    out = _Outputs(out_dir)
     t1, t2, t3, t4 = (float(a) for a in cfg.pattern_angles)
     phases = np.array([t1, t2, t3, t4, t3, t4, t1, t2])
 
@@ -557,23 +579,17 @@ def run_synth_report(cfg: RunConfig, out_dir) -> dict:
         "multiplexed": float(np.max(np.abs(np.diag(circuit_unitary(blind)) - target))),
     }
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "pattern_circuit.txt").write_text(circuit_to_text(compressed))
-    (out / "multiplexed_circuit.txt").write_text(circuit_to_text(blind))
-
-    rows = []
-    for n_particles in cfg.count_particles:
-        for n in cfg.count_qubits:
-            rows.append(
-                (
-                    int(n_particles),
-                    int(n),
-                    count_kinetic_gates(n_particles, n, "trotter"),
-                    count_kinetic_gates(n_particles, n, "spectral"),
-                )
-            )
-    _write_csv(out / "gate_counts.csv", ["particles", "qubits_per_axis", "trotter", "spectral"], rows)
+    out.text("pattern_circuit.txt", circuit_to_text(compressed))
+    out.text("multiplexed_circuit.txt", circuit_to_text(blind))
+    out.csv(
+        "gate_counts.csv",
+        ["particles", "qubits_per_axis", "trotter", "spectral"],
+        (
+            (p, n, count_kinetic_gates(p, n, "trotter"), count_kinetic_gates(p, n, "spectral"))
+            for p in cfg.count_particles
+            for n in cfg.count_qubits
+        ),
+    )
 
     summary = {
         "experiment": "synth-report",
@@ -583,15 +599,5 @@ def run_synth_report(cfg: RunConfig, out_dir) -> dict:
         "multiplexed_gate_total": len(blind.gates),
         "max_reconstruction_error": errs,
     }
-    _write_json(out / "summary.json", summary)
-    _write_manifest(
-        out,
-        cfg,
-        [
-            out / "pattern_circuit.txt",
-            out / "multiplexed_circuit.txt",
-            out / "gate_counts.csv",
-            out / "summary.json",
-        ],
-    )
+    out.finish(cfg, summary)
     return summary

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -20,11 +21,12 @@ from wzsim.cli import load_config, main
 from wzsim.errors import NormDriftError, ResourceLimitError, ValidationError
 from wzsim.experiments import (
     BOX_TERMS,
+    CSV_BLOCK_ROWS,
     MOLECULE_TERMS,
     TEMPORAL_STEPS,
     RunConfig,
     _fmt,
-    _sha256,
+    _Outputs,
     box_initial_state,
     box_run,
     cell_indicator,
@@ -209,6 +211,62 @@ class TestHelpers:
         assert make_spectral_plan(8, 0.125, 1.0, 1e-3).workers == 1
 
 
+def reference_csv(header, rows) -> bytes:
+    """The writer the runners used before rows were streamed: every line
+    joined into one string."""
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestOutputs:
+    HEADER = ["i", "x", "flag"]
+
+    @staticmethod
+    def rows(count):
+        return ((i, i / 7, np.float64(i) ** 0.5, i % 3 == 0) for i in range(count))
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS,
+         3 * CSV_BLOCK_ROWS - 1, 3 * CSV_BLOCK_ROWS + 1],
+    )
+    def test_csv_bytes_match_the_joined_writer(self, tmp_path, count):
+        out = _Outputs(tmp_path / "o")
+        out.csv("t.csv", self.HEADER, self.rows(count))
+        assert (tmp_path / "o" / "t.csv").read_bytes() == reference_csv(self.HEADER, self.rows(count))
+
+    def test_digests_match_the_files_on_disk(self, tmp_path):
+        out = _Outputs(tmp_path / "o")
+        out.csv("t.csv", self.HEADER, self.rows(2 * CSV_BLOCK_ROWS + 5))
+        out.text("c.txt", "X 0\nCNOT 1 0\n")
+        out.finish(RunConfig(), {"value": 0.1})
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == ["c.txt", "summary.json", "t.csv"]
+        assert out.digests == manifest["outputs"]
+        for name, digest in manifest["outputs"].items():
+            assert hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() == digest
+
+    def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
+        def peak(count):
+            out = _Outputs(tmp_path / str(count))
+            tracemalloc.start()
+            try:
+                out.csv("t.csv", self.HEADER, self.rows(count))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = peak(CSV_BLOCK_ROWS)
+        assert abs(peak(2**17) - peak(2**15)) < one_block
+
+    def test_out_dir_that_is_a_file_is_rejected(self, tmp_path):
+        (tmp_path / "f").write_text("")
+        with pytest.raises(ValidationError, match="cannot create output directory"):
+            _Outputs(tmp_path / "f")
+        with pytest.raises(ValidationError):
+            _Outputs(tmp_path / "f" / "below")
+
+
 class TestBoxState:
     def test_uniform_state(self):
         grid = build_grid(1.0, 3, 1)
@@ -266,7 +324,7 @@ class TestBoxEvolveRunner:
         assert manifest["artifact_version"] == wzsim.__version__
         assert manifest["config"]["experiment"] == "box-evolve"
         for name, digest in manifest["outputs"].items():
-            assert _sha256(out / name) == digest
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
         assert summary["runs"][1]["T"] == 1e-3
 
     def test_density_rows_sum_to_one(self, tmp_path):
@@ -350,11 +408,6 @@ class TestConvergenceRunner:
         monkeypatch.setattr(experiments_mod, "box_exact_density", counting)
         run_convergence(RunConfig(steps=5, **overrides), tmp_path / "c")
         assert calls == sizes
-
-    def test_axis_argument_overrides(self, tmp_path):
-        cfg = RunConfig(sweep_qubits=[3, 4], steps=20)
-        summary = run_convergence(cfg, tmp_path / "o", axis="spatial")
-        assert summary["axis"] == "spatial"
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         cfg = RunConfig(axis="spatial", sweep_qubits=[3, 4, 5], steps=30)
@@ -511,6 +564,7 @@ PROTON = {"mass": 1836.0, "charge": 1.0, "kind": "clamped", "clamped_cell": [4, 
 # manifest does not record, unless the schema rejects it.
 MALFORMED = [
     ("box-evolve", {"qubits_per_axis": "5"}),
+    ("box-evolve", {"evolve_times": []}),
     ("box-evolve", {"evolve_times": 3}),
     ("box-evolve", {"evolve_times": [10**400]}),
     ("box-evolve", {"steps": True}),
@@ -647,15 +701,42 @@ class TestCli:
         assert main(["synth-report", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "manifest.json").is_file()
 
-    def test_missing_config_exits_two(self, tmp_path, capsys):
-        code = main(["sample", "--config", str(tmp_path / "nope.json")])
+    @pytest.mark.parametrize("name", ["nope.json", "."])
+    def test_unreadable_config_exits_two(self, tmp_path, capsys, name):
+        code = main(["sample", "--config", str(tmp_path / name)])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
-    def test_bad_json_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "raw",
+        # Not JSON; not UTF-8; an integer over Python's 4300-digit limit;
+        # arrays nested past the recursion limit.
+        [b"{not json", b"\xff\xfe{}", b"1" * 4301, b"[" * 100000],
+        ids=["not-json", "not-utf8", "long-int", "deep-nesting"],
+    )
+    def test_undecodable_config_exits_two(self, tmp_path, capsys, raw):
         p = tmp_path / "c.json"
-        p.write_text("{not json")
-        assert main(["sample", "--config", str(p)]) == 2
+        p.write_bytes(raw)
+        assert main(["sample", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+    def test_out_naming_a_file_exits_two_before_evolving(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def evolve(*args, **kwargs):
+            raise AssertionError("evolve was called")
+
+        monkeypatch.setattr(experiments_mod, "evolve", evolve)
+        cfg = write_config(tmp_path / "c.json", FUZZ_BASES[command])
+        out = tmp_path / "taken"
+        out.write_text("a file")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and "Traceback" not in err
+        assert out.read_text() == "a file"
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"qubits": 4})
@@ -748,6 +829,12 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["shots"] == 500
         assert summary["seed"] == 9
+
+    def test_axis_flag_overrides_config(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"axis": "temporal", "sweep_qubits": [3, 4], "steps": 20})
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--axis", "spatial", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["axis"] == "spatial"
 
     def test_spectral_runs_do_not_load_scipy(self, tmp_path):
         # The spectral route runs on numpy.fft, so neither the import nor a

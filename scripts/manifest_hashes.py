@@ -4,7 +4,9 @@ Each run goes through wzsim.cli.main into a temporary directory, and its
 manifest's "outputs" map (file name to SHA-256) is collected under the
 run's name. Every file in the directory is hashed again from disk, and
 the script exits non-zero unless those hashes equal the manifest's, so a
-manifest that misreports what was written fails. The JSON is sorted, so
+manifest that misreports what was written fails. It also exits non-zero
+if a run's summary.json or manifest.json holds NaN or Infinity, which
+Python's json writes for a non-finite float. The JSON is sorted, so
 two prints compare with diff: run it under two WZ_THREADS values, or on
 two commits, to check that outputs are byte-identical.
 
@@ -86,6 +88,15 @@ RUNS = {
 }
 
 
+def load_finite(path: Path, run: str) -> dict:
+    """The JSON object in path; exits non-zero if it holds NaN or Infinity."""
+
+    def reject(constant):
+        raise SystemExit(f"{run}: {path.name} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def run_hashes() -> dict:
     hashes = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,7 +107,8 @@ def run_hashes() -> dict:
             code = cli_main([command, "--config", str(config), "--out", str(out)])
             if code != 0:
                 raise SystemExit(f"{name}: {command} exited {code}")
-            recorded = json.loads((out / "manifest.json").read_text())["outputs"]
+            load_finite(out / "summary.json", name)
+            recorded = load_finite(out / "manifest.json", name)["outputs"]
             on_disk = {
                 p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.iterdir()

@@ -55,7 +55,6 @@ from .kinetic import (
     trotter_factor_matrix,
 )
 from .potential import (
-    DiagonalOperator,
     antidiagonal_fold,
     antidiagonal_symmetry_check,
     build_coulomb_diagonal,
@@ -63,13 +62,11 @@ from .potential import (
     level_spacing,
     potential_bounds,
     quantize_levels,
-    wall_potential,
 )
 
 __all__ = [
     "BoxSeriesSpec",
     "Circuit",
-    "DiagonalOperator",
     "EvolutionPlan",
     "EvolutionReport",
     "Gate",
@@ -113,6 +110,5 @@ __all__ = [
     "synthesize_diagonal",
     "trotter_coupling_block",
     "trotter_factor_matrix",
-    "wall_potential",
     "yb_error",
 ]

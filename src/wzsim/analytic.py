@@ -179,7 +179,7 @@ def dense_evolution_oracle(
             h += np.kron(np.eye(left), np.kron(k1, np.eye(right)))
     pot = composite_potential(grid, particles, terms, v_wall=v_wall)
     if pot is not None:
-        h[np.diag_indices(dim)] += pot.energies
+        h[np.diag_indices(dim)] += pot
 
     w, v = np.linalg.eigh(h)
     u = (v * np.exp(-1j * w * T / HBAR)) @ v.conj().T

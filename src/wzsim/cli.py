@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     try:
-        # Validated on every run, not only where a spectral plan reads it.
+        # Validated on every run, not only where a Trotter or spectral plan reads it.
         _worker_count()
         cfg = dataclasses.replace(load_config(args.config), **overrides)
         runners[args.command](cfg, args.out)

@@ -301,7 +301,8 @@ CSV_BLOCK_ROWS = 4096
 class _Outputs:
     """One run's output directory, created when this is built. Every file
     goes through _write, which hashes the bytes it writes, so finish()
-    writes the manifest without reading any file back."""
+    writes the manifest without reading any file back. An OSError from
+    the directory or any file raises ValidationError."""
 
     def __init__(self, out_dir) -> None:
         self.dir = Path(out_dir)
@@ -311,17 +312,21 @@ class _Outputs:
             raise ValidationError(f"cannot create output directory {out_dir}: {exc}") from exc
         self.digests: dict[str, str] = {}
 
-    def _write(self, name: str, chunks: Iterable[str]) -> None:
+    def _write(self, name: str, chunks: Iterable[str]) -> str:
+        """Write chunks to the file name and return their SHA-256."""
         digest = hashlib.sha256()
-        with open(self.dir / name, "wb") as fh:
-            for chunk in chunks:
-                data = chunk.encode()
-                fh.write(data)
-                digest.update(data)
-        self.digests[name] = digest.hexdigest()
+        try:
+            with open(self.dir / name, "wb") as fh:
+                for chunk in chunks:
+                    data = chunk.encode()
+                    fh.write(data)
+                    digest.update(data)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output {self.dir / name}: {exc}") from exc
+        return digest.hexdigest()
 
     def text(self, name: str, text: str) -> None:
-        self._write(name, [text])
+        self.digests[name] = self._write(name, [text])
 
     def csv(self, name: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         """A header line, then one line of _fmt values per row."""
@@ -335,13 +340,13 @@ class _Outputs:
             ):
                 yield block
 
-        self._write(name, blocks())
+        self.digests[name] = self._write(name, blocks())
 
     def finish(self, cfg: RunConfig, summary: dict) -> None:
         """summary.json, then manifest.json over every file written."""
-        self._write("summary.json", [_json(summary)])
+        self.text("summary.json", _json(summary))
         manifest = {"artifact_version": __version__, "config": cfg.to_dict(), "outputs": self.digests}
-        (self.dir / "manifest.json").write_text(_json(manifest))
+        self._write("manifest.json", [_json(manifest)])
 
 
 def _json(payload: dict) -> str:

@@ -33,8 +33,6 @@ HBAR = 1.0
 MAX_AXIS_QUBITS = 20
 MAX_TOTAL_QUBITS = 30
 
-NORM_TOL = 1e-10
-
 # Bytes of temporaries one slab of work may hold: each slab of the
 # potential phase build, and each Trotter scan slab on each thread.
 SLAB_BYTES = 1 << 20

@@ -2,9 +2,11 @@
 
 Coulomb interactions are diagonal in the position basis: each joint basis
 state maps to a sum of pair energies e' q_p q_q / r over the selected
-pairs. Particles are classified by charge sign: negative charge means
-electron, positive means nucleus. Two particles in the same cell are
-regularized by replacing the vanishing separation with one cell width.
+pairs. A diagonal is a flat float64 array of those energies, one entry
+per basis state. Particles are classified by charge sign: negative
+charge means electron, positive means nucleus. Two particles in the same
+cell are regularized by replacing the vanishing separation with one cell
+width.
 """
 
 from __future__ import annotations
@@ -35,26 +37,6 @@ ANTIDIAGONAL_TOL = 1e-10
 # arrays of the slab's size at once: the running sum, the term being
 # built, one pair's distances, and the masks.
 SLAB_ARRAYS = 4
-
-
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Diagonal of a position-basis operator, stored as real energies."""
-
-    energies: np.ndarray
-    label: str
-
-    def __post_init__(self) -> None:
-        energies = np.asarray(self.energies, dtype=float)
-        object.__setattr__(self, "energies", energies)
-        if energies.ndim != 1 or energies.size == 0:
-            raise ValidationError("energies must be a nonempty vector")
-        if not np.all(np.isfinite(energies)):
-            raise ValidationError(f"non-finite energies in diagonal {self.label!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.energies.shape[0]
 
 
 @dataclass(frozen=True)
@@ -121,7 +103,7 @@ def build_coulomb_diagonal(
     particles: Sequence[ParticleSpec],
     term: str,
     cells: tuple[int, int] | None = None,
-) -> DiagonalOperator:
+) -> np.ndarray:
     """Sum of pair Coulomb energies for the selected term over the joint
     basis of the quantum particles. Clamped particles contribute through
     their fixed positions; a clamped-clamped pair adds a constant.
@@ -175,7 +157,7 @@ def build_coulomb_diagonal(
             inv = _inverse_distance([x * x for x in disp], delta)
             inv *= E_PRIME * qq
             energies += inv
-    return DiagonalOperator(energies=energies.reshape(-1), label=term)
+    return energies.reshape(-1)
 
 
 def _wall_energies(
@@ -194,36 +176,17 @@ def _wall_energies(
     return sum(per_particle[1:], per_particle[0])
 
 
-def wall_potential(grid: GridSpec, v_wall: float) -> DiagonalOperator:
-    """Single-particle box wall: v_wall added per axis whose cell index is
-    0 or 2^n - 1."""
-    energies = _wall_energies(grid, 1, v_wall, (0, grid.cells_per_axis))
-    return DiagonalOperator(energies=energies.reshape(-1), label="wall")
-
-
-def lift_single_particle(diag: DiagonalOperator, n_particles: int) -> DiagonalOperator:
-    """Sum a one-body diagonal over every particle register."""
-    if n_particles < 1:
-        raise ValidationError("n_particles must be >= 1")
-    dim1 = diag.dim
-    total = np.zeros((dim1,) * n_particles, dtype=float)
-    for p in range(n_particles):
-        shape = [1] * n_particles
-        shape[p] = dim1
-        total += diag.energies.reshape(shape)
-    return DiagonalOperator(energies=total.reshape(-1), label=diag.label)
-
-
 def composite_potential(
     grid: GridSpec,
     particles: Sequence[ParticleSpec],
     terms: Sequence[str],
     v_wall: float = 1e6,
     cells: tuple[int, int] | None = None,
-) -> DiagonalOperator | None:
+) -> np.ndarray | None:
     """Sum the requested potential diagonals ('U_ee', 'U_en', 'U_nn',
     'wall') over the joint basis, in that order. Returns None when no term
-    applies. With cells = (lo, hi), only register-0 cells lo..hi-1 are
+    applies, and raises ValidationError when the sum holds a non-finite
+    energy. With cells = (lo, hi), only register-0 cells lo..hi-1 are
     built: flat entries lo * D^(R-1) to hi * D^(R-1) of the full diagonal,
     bit for bit, for R registers."""
     quantum = quantum_particles(particles)
@@ -237,14 +200,14 @@ def composite_potential(
         if term == "wall":
             piece = _wall_energies(grid, len(quantum), v_wall, cells).reshape(-1)
         else:
-            piece = build_coulomb_diagonal(grid, particles, term.split("_")[1], cells).energies
+            piece = build_coulomb_diagonal(grid, particles, term.split("_")[1], cells)
         if total is None:
             total = piece
         else:
             total += piece
-    if total is None:
-        return None
-    return DiagonalOperator(energies=total, label="+".join(sorted(terms)))
+    if total is not None and not np.all(np.isfinite(total)):
+        raise ValidationError(f"non-finite energies in potential {'+'.join(sorted(terms))!r}")
+    return total
 
 
 def potential_bounds(grid: GridSpec, particles: Sequence[ParticleSpec]) -> tuple[float, float]:
@@ -267,11 +230,11 @@ def level_spacing(grid: GridSpec) -> float:
     return E_PRIME * grid.delta**2 / (2.0 * grid.length**3)
 
 
-def quantize_levels(diag: DiagonalOperator, grid: GridSpec) -> LevelQuantization:
+def quantize_levels(energies: np.ndarray, grid: GridSpec) -> LevelQuantization:
     """Bucket each energy to the nearest multiple of the quantization step
     and count distinct occupied levels."""
     du = level_spacing(grid)
-    buckets = np.rint(diag.energies / du)
+    buckets = np.rint(energies / du)
     distinct = np.unique(buckets)
     return LevelQuantization(
         delta_u=du,
@@ -281,28 +244,17 @@ def quantize_levels(diag: DiagonalOperator, grid: GridSpec) -> LevelQuantization
     )
 
 
-def antidiagonal_symmetry_check(diag: DiagonalOperator) -> bool:
+def antidiagonal_symmetry_check(energies: np.ndarray) -> bool:
     """True when E[x] == E[dim-1-x] for all x within tolerance; the index
     complement reflects every register through the box center."""
-    e = diag.energies
-    return bool(np.max(np.abs(e - e[::-1])) <= ANTIDIAGONAL_TOL)
+    return bool(np.max(np.abs(energies - energies[::-1])) <= ANTIDIAGONAL_TOL)
 
 
-@dataclass(frozen=True)
-class FoldedDiagonal:
-    """Half of an antidiagonally symmetric diagonal; the other half is its
-    mirror image."""
-
-    half: np.ndarray
-    label: str
-
-    def reconstruct(self) -> np.ndarray:
-        return np.concatenate([self.half, self.half[::-1]])
-
-
-def antidiagonal_fold(diag: DiagonalOperator) -> FoldedDiagonal:
-    if diag.dim % 2 != 0:
+def antidiagonal_fold(energies: np.ndarray) -> np.ndarray:
+    """The first half of an antidiagonally symmetric diagonal; the second
+    half is its mirror image."""
+    if energies.size % 2 != 0:
         raise ValidationError("can only fold even-length diagonals")
-    if not antidiagonal_symmetry_check(diag):
-        raise ValidationError(f"diagonal {diag.label!r} is not antidiagonally symmetric")
-    return FoldedDiagonal(half=diag.energies[: diag.dim // 2].copy(), label=diag.label)
+    if not antidiagonal_symmetry_check(energies):
+        raise ValidationError("diagonal is not antidiagonally symmetric")
+    return energies[: energies.size // 2].copy()

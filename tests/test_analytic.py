@@ -249,7 +249,7 @@ class TestDenseOracle:
         p = momentum_matrix(grid.cells_per_axis, grid.delta)
         h = (p @ p) / 2.0
         diag = composite_potential(grid, roster, ("wall",), v_wall=10.0)
-        h[np.diag_indices_from(h)] += diag.energies
+        h[np.diag_indices_from(h)] += diag
         expected = scipy.linalg.expm(-1j * h * T) @ state.amplitudes
         propagate = dense_evolution_oracle(grid, roster, ("T_e", "wall"), T, v_wall=10.0)
         assert np.max(np.abs(propagate(state).amplitudes - expected)) < 1e-10

@@ -598,6 +598,9 @@ MALFORMED = [
     ("synth-report", {"pattern_angles": [1, 2, 3, "x"]}),
     ("synth-report", {"count_qubits": [1, "2"]}),
     ("synth-report", {"count_qubits": [15000]}),
+    # Non-finite potential sums, rejected before the first step.
+    ("molecule2d", {"terms": ["T_e", "U_en", "wall"], "wall_height": 1e308}),
+    ("molecule2d", {"particles": [{**ELECTRON, "charge": -1e308}, {**PROTON, "charge": 1e308}]}),
 ]
 
 # Bad grids, step counts and times, among them later sweep points and a
@@ -806,6 +809,29 @@ class TestCli:
         code = main(["sample", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 4
         assert "norm fell apart" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["box-evolve", "molecule2d", "sample"])
+    def test_nan_norm_exits_four(self, tmp_path, capsys, command):
+        # eps = 1e308 makes every phase NaN: the run aborts after one step
+        # and writes nothing.
+        cfg = write_config(tmp_path / "c.json", {"total_time": 1e308, "steps": 1})
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nan" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("name", ["histogram.csv", "summary.json", "manifest.json"])
+    def test_output_path_that_is_a_directory_exits_two(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path / "c.json", {"qubits_per_axis": 3, "steps": 2, "shots": 10})
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["sample", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot write output" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").is_file()
 
     def test_cli_overrides_reach_config(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", {"qubits_per_axis": 4, "steps": 20})

@@ -6,17 +6,14 @@ from hypothesis import strategies as st
 from wzsim.errors import ValidationError
 from wzsim.grid import IndexCodec, ParticleSpec, build_grid, cell_center
 from wzsim.potential import (
-    DiagonalOperator,
     antidiagonal_fold,
     antidiagonal_symmetry_check,
     build_coulomb_diagonal,
     composite_potential,
     level_spacing,
-    lift_single_particle,
     pair_energy,
     potential_bounds,
     quantize_levels,
-    wall_potential,
 )
 
 
@@ -64,6 +61,23 @@ def loop_coulomb_oracle(grid, particles, term):
     return energies
 
 
+def loop_wall_oracle(grid, n_particles, v_wall):
+    """v_wall per axis at cell 0 or D - 1, summed over each particle's
+    axes and then over the particles, one basis state at a time."""
+    codec = IndexCodec(n=grid.n, d=grid.d, n_particles=n_particles)
+    edges = (0, grid.cells_per_axis - 1)
+    energies = np.zeros(codec.dim)
+    for flat in range(codec.dim):
+        total = 0.0
+        for cells in codec.unflatten(flat):
+            per_particle = 0.0
+            for c in cells:
+                per_particle += v_wall if c in edges else 0.0
+            total += per_particle
+        energies[flat] = total
+    return energies
+
+
 class TestPairEnergy:
     def test_unit_distance(self):
         assert pair_energy([0.0], [1.0], 1.0, 0.5) == 1.0
@@ -84,14 +98,14 @@ class TestCoulombDiagonal:
         grid = build_grid(1.0, 2, 1)
         roster = (electron(), electron())
         diag = build_coulomb_diagonal(grid, roster, "ee")
-        assert np.allclose(diag.energies, loop_coulomb_oracle(grid, roster, "ee"), atol=1e-14)
+        assert np.allclose(diag, loop_coulomb_oracle(grid, roster, "ee"), atol=1e-14)
 
     def test_electron_nucleus_with_clamped_match_loop_oracle(self):
         grid = build_grid(1.0, 2, 2)
         roster = (electron(), proton_clamped((1, 2)))
         diag = build_coulomb_diagonal(grid, roster, "en")
-        assert np.allclose(diag.energies, loop_coulomb_oracle(grid, roster, "en"), atol=1e-14)
-        assert np.all(diag.energies < 0)
+        assert np.allclose(diag, loop_coulomb_oracle(grid, roster, "en"), atol=1e-14)
+        assert np.all(diag < 0)
 
     def test_term_filtering(self):
         grid = build_grid(1.0, 2, 1)
@@ -100,15 +114,15 @@ class TestCoulombDiagonal:
         en = build_coulomb_diagonal(grid, roster, "en")
         nn = build_coulomb_diagonal(grid, roster, "nn")
         full = build_coulomb_diagonal(grid, roster, "all")
-        assert np.all(nn.energies == 0.0)
-        assert np.allclose(ee.energies + en.energies + nn.energies, full.energies, atol=1e-14)
+        assert np.all(nn == 0.0)
+        assert np.allclose(ee + en + nn, full, atol=1e-14)
 
     def test_mixed_quantum_and_clamped_three_body(self):
         grid = build_grid(1.0, 2, 1)
         roster = (electron(), proton_clamped((0,)), proton_clamped((3,)))
         for term in ("en", "nn", "all"):
             diag = build_coulomb_diagonal(grid, roster, term)
-            assert np.allclose(diag.energies, loop_coulomb_oracle(grid, roster, term), atol=1e-12)
+            assert np.allclose(diag, loop_coulomb_oracle(grid, roster, term), atol=1e-12)
 
     def test_unknown_term_rejected(self):
         grid = build_grid(1.0, 2, 1)
@@ -121,27 +135,22 @@ class TestCoulombDiagonal:
             build_coulomb_diagonal(grid, (proton_clamped((0,)),), "all")
 
 
-class TestWallAndLift:
+class TestWall:
     def test_one_dimensional_wall(self):
         grid = build_grid(1.0, 2, 1)
-        w = wall_potential(grid, 7.0)
-        assert np.array_equal(w.energies, [7.0, 0.0, 0.0, 7.0])
+        w = composite_potential(grid, (electron(),), ("wall",), v_wall=7.0)
+        assert np.array_equal(w, [7.0, 0.0, 0.0, 7.0])
 
     def test_two_dimensional_wall_corner_counts_both_axes(self):
         grid = build_grid(1.0, 1, 2)
-        w = wall_potential(grid, 1.0)
+        w = composite_potential(grid, (electron(),), ("wall",), v_wall=1.0)
         # Every cell of the 2x2 grid touches both walls on both axes.
-        assert np.array_equal(w.energies, [2.0, 2.0, 2.0, 2.0])
+        assert np.array_equal(w, [2.0, 2.0, 2.0, 2.0])
 
     def test_wall_rejects_negative_height(self):
         grid = build_grid(1.0, 2, 1)
         with pytest.raises(ValidationError):
-            wall_potential(grid, -1.0)
-
-    def test_lift_is_sum_over_registers(self):
-        base = DiagonalOperator(energies=np.array([1.0, 10.0]), label="w")
-        lifted = lift_single_particle(base, 2)
-        assert np.array_equal(lifted.energies, [2.0, 11.0, 11.0, 20.0])
+            composite_potential(grid, (electron(),), ("wall",), v_wall=-1.0)
 
 
 class TestComposite:
@@ -149,9 +158,9 @@ class TestComposite:
         grid = build_grid(1.0, 2, 1)
         roster = (electron(), electron())
         full = composite_potential(grid, roster, ("U_ee", "wall"), v_wall=5.0)
-        ee = build_coulomb_diagonal(grid, roster, "ee").energies
-        wall = lift_single_particle(wall_potential(grid, 5.0), 2).energies
-        assert np.allclose(full.energies, ee + wall, atol=1e-14)
+        ee = build_coulomb_diagonal(grid, roster, "ee")
+        wall = loop_wall_oracle(grid, 2, 5.0)
+        assert np.allclose(full, ee + wall, atol=1e-14)
 
     @pytest.mark.parametrize("n, d, particles", [(4, 1, 1), (2, 3, 1), (3, 2, 2), (3, 1, 3)])
     def test_cell_ranges_are_slices_of_the_full_diagonal(self, n, d, particles):
@@ -164,14 +173,14 @@ class TestComposite:
             ParticleSpec(mass=1836.0, charge=2.0, kind="clamped", clamped_cell=(D - 2,) * d),
         )
         terms = ("U_ee", "U_en", "U_nn", "wall")
-        full = composite_potential(grid, roster, terms, v_wall=0.1).energies
-        en = build_coulomb_diagonal(grid, roster, "en").energies
+        full = composite_potential(grid, roster, terms, v_wall=0.1)
+        en = build_coulomb_diagonal(grid, roster, "en")
         rows = full.size // D
         for lo, hi in [(0, 1), (D - 1, D), (1, D // 2 + 1), (0, D)]:
             piece = composite_potential(grid, roster, terms, v_wall=0.1, cells=(lo, hi))
-            assert np.array_equal(piece.energies, full[lo * rows : hi * rows])
+            assert np.array_equal(piece, full[lo * rows : hi * rows])
             piece = build_coulomb_diagonal(grid, roster, "en", cells=(lo, hi))
-            assert np.array_equal(piece.energies, en[lo * rows : hi * rows])
+            assert np.array_equal(piece, en[lo * rows : hi * rows])
 
     @pytest.mark.parametrize("cells", [(0, 0), (3, 2), (-1, 2), (2, 9)])
     def test_cell_range_validated(self, cells):
@@ -184,12 +193,46 @@ class TestComposite:
         # 0.1 is inexact, so any change in the order of the sums would show.
         grid = build_grid(1.0, 2, d)
         roster = (electron(), electron())
-        wall = composite_potential(grid, roster, ("wall",), v_wall=0.1).energies
-        assert np.array_equal(wall, lift_single_particle(wall_potential(grid, 0.1), 2).energies)
+        wall = composite_potential(grid, roster, ("wall",), v_wall=0.1)
+        assert np.array_equal(wall, loop_wall_oracle(grid, 2, 0.1))
 
     def test_no_applicable_terms_returns_none(self):
         grid = build_grid(1.0, 2, 1)
         assert composite_potential(grid, (electron(),), ()) is None
+
+    @pytest.mark.parametrize(
+        "d, roster, terms",
+        [
+            # 1e308 on both axes of a 2D corner.
+            (2, (electron(),), ("wall",)),
+            # A charge product of -1e616.
+            (
+                1,
+                (
+                    ParticleSpec(mass=1.0, charge=-1e308),
+                    ParticleSpec(mass=1836.0, charge=1e308, kind="clamped", clamped_cell=(1,)),
+                ),
+                ("U_en",),
+            ),
+        ],
+        ids=["wall-corner", "charges"],
+    )
+    def test_non_finite_sum_raises(self, d, roster, terms):
+        grid = build_grid(1.0, 2, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                composite_potential(grid, roster, terms, v_wall=1e308)
+
+    def test_finite_terms_with_a_non_finite_sum_raise(self):
+        # Each term peaks at 1e308; where both electrons sit in wall cell
+        # 0, U_ee + wall is 2e308.
+        grid = build_grid(1.0, 2, 1)
+        roster = (ParticleSpec(mass=1.0, charge=-5e153),) * 2
+        for term in ("U_ee", "wall"):
+            assert np.all(np.isfinite(composite_potential(grid, roster, (term,), v_wall=5e307)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError, match="non-finite"):
+                composite_potential(grid, roster, ("U_ee", "wall"), v_wall=5e307)
 
 
 class TestBoundsAndLevels:
@@ -231,8 +274,7 @@ class TestBoundsAndLevels:
     def test_quantization_buckets_to_nearest_multiple(self):
         grid = build_grid(1.0, 1, 1)
         du = level_spacing(grid)
-        diag = DiagonalOperator(energies=np.array([0.0, 0.4 * du, 0.6 * du, du]), label="v")
-        q = quantize_levels(diag, grid)
+        q = quantize_levels(np.array([0.0, 0.4 * du, 0.6 * du, du]), grid)
         assert q.level_count == 2
         assert q.u_min == 0.0
         assert q.u_max == pytest.approx(du)
@@ -274,11 +316,11 @@ class TestAntidiagonalSymmetry:
     def test_fold_halves_storage_and_reconstructs(self):
         grid = build_grid(1.0, 2, 1)
         diag = build_coulomb_diagonal(grid, (electron(), electron()), "ee")
-        folded = antidiagonal_fold(diag)
-        assert folded.half.size == diag.dim // 2
-        assert np.array_equal(folded.reconstruct(), diag.energies)
+        half = antidiagonal_fold(diag)
+        assert half.size == diag.size // 2
+        assert np.array_equal(np.concatenate([half, half[::-1]]), diag)
 
-    def test_fold_rejects_asymmetric_input(self):
-        diag = DiagonalOperator(energies=np.array([1.0, 2.0, 3.0, 4.0]), label="v")
+    @pytest.mark.parametrize("energies", [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0]])
+    def test_fold_rejects_asymmetric_input(self, energies):
         with pytest.raises(ValidationError):
-            antidiagonal_fold(diag)
+            antidiagonal_fold(np.array(energies))

@@ -10,10 +10,10 @@ Every operator is a unitary on the one state vector, and it acts in
 place: step and kinetic.apply_kinetic_plan write into the amplitudes of
 the StateVector they are given, and evolve steps the caller's state
 itself. No state-sized array or StateVector is made per
-operator. The potential phase is built slab by slab of register-0 cells,
-straight into its complex array, so no full-size energy diagonal exists.
-A run thus peaks at two states, the state and the phase, plus
-slab-sized temporaries.
+operator. The potential is summed from small tables into the real part
+of the phase's complex array, which becomes the phase in place, so no
+float energy diagonal exists. A run thus peaks at two states, the state
+and the phase, plus the tables and the kinetic slab temporaries.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .grid import (
     StateVector,
     density,
     quantum_particles,
-    slab_bounds,
 )
 from .kinetic import (
     KineticTrotterPlan,
@@ -39,7 +38,7 @@ from .kinetic import (
     make_spectral_plan,
     make_trotter_plan,
 )
-from .potential import SLAB_ARRAYS, composite_potential
+from .potential import composite_potential
 
 KINETIC_METHODS = ("trotter", "spectral")
 SPLITTINGS = ("first-order", "strang")
@@ -118,17 +117,12 @@ def prepare_operators(
     phase = None
     if potential_terms:
         scale = -1j * eps if plan.splitting == "first-order" else -1j * (eps / 2.0)
-        D = grid.cells_per_axis
-        rows = D ** (len(quantum) * grid.d - 1)
-        phase = np.empty(D * rows, dtype=np.complex128)
-        bounds = slab_bounds(D, SLAB_ARRAYS * 8 * rows)
-        for lo, hi in zip(bounds, bounds[1:]):
-            energies = composite_potential(
-                grid, particles, potential_terms, v_wall=plan.v_wall, cells=(lo, hi)
-            )
-            slab = phase[lo * rows : hi * rows]
-            np.multiply(scale, energies, out=slab)
-            np.exp(slab, out=slab)
+        phase = np.zeros(grid.cells_per_axis ** (len(quantum) * grid.d), dtype=np.complex128)
+        composite_potential(grid, particles, potential_terms, v_wall=plan.v_wall, out=phase.real)
+        # A huge eps makes a NaN phase, which evolve's norm check catches.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(scale, phase, out=phase)
+            np.exp(phase, out=phase)
 
     kinetic: list[tuple[int, int, KineticTrotterPlan | SpectralKineticPlan]] = []
     make = make_trotter_plan if plan.kinetic_method == "trotter" else make_spectral_plan

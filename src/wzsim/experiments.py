@@ -301,7 +301,7 @@ CSV_BLOCK_ROWS = 4096
 class _Outputs:
     """One run's output directory, created when this is built. Every file
     goes through _write, which hashes the bytes it writes, so finish()
-    writes the manifest without reading any file back. An OSError from
+    writes the manifest without reading back any file it wrote. An OSError from
     the directory or any file raises ValidationError."""
 
     def __init__(self, out_dir) -> None:
@@ -343,8 +343,22 @@ class _Outputs:
         self.digests[name] = self._write(name, blocks())
 
     def finish(self, cfg: RunConfig, summary: dict) -> None:
-        """summary.json, then manifest.json over every file written."""
+        """summary.json; then the deletion of each plain file that the
+        directory's earlier manifest (if it parses) lists and this run did
+        not write; then manifest.json over every file written."""
         self.text("summary.json", _json(summary))
+        try:
+            earlier = json.loads((self.dir / "manifest.json").read_bytes())["outputs"]
+            stale = set(earlier if isinstance(earlier, dict) else ()) - self.digests.keys()
+        except (OSError, ValueError, TypeError, KeyError, RecursionError):
+            stale = set()
+        for name in stale - {"manifest.json"}:
+            path = self.dir / name
+            try:
+                if Path(name).name == name and path.is_file():
+                    path.unlink()
+            except OSError as exc:
+                raise ValidationError(f"cannot remove stale output {path}: {exc}") from exc
         manifest = {"artifact_version": __version__, "config": cfg.to_dict(), "outputs": self.digests}
         self._write("manifest.json", [_json(manifest)])
 

@@ -33,8 +33,8 @@ HBAR = 1.0
 MAX_AXIS_QUBITS = 20
 MAX_TOTAL_QUBITS = 30
 
-# Bytes of temporaries one slab of work may hold: each slab of the
-# potential phase build, and each Trotter scan slab on each thread.
+# Bytes of temporaries one Trotter scan slab may hold on each thread; a
+# kinetic factor also takes one thread per SLAB_BYTES of state at most.
 SLAB_BYTES = 1 << 20
 
 
@@ -93,17 +93,11 @@ def cell_centers(grid: GridSpec) -> np.ndarray:
     return grid.delta * (np.arange(grid.cells_per_axis, dtype=float) + 0.5)
 
 
-def register_views(
-    table: np.ndarray, registers: int, cells: tuple[int, int] | None = None
-) -> list[np.ndarray]:
+def register_views(table: np.ndarray, registers: int) -> list[np.ndarray]:
     """A per-cell table of one axis as one view per register of the
     (D,) * registers tensor: view r varies along axis r only, so the views
-    broadcast against the tensor and against each other. With cells =
-    (lo, hi), view 0 holds only register 0's cells lo..hi-1 and the views
-    broadcast against the slab tensor[lo:hi]."""
-    head = table if cells is None else table[cells[0] : cells[1]]
-    views = [head.reshape((-1,) + (1,) * (registers - 1))]
-    return views + [table.reshape((-1,) + (1,) * (registers - 1 - r)) for r in range(1, registers)]
+    broadcast against the tensor and against each other."""
+    return [table.reshape((-1,) + (1,) * (registers - 1 - r)) for r in range(registers)]
 
 
 @dataclass(frozen=True)

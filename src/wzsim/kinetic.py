@@ -271,7 +271,9 @@ def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> Spectra
         raise ValidationError("mass must be positive")
     k = np.arange(D)
     p = -(HBAR / delta) * np.sin(2.0 * np.pi * k / D)
-    table = np.exp(-1j * eps * p * p / (2.0 * mass * HBAR))
+    # A huge eps makes a NaN table, which evolution.evolve's norm check catches.
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = np.exp(-1j * eps * p * p / (2.0 * mass * HBAR))
     return SpectralKineticPlan(dim=D, phase_table=table, workers=_worker_count())
 
 

@@ -3,10 +3,12 @@
 Coulomb interactions are diagonal in the position basis: each joint basis
 state maps to a sum of pair energies e' q_p q_q / r over the selected
 pairs. A diagonal is a flat float64 array of those energies, one entry
-per basis state. Particles are classified by charge sign: negative
-charge means electron, positive means nucleus. Two particles in the same
-cell are regularized by replacing the vanishing separation with one cell
-width.
+per basis state of the (D,) * R register tensor, and each term is added
+into it from a small table, as a broadcast view: every term depends on
+one particle's cell or on one pair's displacement. Particles are
+classified by charge sign: negative charge means electron, positive
+means nucleus. Two particles in the same cell are regularized by
+replacing the vanishing separation with one cell width.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .grid import (
@@ -24,6 +27,7 @@ from .grid import (
     clamped_position,
     quantum_particles,
     register_views,
+    slab_bounds,
 )
 
 # Coulomb coupling e^2 / (4 pi eps0) in atomic units.
@@ -32,11 +36,6 @@ E_PRIME = 1.0
 COULOMB_TERMS = ("ee", "en", "nn", "all")
 
 ANTIDIAGONAL_TOL = 1e-10
-
-# composite_potential on a slab of cells holds at most this many float64
-# arrays of the slab's size at once: the running sum, the term being
-# built, one pair's distances, and the masks.
-SLAB_ARRAYS = 4
 
 
 @dataclass(frozen=True)
@@ -72,66 +71,56 @@ def _pair_in_term(p: ParticleSpec, q: ParticleSpec, term: str) -> bool:
     raise ValidationError(f"unknown Coulomb term {term!r}")
 
 
-def _check_cells(grid: GridSpec, cells: tuple[int, int] | None) -> tuple[int, int]:
-    """The register-0 cell range [lo, hi); None means every cell."""
-    if cells is None:
-        return 0, grid.cells_per_axis
-    lo, hi = (int(c) for c in cells)
-    if not 0 <= lo < hi <= grid.cells_per_axis:
-        raise ValidationError(f"cell range [{lo}, {hi}) outside [0, {grid.cells_per_axis})")
-    return lo, hi
-
-
-def _inverse_distance(squares: Sequence[np.ndarray], delta: float) -> np.ndarray:
-    """1 / sqrt(sum of squared axis displacements), with a vanishing
-    distance regularized to one cell width. The sum is built in one array
-    of the broadcast shape."""
-    dist = np.empty(np.broadcast_shapes(*(s.shape for s in squares)))
-    dist[...] = squares[0]
-    for s in squares[1:]:
-        dist += s
-    np.sqrt(dist, out=dist)
-    same = dist == 0.0
-    with np.errstate(divide="ignore"):
-        inv = np.divide(1.0, dist, out=dist)
-    inv[same] = 1.0 / delta
-    return inv
+def _pair_table(displacements: Sequence[np.ndarray], qq: float, delta: float) -> np.ndarray:
+    """e' qq / r over per-axis displacements that broadcast into one table,
+    with a vanishing r regularized to one cell width."""
+    table = np.zeros(np.broadcast_shapes(*(x.shape for x in displacements)))
+    for x in displacements:
+        table += x * x
+    np.sqrt(table, out=table)
+    table[table == 0.0] = delta
+    np.divide(1.0, table, out=table)
+    table *= E_PRIME * qq
+    return table
 
 
 def build_coulomb_diagonal(
     grid: GridSpec,
     particles: Sequence[ParticleSpec],
     term: str,
-    cells: tuple[int, int] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sum of pair Coulomb energies for the selected term over the joint
-    basis of the quantum particles. Clamped particles contribute through
-    their fixed positions; a clamped-clamped pair adds a constant.
+    basis of the quantum particles, added into the flat diagonal out (a
+    new zeroed one when out is None), which is returned.
 
-    Each pair's energies are built by broadcasting register coordinates,
-    so they span only the registers of that pair before being added in.
-    With cells = (lo, hi), only register-0 cells lo..hi-1 are built: the
-    contiguous slab of the full diagonal, with the same bytes."""
+    The pairs are added in roster order, each from a table. A quantum
+    particle and a clamped one: the D^d table over the quantum particle's
+    cells, built in blocks of rows under grid.SLAB_BYTES, as it is half a
+    state when that particle is the only one. Two quantum particles: a
+    window of D cells per axis of the (2D-1)^d table over their
+    displacement, a view. Two clamped particles: a constant."""
     if term not in COULOMB_TERMS:
         raise ValidationError(f"term must be one of {COULOMB_TERMS}, got {term!r}")
     particles = tuple(particles)
     quantum = quantum_particles(particles)
     if not quantum:
         raise ValidationError("need at least one quantum particle")
-    lo, hi = _check_cells(grid, cells)
     d = grid.d
     D = grid.cells_per_axis
     registers = len(quantum) * d
-    coords = register_views(cell_centers(grid), registers, (lo, hi))
-    q_slot = {}
-    slot = 0
+    flat = np.zeros(D**registers) if out is None else out
+    energies = flat.reshape((D,) * registers)
+    first = {}
     for i, p in enumerate(particles):
         if p.is_quantum:
-            q_slot[i] = slot
-            slot += 1
+            first[i] = len(first) * d
 
-    energies = np.zeros((hi - lo,) + (D,) * (registers - 1), dtype=float)
     delta = grid.delta
+    centers = register_views(cell_centers(grid), d)
+    displacements = register_views(delta * np.arange(1 - D, D, dtype=float), d)
+    backwards = (slice(None, None, -1),) * d
+    rows = slab_bounds(D, 8 * D ** (d - 1))
     for i in range(len(particles)):
         for j in range(i + 1, len(particles)):
             pi, pj = particles[i], particles[j]
@@ -141,39 +130,38 @@ def build_coulomb_diagonal(
             if qq == 0.0:
                 continue
             if pi.is_quantum and pj.is_quantum:
-                a, b = q_slot[i] * d, q_slot[j] * d
-                disp = [coords[a + k] - coords[b + k] for k in range(d)]
+                # window[x, y] = table[x + y], so reversed on x it is the
+                # table at displacement y - x, for cells x of particle i
+                # and y of particle j.
+                table = _pair_table(displacements, qq, delta)
+                view = sliding_window_view(table, (D,) * d)[backwards]
+                axes = [*range(first[i], first[i] + d), *range(first[j], first[j] + d)]
+                energies += np.expand_dims(view, tuple(set(range(registers)) - set(axes)))
             elif pi.is_quantum or pj.is_quantum:
-                qp = i if pi.is_quantum else j
-                cp = j if pi.is_quantum else i
-                fixed = clamped_position(grid, particles[cp])
-                a = q_slot[qp] * d
-                disp = [coords[a + k] - fixed[k] for k in range(d)]
+                a = first[i] if pi.is_quantum else first[j]
+                fixed = clamped_position(grid, pj if pi.is_quantum else pi)
+                disp = [c - fixed[k] for k, c in enumerate(centers)]
+                for lo, hi in zip(rows, rows[1:]):
+                    block = _pair_table([disp[0][lo:hi], *disp[1:]], qq, delta)
+                    block = block.reshape(block.shape + (1,) * (registers - a - d))
+                    energies[(slice(None),) * a + (slice(lo, hi),)] += block
             else:
                 energies += pair_energy(
                     clamped_position(grid, pi), clamped_position(grid, pj), qq, delta
                 )
-                continue
-            inv = _inverse_distance([x * x for x in disp], delta)
-            inv *= E_PRIME * qq
-            energies += inv
-    return energies.reshape(-1)
+    return flat
 
 
-def _wall_energies(
-    grid: GridSpec, n_particles: int, v_wall: float, cells: tuple[int, int]
-) -> np.ndarray:
-    """v_wall for every axis whose cell index is 0 or D - 1, summed over
-    each particle's axes and then over the particles, from one 1-D table
-    broadcast per register. Register 0 spans only cells lo..hi-1."""
+def _wall_energies(v_wall: float, energies: np.ndarray) -> None:
+    """Add v_wall into the register tensor energies at cell 0 and cell
+    D - 1 of every register, one face of the tensor at a time. A basis
+    state thus gets v_wall once per register on a wall, added in the same
+    order whichever particles those registers belong to."""
     if v_wall < 0:
         raise ValidationError("wall height must be nonnegative")
-    table = np.zeros(grid.cells_per_axis)
-    table[[0, -1]] += v_wall
-    views = register_views(table, n_particles * grid.d, cells)
-    d = grid.d
-    per_particle = [sum(views[p * d + 1 : (p + 1) * d], views[p * d]) for p in range(n_particles)]
-    return sum(per_particle[1:], per_particle[0])
+    for r in range(energies.ndim):
+        for edge in (0, -1):
+            energies[(slice(None),) * r + (edge,)] += v_wall
 
 
 def composite_potential(
@@ -181,31 +169,31 @@ def composite_potential(
     particles: Sequence[ParticleSpec],
     terms: Sequence[str],
     v_wall: float = 1e6,
-    cells: tuple[int, int] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Sum the requested potential diagonals ('U_ee', 'U_en', 'U_nn',
-    'wall') over the joint basis, in that order. Returns None when no term
-    applies, and raises ValidationError when the sum holds a non-finite
-    energy. With cells = (lo, hi), only register-0 cells lo..hi-1 are
-    built: flat entries lo * D^(R-1) to hi * D^(R-1) of the full diagonal,
-    bit for bit, for R registers."""
+    'wall') over the joint basis, in that order, into the flat diagonal
+    out (a new zeroed one when out is None), which is returned: one
+    running sum, with nothing diagonal-sized beside it. Returns None when
+    no term applies, and raises ValidationError when the sum holds a
+    non-finite energy."""
     quantum = quantum_particles(particles)
     if not quantum:
         raise ValidationError("need at least one quantum particle")
-    cells = _check_cells(grid, cells)
-    total = None
-    for term in ("U_ee", "U_en", "U_nn", "wall"):
-        if term not in terms:
-            continue
-        if term == "wall":
-            piece = _wall_energies(grid, len(quantum), v_wall, cells).reshape(-1)
-        else:
-            piece = build_coulomb_diagonal(grid, particles, term.split("_")[1], cells)
-        if total is None:
-            total = piece
-        else:
-            total += piece
-    if total is not None and not np.all(np.isfinite(total)):
+    applied = [t for t in ("U_ee", "U_en", "U_nn", "wall") if t in terms]
+    if not applied:
+        return None
+    registers = len(quantum) * grid.d
+    total = np.zeros(grid.cells_per_axis**registers) if out is None else out
+    # An overflow here is caught below, as a non-finite sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in applied:
+            if term == "wall":
+                _wall_energies(v_wall, total.reshape((grid.cells_per_axis,) * registers))
+            else:
+                build_coulomb_diagonal(grid, particles, term.split("_")[1], out=total)
+    # min and max propagate NaN and +-inf, and allocate no mask.
+    if not (np.isfinite(total.min()) and np.isfinite(total.max())):
         raise ValidationError(f"non-finite energies in potential {'+'.join(sorted(terms))!r}")
     return total
 

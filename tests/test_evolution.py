@@ -16,7 +16,7 @@ from wzsim.evolution import (
 from wzsim import grid as grid_mod
 from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state
 from wzsim.kinetic import apply_kinetic_plan
-from wzsim.potential import SLAB_ARRAYS, composite_potential
+from wzsim.potential import composite_potential
 
 
 def electron():
@@ -89,22 +89,40 @@ class TestPreparedOperators:
         assert np.allclose(ops.phase, np.exp(-1j * plan.eps / 2 * diag), atol=1e-15)
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
-    def test_slab_built_phase_is_bit_exact(self, monkeypatch, splitting):
-        # Two electrons in 2D on 8 cells: a register-0 cell holds 512
-        # amplitudes, 16 KiB of float slab arrays. A cap of three cells
-        # cuts uneven slabs of 2, 3 and 3 cells.
+    def test_phase_is_exp_of_the_diagonal_bit_exact(self, splitting):
+        # Two electrons and three clamped protons in 2D, every potential
+        # term: the energies are summed into the real part of the phase
+        # and exponentiated there, with the arithmetic of exp(scale * V).
         grid = build_grid(4.0, 3, 2)
         roster = (*molecule_roster(grid), proton_clamped((0, 7)))
         terms = {"T_e", "U_ee", "U_en", "U_nn", "wall"}
         plan = EvolutionPlan(T=0.05, N_t=4, terms=terms, splitting=splitting, v_wall=30.0)
-        cell_bytes = SLAB_ARRAYS * 8 * 8**3
-        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 3 * cell_bytes)
-        assert grid_mod.slab_bounds(8, cell_bytes) == [0, 2, 5, 8]
-        ops = prepare_operators(grid, roster, plan)
-        phase = ops.phase
+        phase = prepare_operators(grid, roster, plan).phase
         scale = -1j * plan.eps if splitting == "first-order" else -1j * (plan.eps / 2.0)
         diag = composite_potential(grid, roster, ["U_ee", "U_en", "U_nn", "wall"], v_wall=30.0)
         assert np.array_equal(phase, np.exp(scale * diag))
+
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    def test_build_peaks_at_the_phase_plus_an_eighth_of_a_state(self, method):
+        # Two electrons and two protons in 2D at n=4, a 1 MiB state: the
+        # phase is the one state-sized array; the tables and the kinetic
+        # plans are a few KiB.
+        grid = build_grid(4.0, 4, 2)
+        roster = molecule_roster(grid)
+        plan = EvolutionPlan(
+            T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, v_wall=50.0
+        )
+        state_bytes = 16 * 16**4
+        prepare_operators(grid, roster, plan)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            ops = prepare_operators(grid, roster, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ops.phase.nbytes == state_bytes
+        assert peak - base <= state_bytes + state_bytes // 8
 
     def test_kinetic_entries_cover_quantum_registers(self):
         grid = build_grid(1.0, 2, 2)
@@ -244,9 +262,8 @@ class TestEvolve:
         grid = build_grid(1.0, 3, 1)
         state = gaussian_state(grid, (electron(),))
         plan = EvolutionPlan(T=1e308, N_t=1, terms={"T_e", "wall"})
-        with np.errstate(all="ignore"):
-            with pytest.raises(NormDriftError, match="nan"):
-                evolve(state, plan)
+        with pytest.raises(NormDriftError, match="nan"):
+            evolve(state, plan)
         assert np.isnan(state.norm())
 
 
@@ -336,20 +353,20 @@ class TestWorkBuffer:
     @pytest.mark.parametrize(
         "n, d, particles, protons",
         # 2^16 amplitudes (1 MiB) in 1 and 2 particles, 2^18 in 3: every
-        # layout has more than one register, so every kinetic factor and
-        # every phase slab can be cut. The last is two electrons around
-        # two protons.
+        # layout has more than one register, so every kinetic factor can
+        # be cut. The last is two electrons around two protons.
         [(8, 2, 1, 1), (4, 2, 2, 1), (6, 1, 3, 1), (4, 2, 2, 2)],
     )
     def test_evolve_peaks_at_state_plus_phase(
         self, monkeypatch, n, d, particles, protons, method, splitting, wall
     ):
         # The steps act on the caller's state, so the phase is the only
-        # state-sized array evolve makes. The potential slabs stay under the cap, here a 32nd
-        # of the state, and so do the Trotter scan slabs, unless one cell
-        # of the cut axis is more: 3/16 of the state in temporaries at 16
-        # cells. Each thread holds its own slab, so this runs on one. The
-        # rest is numpy's fixed-size FFT buffer, about 140 KiB.
+        # state-sized array evolve makes, and the potential is built from
+        # tables of a few KiB. The Trotter scan slabs stay under the cap,
+        # here a 32nd of the state, unless one cell of the cut axis is
+        # more: 3/16 of the state in temporaries at 16 cells. Each thread
+        # holds its own slab, so this runs on one. The rest is numpy's
+        # fixed-size FFT buffer, about 140 KiB.
         monkeypatch.setenv("WZ_THREADS", "1")
         grid = build_grid(4.0, n, d)
         mid = grid.cells_per_axis // 2

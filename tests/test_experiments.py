@@ -259,6 +259,48 @@ class TestOutputs:
         one_block = peak(CSV_BLOCK_ROWS)
         assert abs(peak(2**17) - peak(2**15)) < one_block
 
+    def test_rerun_removes_the_earlier_runs_stale_outputs(self, tmp_path):
+        # Two evolve_times, then one, into the same directory: density_01.csv
+        # goes with the earlier manifest; a file no manifest named stays.
+        out = tmp_path / "o"
+        for times in ([5e-4, 1e-3], [5e-4]):
+            cfg = write_config(tmp_path / "c.json", {"qubits_per_axis": 3, "evolve_times": times})
+            if times == [5e-4]:
+                (out / "notes.txt").write_text("mine")
+            assert main(["box-evolve", "--config", cfg, "--out", str(out)]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["density_00.csv", "manifest.json", "notes.txt", "summary.json"]
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == ["density_00.csv", "summary.json"]
+        assert (out / "notes.txt").read_text() == "mine"
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            b"not json",
+            b"[1]",
+            b'{"outputs": ["keep.txt"]}',
+            json.dumps({"outputs": {"../keep.txt": "", "sub/keep.txt": "", "subdir": ""}}).encode(),
+        ],
+        ids=["undecodable", "not-an-object", "outputs-not-an-object", "not-plain-names"],
+    )
+    def test_rerun_leaves_what_no_plain_manifest_entry_names(self, tmp_path, manifest):
+        out = tmp_path / "o"
+        (out / "sub" / "subdir").mkdir(parents=True)
+        (out / "subdir").mkdir()
+        for path in (tmp_path / "keep.txt", out / "keep.txt", out / "sub" / "keep.txt"):
+            path.write_text("mine")
+        (out / "manifest.json").write_bytes(manifest)
+        writer = _Outputs(out)
+        writer.text("a.txt", "a\n")
+        writer.finish(RunConfig(), {})
+        for path in (tmp_path / "keep.txt", out / "keep.txt", out / "sub" / "keep.txt"):
+            assert path.read_text() == "mine"
+        assert (out / "subdir").is_dir()
+        assert sorted(json.loads((out / "manifest.json").read_text())["outputs"]) == [
+            "a.txt", "summary.json"
+        ]
+
     def test_out_dir_that_is_a_file_is_rejected(self, tmp_path):
         (tmp_path / "f").write_text("")
         with pytest.raises(ValidationError, match="cannot create output directory"):
@@ -516,8 +558,8 @@ class TestMoleculeRunner:
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         # Two electrons in 2D: four registers, so every transform and scan
-        # but the last runs along a strided axis. A 16 KiB cap cuts the
-        # phase and each Trotter factor into 8 one-cell slabs.
+        # but the last runs along a strided axis. A 16 KiB cap cuts each
+        # Trotter factor into 8 one-cell slabs.
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", 1 << 14)
         for method in ("spectral", "trotter"):
             outputs = []
@@ -816,8 +858,7 @@ class TestCli:
         # and writes nothing.
         cfg = write_config(tmp_path / "c.json", {"total_time": 1e308, "steps": 1})
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main([command, "--config", cfg, "--out", str(out)]) == 4
+        assert main([command, "--config", cfg, "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nan" in err and "Traceback" not in err
         assert not any(out.iterdir())

@@ -173,17 +173,6 @@ class TestRegisterLayout:
             cells = [shift_and_mask(m, n, R, r) for r in range(R)]
             assert codec.flat_index(np.reshape(cells, (n_q, d))) == m
 
-    def test_cells_cut_register_zero(self):
-        table = np.arange(8.0) * 3
-        for registers in (1, 2, 3):
-            whole = register_views(table, registers)
-            for lo, hi in ((0, 8), (2, 5), (7, 8)):
-                views = register_views(table, registers, (lo, hi))
-                assert np.array_equal(views[0].reshape(-1), table[lo:hi])
-                assert views[0].shape == (hi - lo,) + (1,) * (registers - 1)
-                for cut, full in zip(views[1:], whole[1:]):
-                    assert cut.shape == full.shape and np.array_equal(cut, full)
-
     @pytest.mark.parametrize("length, n", [(1.0, 1), (0.7, 3), (3.3, 6), (1e-3, 10)])
     def test_cell_centers_match_cell_center(self, length, n):
         grid = build_grid(length, n, 1)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzsim import grid as grid_mod
 from wzsim.errors import ValidationError
 from wzsim.grid import IndexCodec, ParticleSpec, build_grid, cell_center
 from wzsim.potential import (
@@ -62,18 +63,15 @@ def loop_coulomb_oracle(grid, particles, term):
 
 
 def loop_wall_oracle(grid, n_particles, v_wall):
-    """v_wall per axis at cell 0 or D - 1, summed over each particle's
-    axes and then over the particles, one basis state at a time."""
+    """v_wall added once per register at cell 0 or D - 1, in register
+    order, one basis state at a time."""
     codec = IndexCodec(n=grid.n, d=grid.d, n_particles=n_particles)
     edges = (0, grid.cells_per_axis - 1)
     energies = np.zeros(codec.dim)
     for flat in range(codec.dim):
         total = 0.0
-        for cells in codec.unflatten(flat):
-            per_particle = 0.0
-            for c in cells:
-                per_particle += v_wall if c in edges else 0.0
-            total += per_particle
+        for c in codec.unflatten(flat).reshape(-1):
+            total += v_wall if c in edges else 0.0
         energies[flat] = total
     return energies
 
@@ -162,35 +160,67 @@ class TestComposite:
         wall = loop_wall_oracle(grid, 2, 5.0)
         assert np.allclose(full, ee + wall, atol=1e-14)
 
-    @pytest.mark.parametrize("n, d, particles", [(4, 1, 1), (2, 3, 1), (3, 2, 2), (3, 1, 3)])
-    def test_cell_ranges_are_slices_of_the_full_diagonal(self, n, d, particles):
-        # Every term, with two clamped nuclei so that U_nn adds a constant;
-        # single cells, uneven ranges and the whole register.
-        grid = build_grid(2.0, n, d)
+    @pytest.mark.parametrize(
+        "n, d, particles, quantum_proton",
+        [(4, 1, 1, False), (2, 3, 1, False), (3, 2, 2, False), (3, 1, 3, False),
+         (2, 3, 2, True), (2, 2, 3, True)],
+    )
+    def test_tables_match_the_loop_oracles(self, n, d, particles, quantum_proton):
+        # particles quantum particles, the last a proton in the last two
+        # layouts, so that U_en and U_nn have quantum pairs too; and two
+        # clamped nuclei, so that U_nn adds a constant.
+        grid = build_grid(3.3, n, d)
         D = grid.cells_per_axis
-        roster = (electron(),) * particles + (
+        roster = (electron(),) * (particles - quantum_proton) + (
             proton_clamped((1,) * d),
             ParticleSpec(mass=1836.0, charge=2.0, kind="clamped", clamped_cell=(D - 2,) * d),
         )
-        terms = ("U_ee", "U_en", "U_nn", "wall")
-        full = composite_potential(grid, roster, terms, v_wall=0.1)
-        en = build_coulomb_diagonal(grid, roster, "en")
-        rows = full.size // D
-        for lo, hi in [(0, 1), (D - 1, D), (1, D // 2 + 1), (0, D)]:
-            piece = composite_potential(grid, roster, terms, v_wall=0.1, cells=(lo, hi))
-            assert np.array_equal(piece, full[lo * rows : hi * rows])
-            piece = build_coulomb_diagonal(grid, roster, "en", cells=(lo, hi))
-            assert np.array_equal(piece, en[lo * rows : hi * rows])
+        if quantum_proton:
+            roster += (ParticleSpec(mass=1836.0, charge=1.0),)
+        full = composite_potential(grid, roster, ("U_ee", "U_en", "U_nn", "wall"), v_wall=0.1)
+        expected = loop_wall_oracle(grid, particles, 0.1)
+        for term in ("ee", "en", "nn"):
+            coulomb = loop_coulomb_oracle(grid, roster, term)
+            scale = np.max(np.abs(coulomb))
+            diag = build_coulomb_diagonal(grid, roster, term)
+            assert np.max(np.abs(diag - coulomb)) <= 1e-14 * scale
+            expected += coulomb
+        assert full.shape == (D ** (particles * d),)
+        assert np.max(np.abs(full - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-    @pytest.mark.parametrize("cells", [(0, 0), (3, 2), (-1, 2), (2, 9)])
-    def test_cell_range_validated(self, cells):
-        grid = build_grid(1.0, 3, 1)
-        with pytest.raises(ValidationError):
-            composite_potential(grid, (electron(),), ("wall",), cells=cells)
+    def test_sum_is_added_into_out(self):
+        # out is the running sum, here the real part of a complex array:
+        # zeroed, it receives the diagonal itself; otherwise the terms are
+        # added to what it holds.
+        grid = build_grid(2.0, 2, 2)
+        roster = (electron(), electron(), proton_clamped((1, 2)))
+        terms = ("U_ee", "U_en", "wall")
+        diag = composite_potential(grid, roster, terms, v_wall=3.0)
+        buffer = np.zeros(diag.size, dtype=np.complex128)
+        total = composite_potential(grid, roster, terms, v_wall=3.0, out=buffer.real)
+        assert np.shares_memory(total, buffer)
+        assert np.array_equal(buffer.real, diag) and np.all(buffer.imag == 0.0)
+        composite_potential(grid, roster, terms, v_wall=3.0, out=buffer.real)
+        assert np.max(np.abs(buffer.real - 2 * diag)) <= 1e-14 * np.max(np.abs(diag))
+
+    @pytest.mark.parametrize("n, d", [(6, 1), (4, 2), (3, 3)])
+    def test_row_blocks_do_not_change_bytes(self, monkeypatch, n, d):
+        # A cap of three rows of the D^d table of a particle and a clamped
+        # nucleus cuts it into uneven blocks; each entry is the same.
+        grid = build_grid(2.0, n, d)
+        D = grid.cells_per_axis
+        roster = (electron(), proton_clamped((1,) * d), proton_clamped((D - 2,) * d))
+        whole = composite_potential(grid, roster, ("U_en", "wall"), v_wall=0.1)
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 3 * 8 * D ** (d - 1))
+        assert len(grid_mod.slab_bounds(D, 8 * D ** (d - 1))) - 1 == -(-D // 3)
+        blocks = composite_potential(grid, roster, ("U_en", "wall"), v_wall=0.1)
+        assert np.array_equal(blocks, whole)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_wall_tables_equal_the_lifted_wall(self, d):
-        # 0.1 is inexact, so any change in the order of the sums would show.
+    def test_wall_adds_in_register_order(self, d):
+        # 0.1 is inexact, so any change in the order of the sums would show:
+        # six walls in 3D sum to 0.6 one register at a time, and to
+        # 0.6000000000000001 as two particles' sums of three.
         grid = build_grid(1.0, 2, d)
         roster = (electron(), electron())
         wall = composite_potential(grid, roster, ("wall",), v_wall=0.1)
@@ -219,9 +249,8 @@ class TestComposite:
     )
     def test_non_finite_sum_raises(self, d, roster, terms):
         grid = build_grid(1.0, 2, d)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValidationError, match="non-finite"):
-                composite_potential(grid, roster, terms, v_wall=1e308)
+        with pytest.raises(ValidationError, match="non-finite"):
+            composite_potential(grid, roster, terms, v_wall=1e308)
 
     def test_finite_terms_with_a_non_finite_sum_raise(self):
         # Each term peaks at 1e308; where both electrons sit in wall cell
@@ -230,9 +259,8 @@ class TestComposite:
         roster = (ParticleSpec(mass=1.0, charge=-5e153),) * 2
         for term in ("U_ee", "wall"):
             assert np.all(np.isfinite(composite_potential(grid, roster, (term,), v_wall=5e307)))
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValidationError, match="non-finite"):
-                composite_potential(grid, roster, ("U_ee", "wall"), v_wall=5e307)
+        with pytest.raises(ValidationError, match="non-finite"):
+            composite_potential(grid, roster, ("U_ee", "wall"), v_wall=5e307)
 
 
 class TestBoundsAndLevels:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .grid import HBAR, GridSpec, ParticleSpec, StateVector, quantum_particles
-from .kinetic import momentum_eigenvalue, momentum_matrix
+from .kinetic import momentum_eigenvalues, momentum_matrix
 from .potential import composite_potential
 
 MAX_ORACLE_DIM = 4096
@@ -131,7 +131,7 @@ def loglog_slope(points: Sequence[tuple[float, float]]) -> float:
 
 def _spectral_kinetic_matrix(D: int, delta: float, mass: float) -> np.ndarray:
     f = np.fft.ifft(np.eye(D), axis=0, norm="ortho")
-    p2 = np.array([momentum_eigenvalue(k, D, delta) ** 2 for k in range(D)])
+    p2 = momentum_eigenvalues(D, delta) ** 2
     return f.conj().T @ (p2[:, None] / (2.0 * mass) * f)
 
 
@@ -163,17 +163,15 @@ def dense_evolution_oracle(
         raise ResourceLimitError(f"oracle dimension {dim} exceeds {MAX_ORACLE_DIM}")
 
     h = np.zeros((dim, dim), dtype=np.complex128)
-    for pq, particle in enumerate(quantum):
-        term = "T_n" if particle.is_nucleus else "T_e"
-        if term not in terms:
+    for q, particle in enumerate(quantum):
+        if particle.kinetic_term not in terms:
             continue
         if kinetic_generator == "finite_difference":
             p = momentum_matrix(D, grid.delta)
             k1 = (p @ p) / (2.0 * particle.mass)
         else:
             k1 = _spectral_kinetic_matrix(D, grid.delta, particle.mass)
-        for axis in range(grid.d):
-            r = pq * grid.d + axis
+        for r in grid.registers(q):
             left = D**r
             right = D ** (registers - 1 - r)
             h += np.kron(np.eye(left), np.kron(k1, np.eye(right)))

@@ -2,9 +2,9 @@
 
 A step applies the potential phase first and the kinetic factors second
 (first-order splitting), or the potential in two half phases around the
-kinetic factor (Strang). Kinetic factors act register by register in
-particle-major, axis-ascending order; the registers are disjoint so the
-order only fixes a convention.
+kinetic factor (Strang). Kinetic factors act as (register, plan) pairs,
+in the ascending register order of GridSpec.registers; the registers are
+disjoint so the order only fixes a convention.
 
 Every operator is a unitary on the one state vector, and it acts in
 place: step and kinetic.apply_kinetic_plan write into the amplitudes of
@@ -82,6 +82,8 @@ class EvolutionPlan:
             raise ValidationError(f"kinetic_method must be one of {KINETIC_METHODS}")
         if self.splitting not in SPLITTINGS:
             raise ValidationError(f"splitting must be one of {SPLITTINGS}")
+        if not self.v_wall >= 0:
+            raise ValidationError(f"v_wall must be nonnegative, got {self.v_wall}")
         unknown = self.terms - set(HAMILTONIAN_TERMS)
         if unknown:
             raise ValidationError(f"unknown Hamiltonian terms {sorted(unknown)}")
@@ -93,17 +95,13 @@ class EvolutionPlan:
 
 @dataclass
 class PreparedOperators:
-    """Potential phase and per-register kinetic plans precomputed for one
-    eps. phase is the factor the splitting applies, exp(-i eps V) for
+    """Potential phase and (register, kinetic plan) pairs precomputed for
+    one eps. phase is the factor the splitting applies, exp(-i eps V) for
     first-order and exp(-i eps V / 2) for Strang, or None without a
     potential term."""
 
     phase: np.ndarray | None
-    kinetic: list[tuple[int, int, KineticTrotterPlan | SpectralKineticPlan]]
-
-
-def _kinetic_term_for(particle: ParticleSpec) -> str:
-    return "T_n" if particle.is_nucleus else "T_e"
+    kinetic: list[tuple[int, KineticTrotterPlan | SpectralKineticPlan]]
 
 
 def prepare_operators(
@@ -124,15 +122,15 @@ def prepare_operators(
             np.multiply(scale, phase, out=phase)
             np.exp(phase, out=phase)
 
-    kinetic: list[tuple[int, int, KineticTrotterPlan | SpectralKineticPlan]] = []
+    kinetic: list[tuple[int, KineticTrotterPlan | SpectralKineticPlan]] = []
     make = make_trotter_plan if plan.kinetic_method == "trotter" else make_spectral_plan
     plans: dict[float, KineticTrotterPlan | SpectralKineticPlan] = {}
-    for pq, particle in enumerate(quantum):
-        if _kinetic_term_for(particle) not in plan.terms:
+    for q, particle in enumerate(quantum):
+        if particle.kinetic_term not in plan.terms:
             continue
         if particle.mass not in plans:
             plans[particle.mass] = make(grid.cells_per_axis, grid.delta, particle.mass, eps)
-        kinetic += [(pq, axis, plans[particle.mass]) for axis in range(grid.d)]
+        kinetic += [(r, plans[particle.mass]) for r in grid.registers(q)]
     return PreparedOperators(phase=phase, kinetic=kinetic)
 
 
@@ -143,8 +141,8 @@ def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) 
     phase = operators.phase
     if phase is not None:
         np.multiply(a, phase, out=a)
-    for pq, axis, kplan in operators.kinetic:
-        apply_kinetic_plan(state, pq, axis, kplan)
+    for register, kplan in operators.kinetic:
+        apply_kinetic_plan(state, register, kplan)
     if phase is not None and plan.splitting == "strang":
         np.multiply(a, phase, out=a)
 

@@ -188,6 +188,11 @@ class RunConfig:
             raise ValidationError(f"{experiment} needs times >= 0, got {times}")
         for steps in [cfg.steps, *(cfg.sweep_steps or [])]:
             check_steps(steps)
+        # The method, splitting, terms and wall height, before any state.
+        _evolution_plan(cfg, 0.0, cfg.steps)
+        for name in ("count_particles", "count_qubits"):
+            if any(c < 1 for c in getattr(cfg, name) or []):
+                raise ValidationError(f"{name} needs entries >= 1, got {getattr(cfg, name)}")
         if experiment == "convergence":
             swept = cfg.sweep_qubits if cfg.axis == "spatial" else cfg.sweep_steps
             if len(set(swept)) < 2:
@@ -391,7 +396,7 @@ def _evolution_plan(cfg: RunConfig, total_time: float, steps: int) -> EvolutionP
         T=total_time,
         N_t=steps,
         kinetic_method=cfg.kinetic_method,
-        terms=cfg.terms,
+        terms=cfg.terms or (),
         splitting=cfg.splitting,
         v_wall=cfg.wall_height,
     )

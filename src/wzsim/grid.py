@@ -8,12 +8,13 @@ Conventions used throughout the package:
   width delta = L / 2^n; grid points sit at cell centers delta * (i + 1/2),
   which cell_centers returns for one axis.
 * A quantum particle occupies d registers of n qubits each; register
-  r = particle * d + axis, axes ordered x, y, z. The joint basis index is
-  the C-order ravel of the (D,) * R register tensor of R registers: the
-  index is big-endian, and qubit 0 is the most significant bit of
-  register 0 and of the whole index. StateVector.tensor is that tensor
-  as a view, register_views broadcasts a per-cell table along each of
-  its axes, and IndexCodec converts single indices for reference.
+  r = particle * d + axis, axes ordered x, y, z (GridSpec.registers). The
+  joint basis index is the C-order ravel of the (D,) * R register tensor
+  of R registers: the index is big-endian, and qubit 0 is the most
+  significant bit of register 0 and of the whole index. StateVector.tensor
+  is that tensor as a view, register_views broadcasts a per-cell table
+  along each of its axes, and IndexCodec converts single indices for
+  reference.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ class GridSpec:
     @property
     def cells_per_axis(self) -> int:
         return 2**self.n
+
+    def registers(self, q: int) -> range:
+        """The registers of quantum particle q, one per axis."""
+        return range(q * self.d, (q + 1) * self.d)
 
 
 def build_grid(length: float, n: int, d: int) -> GridSpec:
@@ -137,6 +142,10 @@ class ParticleSpec:
     @property
     def is_nucleus(self) -> bool:
         return self.charge > 0
+
+    @property
+    def kinetic_term(self) -> str:
+        return "T_n" if self.is_nucleus else "T_e"
 
 
 def quantum_particles(particles: Sequence[ParticleSpec]) -> tuple[ParticleSpec, ...]:

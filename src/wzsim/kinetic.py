@@ -5,30 +5,31 @@ Two interchangeable single-axis methods are provided:
 * a finite-difference route: the antisymmetrized central-difference
   momentum matrix P is squared analytically into overlapping three-level
   blocks, and exp(-i eps P^2 / 2M hbar) is approximated by the ordered
-  product of the exact block exponentials. The product is never formed:
-  it reduces to two first-order linear recurrences with a constant pole,
-  one per cell parity, which a log-depth prefix scan evaluates in O(D)
-  numpy passes per register;
+  product of the exact block exponentials (trotter_coupling_block). Only
+  the reference trotter_factor_matrix forms it: the kernel reduces it to
+  two first-order linear recurrences with a constant pole, one per cell
+  parity, which a log-depth prefix scan evaluates in O(D) numpy passes;
 * a spectral route: conjugation by the discrete Fourier transform, under
   which P is asymptotically diagonal with eigenvalues
-  -(hbar/delta) sin(2 pi k / D), so the kinetic phase is applied exactly
-  in momentum space. The transforms run in place in numpy.fft.
+  -(hbar/delta) sin(2 pi k / D) (momentum_eigenvalues), so the kinetic
+  phase is applied exactly in momentum space, in place in numpy.fft.
 
 Each plan carries its line kernel: lines(a) applies the factor along
 axis 0 of a, in place. apply_kinetic_plan, the one apply path, runs it
-on one register (one particle, one axis) of the state it is given;
-registers are disjoint, so axis application order is irrelevant. With
-more than one register, it cuts the register tensor along another axis
-into slabs and deals them out over WZ_THREADS threads, a count read once
-into the plan. A thread is worth its hand-off only for grid.SLAB_BYTES
-of state, so a call uses at most max(1, state bytes // SLAB_BYTES)
-threads: a state under SLAB_BYTES runs on the caller's thread alone.
-The spectral kernel works in place, so its tensor is cut into one slab
-per thread. The scan holds three temporaries the size of its slab, so
-the Trotter tensor is cut into as many more as keep them under
-SLAB_BYTES, at most one per cell of the cut axis. Every 1-D line is worked on alone, so the
-result does not depend on the cut or the thread count. A one-register
-state is one call on the caller's thread.
+on one register of the state it is given: axis r of the register
+tensor, as GridSpec.registers numbers them. Registers are disjoint, so
+application order is irrelevant. With more than one register, it cuts
+the register tensor along another axis into slabs and deals them out
+over WZ_THREADS threads, a count read once into the plan. A thread is
+worth its hand-off only for grid.SLAB_BYTES of state, so a call uses at
+most max(1, state bytes // SLAB_BYTES) threads: a state under
+SLAB_BYTES runs on the caller's thread alone. The spectral kernel works
+in place, so its tensor is cut into one slab per thread. The scan holds
+three temporaries the size of its slab, so the Trotter tensor is cut
+into as many more as keep them under SLAB_BYTES, at most one per cell
+of the cut axis. Every 1-D line is worked on alone, so the result does
+not depend on the cut or the thread count. A one-register state is one
+call on the caller's thread.
 """
 
 from __future__ import annotations
@@ -169,28 +170,20 @@ def trotter_xi(delta: float, mass: float, eps: float) -> complex:
     return xi
 
 
-def _sweep_trotter(block_axis: np.ndarray, xi: complex) -> np.ndarray:
-    """Apply the ordered block product along axis 0 of a (D, ...) array."""
-    a = block_axis.astype(np.complex128, copy=True)
-    D = a.shape[0]
+def trotter_factor_matrix(D: int, xi: complex) -> np.ndarray:
+    """Dense matrix of the composed block product for one register: the
+    identity, with trotter_coupling_block(xi) applied to rows i-1 .. i+1
+    for i = D-2 down to 1 between the endpoint phases on rows D-1 and 0.
+    A reference for _trotter_scan."""
+    _check_register_size(D)
+    a = np.eye(D, dtype=np.complex128)
+    block = trotter_coupling_block(xi)
     end = np.exp(-xi)
-    ch, sh, mid = np.cosh(xi), np.sinh(xi), np.exp(-2.0 * xi)
     a[D - 1] *= end
     for i in range(D - 2, 0, -1):
-        lo = a[i - 1].copy()
-        hi = a[i + 1]
-        a[i - 1] = ch * lo + sh * hi
-        a[i + 1] = sh * lo + ch * hi
-        a[i] *= mid
+        a[i - 1 : i + 2] = block @ a[i - 1 : i + 2]
     a[0] *= end
     return a
-
-
-def trotter_factor_matrix(D: int, xi: complex) -> np.ndarray:
-    """Dense matrix of the composed block product for one register, built
-    by sweeping the blocks one at a time. A reference for _trotter_scan."""
-    _check_register_size(D)
-    return _sweep_trotter(np.eye(D, dtype=np.complex128), xi)
 
 
 def _trotter_scan(o: np.ndarray, k: ScanCoefficients) -> np.ndarray:
@@ -257,20 +250,18 @@ class SpectralKineticPlan:
         np.fft.fft(a, axis=0, norm="ortho", out=a)
 
 
-def momentum_eigenvalue(k: int, D: int, delta: float) -> float:
-    """Asymptotic eigenvalue of P under Fourier conjugation."""
+def momentum_eigenvalues(D: int, delta: float) -> np.ndarray:
+    """The D asymptotic eigenvalues -(hbar/delta) sin(2 pi k / D) of P
+    under Fourier conjugation, k = 0 .. D-1."""
     _check_register_size(D)
-    if not 0 <= k < D:
-        raise ValidationError(f"momentum index {k} outside [0, {D})")
-    return -(HBAR / delta) * np.sin(2.0 * np.pi * k / D)
+    return -(HBAR / delta) * np.sin(2.0 * np.pi * np.arange(D) / D)
 
 
 def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> SpectralKineticPlan:
     _check_register_size(D)
     if mass <= 0:
         raise ValidationError("mass must be positive")
-    k = np.arange(D)
-    p = -(HBAR / delta) * np.sin(2.0 * np.pi * k / D)
+    p = momentum_eigenvalues(D, delta)
     # A huge eps makes a NaN table, which evolution.evolve's norm check catches.
     with np.errstate(over="ignore", invalid="ignore"):
         table = np.exp(-1j * eps * p * p / (2.0 * mass * HBAR))
@@ -291,27 +282,20 @@ def iqft(values: np.ndarray) -> np.ndarray:
 
 
 def apply_kinetic_plan(
-    state: StateVector,
-    particle: int,
-    axis: int,
-    plan: KineticTrotterPlan | SpectralKineticPlan,
+    state: StateVector, register: int, plan: KineticTrotterPlan | SpectralKineticPlan
 ) -> None:
-    """Apply plan's kinetic factor to the register of particle's axis, in
-    place."""
-    if not 0 <= particle < len(state.particles):
-        raise ValidationError(f"particle index {particle} out of range")
-    if not 0 <= axis < state.grid.d:
-        raise ValidationError(f"axis {axis} out of range for d={state.grid.d}")
+    """Apply plan's kinetic factor to one register of state, in place."""
+    t = state.tensor
+    if not 0 <= register < t.ndim:
+        raise ValidationError(f"register {register} outside [0, {t.ndim})")
     D = state.grid.cells_per_axis
     if plan.dim != D:
         raise ValidationError(f"a plan for {plan.dim} cells applied to registers of {D}")
-    t = state.tensor
     if t.ndim == 1:
         plan.lines(t)
         return
-    reg = particle * state.grid.d + axis
     _on_slabs(
-        lambda slab: plan.lines(slab.swapaxes(0, reg)), t, reg, plan.workers, plan.temporaries
+        lambda s: plan.lines(s.swapaxes(0, register)), t, register, plan.workers, plan.temporaries
     )
 
 

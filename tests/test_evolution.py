@@ -14,7 +14,7 @@ from wzsim.evolution import (
     step,
 )
 from wzsim import grid as grid_mod
-from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state
+from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state, quantum_particles
 from wzsim.kinetic import apply_kinetic_plan
 from wzsim.potential import composite_potential
 
@@ -56,6 +56,9 @@ class TestPlanValidation:
             EvolutionPlan(T=1.0, N_t=10, splitting="second-order")
         with pytest.raises(ValidationError):
             EvolutionPlan(T=1.0, N_t=10, terms={"T_e", "U_xx"})
+        for v_wall in (-1.0, float("nan")):
+            with pytest.raises(ValidationError):
+                EvolutionPlan(T=1.0, N_t=10, v_wall=v_wall)
 
     def test_step_count_is_bounded(self):
         assert EvolutionPlan(T=1.0, N_t=MAX_STEPS).N_t == MAX_STEPS
@@ -129,7 +132,7 @@ class TestPreparedOperators:
         roster = (electron(), electron(), proton_clamped((1, 1)))
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "U_en"})
         ops = prepare_operators(grid, roster, plan)
-        assert [(pq, ax) for pq, ax, _ in ops.kinetic] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [r for r, _ in ops.kinetic] == [0, 1, 2, 3]
 
     def test_nuclear_kinetic_term_is_separate(self):
         grid = build_grid(1.0, 2, 1)
@@ -148,8 +151,8 @@ class TestPreparedOperators:
 
 class TestStepComposition:
     def _manual_kinetic(self, state, ops):
-        for pq, axis, kplan in ops.kinetic:
-            apply_kinetic_plan(state, pq, axis, kplan)
+        for register, kplan in ops.kinetic:
+            apply_kinetic_plan(state, register, kplan)
 
     def test_first_order_is_phase_then_kinetic(self):
         grid = build_grid(1.0, 4, 1)
@@ -276,8 +279,8 @@ def molecule_roster(grid):
 
 
 def one_ion_roster(grid):
-    """Two electrons and a proton clamped at the middle cell, in 1D."""
-    return (electron(), electron(), proton_clamped((grid.cells_per_axis // 2,)))
+    """Two electrons and a proton clamped at the middle cell."""
+    return (electron(), electron(), proton_clamped((grid.cells_per_axis // 2,) * grid.d))
 
 
 def random_state(grid, n_particles, seed=0):
@@ -323,8 +326,8 @@ class TestWorkBuffer:
         assert step(state, plan, ops) is None
         assert state.amplitudes is buffer
         manual.amplitudes[:] *= ops.phase
-        for pq, axis, kplan in ops.kinetic:
-            apply_kinetic_plan(manual, pq, axis, kplan)
+        for register, kplan in ops.kinetic:
+            apply_kinetic_plan(manual, register, kplan)
         if splitting == "strang":
             manual.amplitudes[:] *= ops.phase
         assert np.array_equal(state.amplitudes, manual.amplitudes)
@@ -420,9 +423,10 @@ class TestWorkBuffer:
 
 
 class TestInteractingOracle:
-    """Two electrons and a clamped proton in 1D, with U_ee, U_en and the
-    wall, stepped from a random state and measured against the dense
-    propagator of the generator each route exponentiates."""
+    """Two electrons and a proton with U_ee, U_en and the wall, stepped
+    from a random state and measured against the dense propagator of the
+    generator each route exponentiates. The proton is clamped, in 1D and
+    in 2D, or quantum in 1D with its own kinetic term T_n."""
 
     T, STEPS = 0.05, (10, 40, 160)
     # The least log-log slope of the distance against eps, and a bound on
@@ -435,30 +439,40 @@ class TestInteractingOracle:
         ("spectral", "strang"): (1.8, 1e-6),
     }
 
-    @staticmethod
-    def system():
-        grid = build_grid(4.0, 5, 1)
-        return grid, one_ion_roster(grid), random_state(grid, 2, 3)
+    # n qubits per axis, d dimensions, and whether the proton is quantum.
+    SYSTEMS = {
+        "1d-n5-clamped": (5, 1, False),
+        "1d-n3-quantum-proton": (3, 1, True),
+        "2d-n2-clamped": (2, 2, False),
+    }
 
-    @pytest.fixture(scope="class")
-    def exact(self):
-        """The exact final state for each kinetic method, one oracle each."""
-        grid, roster, state = self.system()
+    @pytest.fixture(scope="class", params=list(SYSTEMS))
+    def system(self, request):
+        """The system's roster, initial state and terms, and the exact
+        final state for each kinetic method, one oracle each."""
+        n, d, quantum_proton = self.SYSTEMS[request.param]
+        grid = build_grid(4.0, n, d)
+        roster, terms = one_ion_roster(grid), MOLECULE_TERMS
+        if quantum_proton:
+            roster, terms = roster[:2] + (ParticleSpec(mass=1836.0, charge=1.0),), terms | {"T_n"}
+        quantum = quantum_particles(roster)
+        state = StateVector(random_state(grid, len(quantum), 3).amplitudes, grid, quantum)
         generators = {"trotter": "finite_difference", "spectral": "spectral"}
-        return {
+        exact = {
             method: dense_evolution_oracle(
-                grid, roster, MOLECULE_TERMS, self.T, v_wall=10.0, kinetic_generator=generator
+                grid, roster, terms, self.T, v_wall=10.0, kinetic_generator=generator
             )(state).amplitudes
             for method, generator in generators.items()
         }
+        return roster, state, terms, exact
 
     @pytest.mark.parametrize("method, splitting", sorted(BOUNDS))
-    def test_distance_shrinks_at_the_splitting_order(self, exact, method, splitting):
-        grid, roster, state = self.system()
+    def test_distance_shrinks_at_the_splitting_order(self, system, method, splitting):
+        roster, state, terms, exact = system
         distances = []
         for n_t in self.STEPS:
             plan = EvolutionPlan(
-                T=self.T, N_t=n_t, kinetic_method=method, terms=MOLECULE_TERMS,
+                T=self.T, N_t=n_t, kinetic_method=method, terms=terms,
                 splitting=splitting, v_wall=10.0,
             )
             final = evolve(copy_of(state), plan, particles=roster).final_state

@@ -640,6 +640,15 @@ MALFORMED = [
     ("synth-report", {"pattern_angles": [1, 2, 3, "x"]}),
     ("synth-report", {"count_qubits": [1, "2"]}),
     ("synth-report", {"count_qubits": [15000]}),
+    ("synth-report", {"count_qubits": [0, 3]}),
+    ("synth-report", {"count_particles": [0]}),
+    # Evolution settings an experiment never reads are still recorded.
+    (
+        "synth-report",
+        {"kinetic_method": "bogus", "splitting": "nope", "terms": ["X"], "wall_height": -5},
+    ),
+    ("sample", {"kinetic_method": "bogus", "total_time": 0}),
+    ("molecule2d", {"wall_height": -1}),
     # Non-finite potential sums, rejected before the first step.
     ("molecule2d", {"terms": ["T_e", "U_en", "wall"], "wall_height": 1e308}),
     ("molecule2d", {"particles": [{**ELECTRON, "charge": -1e308}, {**PROTON, "charge": 1e308}]}),
@@ -739,6 +748,23 @@ class TestCli:
             tracemalloc.stop()
         assert code == 3
         assert "32 total qubits exceed the limit of 30" in capsys.readouterr().err
+        assert peak < 2**20
+
+    def test_splitting_checked_before_allocation(self, tmp_path, capsys):
+        # Two electrons in 2D at n=5: a 16 MiB state.
+        payload = {
+            "qubits_per_axis": 5, "steps": 2, "splitting": "nope",
+            "particles": [ELECTRON, ELECTRON, PROTON],
+        }
+        cfg = write_config(tmp_path / "c.json", payload)
+        tracemalloc.start()
+        try:
+            code = main(["molecule2d", "--config", cfg, "--out", str(tmp_path / "out")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "splitting must be one of" in capsys.readouterr().err
         assert peak < 2**20
 
     def test_synth_report_exit_zero(self, tmp_path, capsys):

@@ -74,6 +74,7 @@ class TestParticleSpec:
         assert e.is_quantum and e.is_electron and not e.is_nucleus
         assert not p.is_quantum and p.is_nucleus
         assert n.is_quantum and not n.is_electron and not n.is_nucleus
+        assert (e.kinetic_term, p.kinetic_term, n.kinetic_term) == ("T_e", "T_n", "T_e")
 
     def test_clamped_requires_cell(self):
         with pytest.raises(ValidationError):
@@ -169,6 +170,11 @@ class TestRegisterLayout:
             assert np.array_equal(axis_cells, shift_and_mask(at, n, R, r))
             assert np.array_equal(axis_cells.reshape(-1), unflat[:, r])
             assert np.array_equal(view, axis_cells)
+        # GridSpec.registers(q) lists the tensor axes of particle q's cells.
+        per_axis = unflat.reshape(-1, n_q, d)
+        for q in range(n_q):
+            for axis, r in enumerate(grid.registers(q)):
+                assert np.array_equal(np.indices(t.shape)[r].reshape(-1), per_axis[:, q, axis])
         for m in flat:
             cells = [shift_and_mask(m, n, R, r) for r in range(R)]
             assert codec.flat_index(np.reshape(cells, (n_q, d))) == m

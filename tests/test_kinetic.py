@@ -19,14 +19,13 @@ from wzsim.kinetic import (
     iqft,
     make_spectral_plan,
     make_trotter_plan,
-    momentum_eigenvalue,
+    momentum_eigenvalues,
     momentum_matrix,
     qft,
     scan_coefficients,
     trotter_coupling_block,
     trotter_factor_matrix,
     trotter_xi,
-    _sweep_trotter,
     _trotter_scan,
 )
 
@@ -184,14 +183,6 @@ class TestTrotterFactor:
         factor = trotter_factor_matrix(D, 1j * mag)
         assert np.max(np.abs(factor @ factor.conj().T - np.eye(D))) < 1e-12
 
-    def test_sweep_equals_dense_matrix_action(self):
-        D, xi = 16, 0.021j
-        rng = np.random.default_rng(5)
-        vec = rng.normal(size=D) + 1j * rng.normal(size=D)
-        dense = trotter_factor_matrix(D, xi) @ vec
-        swept = _sweep_trotter(vec.copy(), xi)
-        assert np.max(np.abs(dense - swept)) < 1e-14
-
     @pytest.mark.parametrize("D", [2**k for k in range(1, 13)])
     def test_scan_matches_dense_factor(self, D):
         xi = 0.013j
@@ -224,7 +215,7 @@ class TestTrotterFactor:
         st_ = StateVector(amps, grid, (electron(),)).normalized()
         plan = make_trotter_plan(16, grid.delta, 1.0, 1e-3)
         out = copy_of(st_)
-        apply_kinetic_plan(out, 0, reg, plan)
+        apply_kinetic_plan(out, reg, plan)
         t = st_.amplitudes.reshape((16,) * 3)
         dense = np.tensordot(trotter_factor_matrix(16, plan.xi), t, axes=(1, reg))
         dense = np.moveaxis(dense, 0, reg).reshape(-1)
@@ -264,10 +255,10 @@ class TestSpectral:
 
     def test_momentum_eigenvalue_quarter_wave(self):
         D, delta = 16, 0.25
-        assert momentum_eigenvalue(D // 4, D, delta) == pytest.approx(-HBAR / delta, rel=1e-15)
-        assert momentum_eigenvalue(0, D, delta) == 0.0
-        with pytest.raises(ValidationError):
-            momentum_eigenvalue(D, D, delta)
+        p = momentum_eigenvalues(D, delta)
+        assert p.shape == (D,)
+        assert p[D // 4] == pytest.approx(-HBAR / delta, rel=1e-15)
+        assert p[0] == 0.0
 
     def test_phase_table_unit_modulus_and_quarter_entry(self):
         D, delta, mass, eps = 16, 0.25, 2.0, 1e-3
@@ -284,7 +275,7 @@ class TestApplyKinetic:
         rng = np.random.default_rng(9)
         amps = rng.normal(size=64) + 1j * rng.normal(size=64)
         out = StateVector(amps, grid, (electron(), electron())).normalized()
-        apply_kinetic_plan(out, 1, 0, METHODS[method](8, grid.delta, 1.0, 1e-4))
+        apply_kinetic_plan(out, 1, METHODS[method](8, grid.delta, 1.0, 1e-4))
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_acts_only_on_addressed_register(self):
@@ -294,7 +285,7 @@ class TestApplyKinetic:
         b = rng.normal(size=8) + 1j * rng.normal(size=8)
         out = StateVector(np.kron(a, b), grid, (electron(), electron())).normalized()
         plan = make_trotter_plan(8, grid.delta, 1.0, 1e-4)
-        apply_kinetic_plan(out, 0, 0, plan)
+        apply_kinetic_plan(out, 0, plan)
         expected = np.kron(trotter_factor_matrix(8, plan.xi) @ a, b)
         expected /= np.linalg.norm(np.kron(a, b))
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
@@ -303,15 +294,15 @@ class TestApplyKinetic:
     @pytest.mark.parametrize("particles, d", [(1, 1), (2, 1), (1, 2)])
     def test_register_bounds_checked(self, method, particles, d):
         # One register, and two as two particles or as two axes: every
-        # particle or axis index outside the state is refused, and the
-        # state is left as it was.
+        # register index outside the state is refused, and the state is
+        # left as it was.
         grid = build_grid(1.0, 2, d)
         state = TestSpectralSlabs.random_state(grid, (electron(),) * particles, 0)
         before = state.amplitudes.copy()
         plan = METHODS[method](4, grid.delta, 1.0, 1e-3)
-        for particle, axis in ((particles, 0), (-1, 0), (0, d), (0, -1), (particles, d)):
+        for register in (-1, particles * d, particles * d + 1):
             with pytest.raises(ValidationError):
-                apply_kinetic_plan(state, particle, axis, plan)
+                apply_kinetic_plan(state, register, plan)
         assert np.array_equal(state.amplitudes, before)
 
     @pytest.mark.parametrize("method", sorted(METHODS))
@@ -322,7 +313,7 @@ class TestApplyKinetic:
             state = StateVector(np.ones(2 ** (n * d), complex), grid, (electron(),)).normalized()
             before = state.amplitudes.copy()
             with pytest.raises(ValidationError):
-                apply_kinetic_plan(state, 0, 0, METHODS[method](wrong, grid.delta, 1.0, 1e-3))
+                apply_kinetic_plan(state, 0, METHODS[method](wrong, grid.delta, 1.0, 1e-3))
             assert np.array_equal(state.amplitudes, before)
 
 
@@ -349,7 +340,7 @@ class TestSpectralSlabs:
         plan = make_spectral_plan(grid.cells_per_axis, grid.delta, 1.0, 0.05)
         assert plan.workers == threads
         out = copy_of(state)
-        apply_kinetic_plan(out, reg // grid.d, reg % grid.d, plan)
+        apply_kinetic_plan(out, reg, plan)
         return out, plan
 
     @staticmethod
@@ -409,7 +400,7 @@ class TestSpectralSlabs:
         for reg in range(registers):
             state = self.random_state(grid, (electron(),) * particles, reg)
             out = copy_of(state)
-            apply_kinetic_plan(out, reg // d, reg % d, plan)
+            apply_kinetic_plan(out, reg, plan)
             whole = state.amplitudes.copy().reshape((D,) * registers)
             _trotter_scan(whole.swapaxes(0, reg), plan.scan)
             assert np.array_equal(out.amplitudes, whole.reshape(-1))
@@ -429,7 +420,7 @@ class TestSpectralSlabs:
         for cap in (grid_mod.SLAB_BYTES, state.amplitudes.nbytes + 16):
             monkeypatch.setattr(grid_mod, "SLAB_BYTES", cap)
             for reg in range(4):
-                apply_kinetic_plan(state, reg // 2, reg % 2, plan)
+                apply_kinetic_plan(state, reg, plan)
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("caps, threads", [(1, 1), (2, 2), (3, 3), (100, 3)])
@@ -448,7 +439,7 @@ class TestSpectralSlabs:
         plan = METHODS[method](8, grid.delta, 1.0, 0.05)
         state = self.random_state(grid, (electron(), electron()), 0)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // caps)
-        apply_kinetic_plan(state, 0, 1, plan)
+        apply_kinetic_plan(state, 1, plan)
         assert asked == [threads - 1] * (threads - 1)
 
 

@@ -61,6 +61,22 @@ BOX_SCALED = {
     "evolve_times": [0.05, 0.4],
 }
 
+# One electron on a 512x512 grid: its 2 MiB table against a clamped
+# nucleus is over grid.SLAB_BYTES, so it is added in blocks of rows; and
+# two nuclei in one cell, whose constant takes one cell width for r.
+ROW_BLOCKS = {
+    "qubits_per_axis": 9,
+    "steps": 2,
+    "total_time": 0.01,
+    "particles": [
+        ELECTRON,
+        nucleus([200, 256]),
+        {**nucleus([200, 256]), "charge": 2.0},
+    ],
+    "terms": ["T_e", "U_en", "U_nn", "wall"],
+    "wall_height": 50.0,
+}
+
 TROTTER_STRANG = {"kinetic_method": "trotter", "splitting": "strang"}
 
 # 8192 density rows: the CSV writer streams them in more than one block.
@@ -83,6 +99,7 @@ RUNS = {
     "molecule2d-2e-trotter": ("molecule2d", {**TWO_ELECTRONS, "kinetic_method": "trotter"}),
     "molecule2d-3e-spectral": ("molecule2d", THREE_ELECTRONS),
     "molecule2d-3e-trotter": ("molecule2d", {**THREE_ELECTRONS, "kinetic_method": "trotter"}),
+    "molecule2d-row-blocks": ("molecule2d", ROW_BLOCKS),
     "sample": ("sample", {}),
     "synth-report": ("synth-report", {}),
 }

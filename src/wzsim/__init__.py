@@ -39,14 +39,12 @@ from .grid import (
     ParticleSpec,
     StateVector,
     build_grid,
-    cell_center,
     density,
     encode_state,
     marginal_density,
 )
 from .kinetic import (
     apply_kinetic_plan,
-    derivative_matrix,
     fourier_conjugation_diagnostic,
     make_spectral_plan,
     make_trotter_plan,
@@ -55,7 +53,6 @@ from .kinetic import (
     trotter_factor_matrix,
 )
 from .potential import (
-    antidiagonal_fold,
     antidiagonal_symmetry_check,
     build_coulomb_diagonal,
     composite_potential,
@@ -77,13 +74,11 @@ __all__ = [
     "ResourceLimitError",
     "StateVector",
     "ValidationError",
-    "antidiagonal_fold",
     "antidiagonal_symmetry_check",
     "apply_kinetic_plan",
     "box_exact_density",
     "build_coulomb_diagonal",
     "build_grid",
-    "cell_center",
     "circuit_from_text",
     "circuit_to_text",
     "circuit_unitary",
@@ -91,7 +86,6 @@ __all__ = [
     "count_kinetic_gates",
     "dense_evolution_oracle",
     "density",
-    "derivative_matrix",
     "encode_state",
     "evolve",
     "fourier_conjugation_diagnostic",

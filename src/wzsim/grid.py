@@ -6,7 +6,8 @@ Conventions used throughout the package:
   coupling e^2/(4 pi eps0) = 1. Lengths are in bohr, energies in hartree.
 * Each spatial axis of the box [0, L]^d is split into D = 2^n cells of
   width delta = L / 2^n; grid points sit at cell centers delta * (i + 1/2),
-  which cell_centers returns for one axis.
+  which cell_centers returns for one axis, and a clamped particle sits at
+  the center of its cell (clamped_position).
 * A quantum particle occupies d registers of n qubits each; register
   r = particle * d + axis, axes ordered x, y, z (GridSpec.registers). The
   joint basis index is the C-order ravel of the (D,) * R register tensor
@@ -82,17 +83,6 @@ def build_grid(length: float, n: int, d: int) -> GridSpec:
     return GridSpec(length=float(length), n=int(n), d=int(d))
 
 
-def cell_center(grid: GridSpec, idx: Sequence[int]) -> np.ndarray:
-    """Position of the center of the cell with per-axis indices idx."""
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != grid.d:
-        raise ValidationError(f"expected {grid.d} axis indices, got {len(idx)}")
-    for i in idx:
-        if not 0 <= i < grid.cells_per_axis:
-            raise ValidationError(f"cell index {i} outside [0, {grid.cells_per_axis})")
-    return grid.delta * (np.asarray(idx, dtype=float) + 0.5)
-
-
 def cell_centers(grid: GridSpec) -> np.ndarray:
     """The D cell-center coordinates of one axis."""
     return grid.delta * (np.arange(grid.cells_per_axis, dtype=float) + 0.5)
@@ -153,9 +143,16 @@ def quantum_particles(particles: Sequence[ParticleSpec]) -> tuple[ParticleSpec, 
 
 
 def clamped_position(grid: GridSpec, particle: ParticleSpec) -> np.ndarray:
-    if particle.clamped_cell is None:
+    """The center of a clamped particle's cell, one coordinate per axis."""
+    cell = particle.clamped_cell
+    if cell is None:
         raise ValidationError("particle is not clamped")
-    return cell_center(grid, particle.clamped_cell)
+    if len(cell) != grid.d:
+        raise ValidationError(f"expected {grid.d} axis indices, got {len(cell)}")
+    for i in cell:
+        if not 0 <= i < grid.cells_per_axis:
+            raise ValidationError(f"cell index {i} outside [0, {grid.cells_per_axis})")
+    return cell_centers(grid)[list(cell)]
 
 
 def total_qubits(n: int, d: int, n_particles: int) -> int:

@@ -59,30 +59,10 @@ def _check_register_size(D: int) -> None:
         raise ValidationError(f"register size must be a power of two >= 2, got {D}")
 
 
-def derivative_matrix(D: int, delta: float) -> np.ndarray:
-    """Central-difference first derivative, one-sided at the endpoints.
-
-    Interior rows hold (-1, 0, 1)/(2 delta); the first and last rows use
-    the forward and backward two-point differences scaled to match.
-    """
-    _check_register_size(D)
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-    m = np.zeros((D, D), dtype=float)
-    for j in range(1, D - 1):
-        m[j, j - 1] = -1.0
-        m[j, j + 1] = 1.0
-    m[0, 0], m[0, 1] = -2.0, 2.0
-    m[D - 1, D - 2], m[D - 1, D - 1] = -2.0, 2.0
-    return m / (2.0 * delta)
-
-
 def momentum_matrix(D: int, delta: float) -> np.ndarray:
-    """Hermitian momentum operator -i hbar * antisym(derivative).
-
-    Antisymmetrizing the derivative stencil zeroes the endpoint diagonal,
-    leaving +/-(-i hbar / 2 delta) on the off-diagonals.
-    """
+    """Hermitian central-difference momentum operator: -i hbar / (2 delta)
+    on the superdiagonal, +i hbar / (2 delta) on the subdiagonal and a zero
+    diagonal, the same stencil at the endpoints as inside."""
     _check_register_size(D)
     if delta <= 0:
         raise ValidationError("delta must be positive")
@@ -266,19 +246,6 @@ def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> Spectra
     with np.errstate(over="ignore", invalid="ignore"):
         table = np.exp(-1j * eps * p * p / (2.0 * mass * HBAR))
     return SpectralKineticPlan(dim=D, phase_table=table, workers=_worker_count())
-
-
-def qft(values: np.ndarray) -> np.ndarray:
-    """Unitary transform F[j, k] = exp(+2 pi i j k / D) / sqrt(D)."""
-    values = np.asarray(values, dtype=np.complex128)
-    _check_register_size(values.shape[-1])
-    return np.fft.ifft(values, norm="ortho")
-
-
-def iqft(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.complex128)
-    _check_register_size(values.shape[-1])
-    return np.fft.fft(values, norm="ortho")
 
 
 def apply_kinetic_plan(

@@ -2,19 +2,22 @@
 
 Coulomb interactions are diagonal in the position basis: each joint basis
 state maps to a sum of pair energies e' q_p q_q / r over the selected
-pairs. A diagonal is a flat float64 array of those energies, one entry
-per basis state of the (D,) * R register tensor, and each term is added
-into it from a small table, as a broadcast view: every term depends on
-one particle's cell or on one pair's displacement. Particles are
-classified by charge sign: negative charge means electron, positive
-means nucleus. Two particles in the same cell are regularized by
-replacing the vanishing separation with one cell width.
+pairs, plus the wall's v_wall once per register at cell 0 or D - 1. A
+diagonal is a flat float64 array of those energies, one entry per basis
+state of the (D,) * R register tensor. Every term is an (index, table)
+pair, added in one way, energies[index] += table: the table is small and
+broadcasts over the tensor, as each term depends on one particle's cell,
+on one pair's displacement or on nothing. _coulomb_terms and _wall_terms
+yield the terms in the order of the sums. Particles are classified by
+charge sign: negative charge means electron, positive means nucleus. Two
+particles in the same cell are regularized by replacing the vanishing
+separation with one cell width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,16 +52,6 @@ class LevelQuantization:
     level_count: int
 
 
-def pair_energy(r_p: np.ndarray, r_q: np.ndarray, qq: float, delta: float) -> float:
-    """Coulomb energy of one pair; same-cell distance is clamped to delta."""
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
-    dist = float(np.linalg.norm(np.asarray(r_p, float) - np.asarray(r_q, float)))
-    if dist == 0.0:
-        dist = delta
-    return E_PRIME * qq / dist
-
-
 def _pair_in_term(p: ParticleSpec, q: ParticleSpec, term: str) -> bool:
     if term == "all":
         return (p.is_electron or p.is_nucleus) and (q.is_electron or q.is_nucleus)
@@ -84,37 +77,22 @@ def _pair_table(displacements: Sequence[np.ndarray], qq: float, delta: float) ->
     return table
 
 
-def build_coulomb_diagonal(
-    grid: GridSpec,
-    particles: Sequence[ParticleSpec],
-    term: str,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sum of pair Coulomb energies for the selected term over the joint
-    basis of the quantum particles, added into the flat diagonal out (a
-    new zeroed one when out is None), which is returned.
-
-    The pairs are added in roster order, each from a table. A quantum
-    particle and a clamped one: the D^d table over the quantum particle's
-    cells, built in blocks of rows under grid.SLAB_BYTES, as it is half a
-    state when that particle is the only one. Two quantum particles: a
-    window of D cells per axis of the (2D-1)^d table over their
-    displacement, a view. Two clamped particles: a constant."""
-    if term not in COULOMB_TERMS:
-        raise ValidationError(f"term must be one of {COULOMB_TERMS}, got {term!r}")
-    particles = tuple(particles)
-    quantum = quantum_particles(particles)
-    if not quantum:
-        raise ValidationError("need at least one quantum particle")
+def _coulomb_terms(
+    grid: GridSpec, particles: tuple[ParticleSpec, ...], term: str
+) -> Iterator[tuple[tuple, np.ndarray]]:
+    """The selected pairs' terms, in roster order. Two quantum particles:
+    a window of D cells per axis of the (2D-1)^d table over their
+    displacement, a view. A quantum particle and a clamped one: the D^d
+    table over the quantum particle's cells, in blocks of rows under
+    grid.SLAB_BYTES, as it is half a state when that particle is the only
+    one. Two clamped particles: a constant."""
     d = grid.d
     D = grid.cells_per_axis
-    registers = len(quantum) * d
-    flat = np.zeros(D**registers) if out is None else out
-    energies = flat.reshape((D,) * registers)
     first = {}
     for i, p in enumerate(particles):
         if p.is_quantum:
             first[i] = len(first) * d
+    registers = len(first) * d
 
     delta = grid.delta
     centers = register_views(cell_centers(grid), d)
@@ -136,7 +114,7 @@ def build_coulomb_diagonal(
                 table = _pair_table(displacements, qq, delta)
                 view = sliding_window_view(table, (D,) * d)[backwards]
                 axes = [*range(first[i], first[i] + d), *range(first[j], first[j] + d)]
-                energies += np.expand_dims(view, tuple(set(range(registers)) - set(axes)))
+                yield (), np.expand_dims(view, tuple(set(range(registers)) - set(axes)))
             elif pi.is_quantum or pj.is_quantum:
                 a = first[i] if pi.is_quantum else first[j]
                 fixed = clamped_position(grid, pj if pi.is_quantum else pi)
@@ -144,24 +122,48 @@ def build_coulomb_diagonal(
                 for lo, hi in zip(rows, rows[1:]):
                     block = _pair_table([disp[0][lo:hi], *disp[1:]], qq, delta)
                     block = block.reshape(block.shape + (1,) * (registers - a - d))
-                    energies[(slice(None),) * a + (slice(lo, hi),)] += block
+                    yield (slice(None),) * a + (slice(lo, hi),), block
             else:
-                energies += pair_energy(
-                    clamped_position(grid, pi), clamped_position(grid, pj), qq, delta
-                )
-    return flat
+                r = clamped_position(grid, pi) - clamped_position(grid, pj)
+                yield (), _pair_table(list(r), qq, delta)
 
 
-def _wall_energies(v_wall: float, energies: np.ndarray) -> None:
-    """Add v_wall into the register tensor energies at cell 0 and cell
-    D - 1 of every register, one face of the tensor at a time. A basis
-    state thus gets v_wall once per register on a wall, added in the same
-    order whichever particles those registers belong to."""
-    if v_wall < 0:
-        raise ValidationError("wall height must be nonnegative")
-    for r in range(energies.ndim):
+def _wall_terms(registers: int, v_wall: float) -> Iterator[tuple[tuple, float]]:
+    """The wall's terms: v_wall at cell 0 and cell D - 1 of every
+    register, one face of the tensor at a time. A basis state thus gets
+    v_wall once per register on a wall, added in register order whichever
+    particles those registers belong to."""
+    for r in range(registers):
         for edge in (0, -1):
-            energies[(slice(None),) * r + (edge,)] += v_wall
+            yield (slice(None),) * r + (edge,), v_wall
+
+
+def _add_terms(energies: np.ndarray, terms: Iterable[tuple[tuple, np.ndarray | float]]) -> None:
+    """The one way a potential term enters a diagonal, in term order."""
+    for index, table in terms:
+        energies[index] += table
+
+
+def build_coulomb_diagonal(
+    grid: GridSpec,
+    particles: Sequence[ParticleSpec],
+    term: str,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sum of pair Coulomb energies for the selected term over the joint
+    basis of the quantum particles, added into the flat diagonal out (a
+    new zeroed one when out is None), which is returned."""
+    if term not in COULOMB_TERMS:
+        raise ValidationError(f"term must be one of {COULOMB_TERMS}, got {term!r}")
+    particles = tuple(particles)
+    quantum = quantum_particles(particles)
+    if not quantum:
+        raise ValidationError("need at least one quantum particle")
+    D = grid.cells_per_axis
+    registers = len(quantum) * grid.d
+    flat = np.zeros(D**registers) if out is None else out
+    _add_terms(flat.reshape((D,) * registers), _coulomb_terms(grid, particles, term))
+    return flat
 
 
 def composite_potential(
@@ -183,14 +185,18 @@ def composite_potential(
     applied = [t for t in ("U_ee", "U_en", "U_nn", "wall") if t in terms]
     if not applied:
         return None
+    if "wall" in applied and v_wall < 0:
+        raise ValidationError("wall height must be nonnegative")
     registers = len(quantum) * grid.d
     total = np.zeros(grid.cells_per_axis**registers) if out is None else out
     # An overflow here is caught below, as a non-finite sum.
     with np.errstate(over="ignore", invalid="ignore"):
         for term in applied:
             if term == "wall":
-                _wall_energies(v_wall, total.reshape((grid.cells_per_axis,) * registers))
+                energies = total.reshape((grid.cells_per_axis,) * registers)
+                _add_terms(energies, _wall_terms(registers, v_wall))
             else:
+                # A module global, so that a wrapper of it sees this call.
                 build_coulomb_diagonal(grid, particles, term.split("_")[1], out=total)
     # min and max propagate NaN and +-inf, and allocate no mask.
     if not (np.isfinite(total.min()) and np.isfinite(total.max())):
@@ -209,7 +215,7 @@ def potential_bounds(grid: GridSpec, particles: Sequence[ParticleSpec]) -> tuple
         n_e * (n_e - 1) / 2.0
         + sum(zs[i] * zs[j] for i in range(len(zs)) for j in range(i + 1, len(zs)))
     )
-    u_min = -scale * sum(zs)
+    u_min = -scale * n_e * sum(zs)
     return float(u_min), float(u_max)
 
 
@@ -236,13 +242,3 @@ def antidiagonal_symmetry_check(energies: np.ndarray) -> bool:
     """True when E[x] == E[dim-1-x] for all x within tolerance; the index
     complement reflects every register through the box center."""
     return bool(np.max(np.abs(energies - energies[::-1])) <= ANTIDIAGONAL_TOL)
-
-
-def antidiagonal_fold(energies: np.ndarray) -> np.ndarray:
-    """The first half of an antidiagonally symmetric diagonal; the second
-    half is its mirror image."""
-    if energies.size % 2 != 0:
-        raise ValidationError("can only fold even-length diagonals")
-    if not antidiagonal_symmetry_check(energies):
-        raise ValidationError("diagonal is not antidiagonally symmetric")
-    return energies[: energies.size // 2].copy()

@@ -10,7 +10,6 @@ from wzsim.grid import (
     ParticleSpec,
     StateVector,
     build_grid,
-    cell_center,
     cell_centers,
     clamped_position,
     density,
@@ -24,6 +23,10 @@ from wzsim.experiments import cell_indicator
 
 def electron(**kw):
     return ParticleSpec(mass=1.0, charge=-1.0, **kw)
+
+
+def nucleus(cell):
+    return ParticleSpec(mass=1836.0, charge=1.0, kind="clamped", clamped_cell=cell)
 
 
 class TestGridSpec:
@@ -54,16 +57,16 @@ class TestGridSpec:
             with pytest.raises(ValidationError):
                 build_grid(length, 3, 1)
 
-    def test_cell_center(self):
+    def test_clamped_position(self):
         grid = build_grid(1.0, 2, 2)
-        assert cell_center(grid, (1, 3)) == pytest.approx((0.375, 0.875), abs=0)
+        assert clamped_position(grid, nucleus((1, 3))) == pytest.approx((0.375, 0.875), abs=0)
 
-    def test_cell_center_validates_arity_and_range(self):
+    def test_clamped_position_validates_arity_and_range(self):
         grid = build_grid(1.0, 2, 2)
-        with pytest.raises(ValidationError):
-            cell_center(grid, (1,))
-        with pytest.raises(ValidationError):
-            cell_center(grid, (1, 4))
+        with pytest.raises(ValidationError, match="expected 2 axis indices, got 1"):
+            clamped_position(grid, nucleus((1,)))
+        with pytest.raises(ValidationError, match=r"cell index 4 outside \[0, 4\)"):
+            clamped_position(grid, nucleus((1, 4)))
 
 
 class TestParticleSpec:
@@ -180,12 +183,13 @@ class TestRegisterLayout:
             assert codec.flat_index(np.reshape(cells, (n_q, d))) == m
 
     @pytest.mark.parametrize("length, n", [(1.0, 1), (0.7, 3), (3.3, 6), (1e-3, 10)])
-    def test_cell_centers_match_cell_center(self, length, n):
+    def test_cell_centers_match_clamped_position(self, length, n):
         grid = build_grid(length, n, 1)
         centers = cell_centers(grid)
         assert centers.shape == (2**n,)
         for i in range(2**n):
-            assert centers[i].tobytes() == cell_center(grid, (i,)).tobytes()
+            assert centers[i] == grid.delta * (i + 0.5)
+            assert centers[i].tobytes() == clamped_position(grid, nucleus((i,))).tobytes()
 
     @pytest.mark.parametrize("n, d, n_q", LAYOUTS)
     def test_encode_state_matches_shift_and_mask(self, n, d, n_q):

@@ -14,14 +14,11 @@ from wzsim.kinetic import (
     MAX_FFT_THREADS,
     KineticTrotterPlan,
     apply_kinetic_plan,
-    derivative_matrix,
     fourier_conjugation_diagnostic,
-    iqft,
     make_spectral_plan,
     make_trotter_plan,
     momentum_eigenvalues,
     momentum_matrix,
-    qft,
     scan_coefficients,
     trotter_coupling_block,
     trotter_factor_matrix,
@@ -95,18 +92,6 @@ def embedded_factor_product(D: int, xi: complex) -> np.ndarray:
 
 
 class TestStencils:
-    def test_derivative_matrix_entries(self):
-        m = derivative_matrix(4, 0.5)
-        expected = np.array(
-            [
-                [-2.0, 2.0, 0.0, 0.0],
-                [-1.0, 0.0, 1.0, 0.0],
-                [0.0, -1.0, 0.0, 1.0],
-                [0.0, 0.0, -2.0, 2.0],
-            ]
-        )
-        assert np.array_equal(m, expected)
-
     def test_momentum_matrix_entries_and_hermiticity(self):
         P = momentum_matrix(4, 0.5)
         assert P[0, 1] == -1j * HBAR
@@ -126,8 +111,6 @@ class TestStencils:
         for bad in (0, 1, 3, 12):
             with pytest.raises(ValidationError):
                 momentum_matrix(bad, 0.5)
-        with pytest.raises(ValidationError):
-            derivative_matrix(4, 0.0)
 
 
 class TestCouplingBlock:
@@ -236,22 +219,9 @@ class TestTrotterFactor:
 
 
 class TestSpectral:
-    def test_qft_matrix_convention(self):
-        D = 8
-        F = qft(np.eye(D))
-        j, k = np.meshgrid(np.arange(D), np.arange(D), indexing="ij")
-        explicit = np.exp(2j * np.pi * j * k / D) / np.sqrt(D)
-        assert np.max(np.abs(F - explicit)) < 1e-13
-
-    @given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False), min_size=8, max_size=8))
-    @settings(max_examples=50)
-    def test_qft_roundtrip(self, values):
-        vec = np.asarray(values, dtype=np.complex128)
-        assert np.allclose(iqft(qft(vec)), vec, atol=1e-9 * (1 + np.abs(vec).max()))
-
     def test_power_of_two_required(self):
         with pytest.raises(ValidationError):
-            qft(np.ones(6))
+            make_spectral_plan(6, 0.5, 1.0, 0.1)
 
     def test_momentum_eigenvalue_quarter_wave(self):
         D, delta = 16, 0.25
@@ -345,9 +315,11 @@ class TestSpectralSlabs:
 
     @staticmethod
     def dense_reference(state, reg, plan):
-        """F^dagger diag(phase) F on register reg, with F = qft(I)."""
+        """F^dagger diag(phase) F on register reg, with the unitary
+        F[j, k] = exp(2 pi i j k / D) / sqrt(D)."""
         D = plan.dim
-        F = qft(np.eye(D))
+        j, k = np.meshgrid(np.arange(D), np.arange(D), indexing="ij")
+        F = np.exp(2j * np.pi * j * k / D) / np.sqrt(D)
         factor = F.conj().T @ (plan.phase_table[:, None] * F)
         t = state.amplitudes.reshape((D,) * (len(state.particles) * state.grid.d))
         return np.moveaxis(np.tensordot(factor, t, axes=(1, reg)), 0, reg).reshape(-1)

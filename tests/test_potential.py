@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from wzsim import grid as grid_mod
 from wzsim.errors import ValidationError
-from wzsim.grid import IndexCodec, ParticleSpec, build_grid, cell_center
+from wzsim.grid import IndexCodec, ParticleSpec, build_grid
 from wzsim.potential import (
-    antidiagonal_fold,
     antidiagonal_symmetry_check,
     build_coulomb_diagonal,
     composite_potential,
     level_spacing,
-    pair_energy,
     potential_bounds,
     quantize_levels,
 )
@@ -24,6 +22,16 @@ def electron():
 
 def proton_clamped(cell):
     return ParticleSpec(mass=1836.0, charge=1.0, kind="clamped", clamped_cell=cell)
+
+
+def cell_centre(grid, cell):
+    return grid.delta * (np.asarray(cell, dtype=float) + 0.5)
+
+
+def pair_formula(r_p, r_q, qq, delta):
+    """e' qq / r with e' = 1, a same-cell r taken as one cell width."""
+    dist = float(np.sqrt(np.sum((np.asarray(r_p) - np.asarray(r_q)) ** 2)))
+    return qq / (dist if dist > 0.0 else delta)
 
 
 def loop_coulomb_oracle(grid, particles, term):
@@ -47,15 +55,15 @@ def loop_coulomb_oracle(grid, particles, term):
         slot = 0
         for p in particles:
             if p.is_quantum:
-                positions.append(grid.delta * (cells[slot] + 0.5))
+                positions.append(cell_centre(grid, cells[slot]))
                 slot += 1
             else:
-                positions.append(np.asarray(cell_center(grid, p.clamped_cell)))
+                positions.append(cell_centre(grid, p.clamped_cell))
         total = 0.0
         for i in range(len(particles)):
             for j in range(i + 1, len(particles)):
                 if include(particles[i], particles[j]):
-                    total += pair_energy(
+                    total += pair_formula(
                         positions[i], positions[j], particles[i].charge * particles[j].charge, grid.delta
                     )
         energies[flat] = total
@@ -74,21 +82,6 @@ def loop_wall_oracle(grid, n_particles, v_wall):
             total += v_wall if c in edges else 0.0
         energies[flat] = total
     return energies
-
-
-class TestPairEnergy:
-    def test_unit_distance(self):
-        assert pair_energy([0.0], [1.0], 1.0, 0.5) == 1.0
-
-    def test_same_cell_clamps_to_delta(self):
-        assert pair_energy([0.25], [0.25], 1.0, 0.125) == 1.0 / 0.125
-
-    def test_charge_product_sign(self):
-        assert pair_energy([0.0], [2.0], -3.0, 0.5) == -1.5
-
-    def test_delta_validated(self):
-        with pytest.raises(ValidationError):
-            pair_energy([0.0], [1.0], 1.0, 0.0)
 
 
 class TestCoulombDiagonal:
@@ -114,6 +107,20 @@ class TestCoulombDiagonal:
         full = build_coulomb_diagonal(grid, roster, "all")
         assert np.all(nn == 0.0)
         assert np.allclose(ee + en + nn, full, atol=1e-14)
+
+    @pytest.mark.parametrize("cells", [((1, 2), (3, 0)), ((2, 2), (2, 2))], ids=["apart", "same-cell"])
+    def test_clamped_pair_is_a_constant(self, cells):
+        # qq / r for two nuclei in distinct cells, qq / delta in one cell.
+        grid = build_grid(3.3, 2, 2)
+        roster = (
+            electron(),
+            ParticleSpec(mass=1836.0, charge=2.0, kind="clamped", clamped_cell=cells[0]),
+            ParticleSpec(mass=1836.0, charge=3.0, kind="clamped", clamped_cell=cells[1]),
+        )
+        diag = build_coulomb_diagonal(grid, roster, "nn")
+        expected = pair_formula(cell_centre(grid, cells[0]), cell_centre(grid, cells[1]), 6.0, grid.delta)
+        assert np.all(diag == diag[0])
+        assert diag[0] == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_mixed_quantum_and_clamped_three_body(self):
         grid = build_grid(1.0, 2, 1)
@@ -270,7 +277,7 @@ class TestBoundsAndLevels:
         u_min, u_max = potential_bounds(grid, roster)
         scale = 1.0 / grid.delta
         assert u_max == pytest.approx(scale * 1.0)
-        assert u_min == pytest.approx(-scale * 1.0)
+        assert u_min == pytest.approx(-scale * 2.0)
 
     def test_bounds_scale_with_nuclear_charges(self):
         grid = build_grid(1.0, 2, 1)
@@ -283,6 +290,31 @@ class TestBoundsAndLevels:
         scale = 1.0 / grid.delta
         assert u_max == pytest.approx(scale * 6.0)
         assert u_min == pytest.approx(-scale * 5.0)
+
+    @given(
+        n_e=st.integers(min_value=1, max_value=3),
+        d=st.integers(min_value=1, max_value=2),
+        n=st.integers(min_value=1, max_value=3),
+        nuclei=st.lists(
+            st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=7)),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_hold_the_full_diagonal(self, n_e, d, n, nuclei):
+        if n_e * n * d > 10:
+            return
+        grid = build_grid(1.0, n, d)
+        D = grid.cells_per_axis
+        roster = (electron(),) * n_e + tuple(
+            ParticleSpec(mass=1836.0, charge=float(z), kind="clamped", clamped_cell=(c % D,) * d)
+            for z, c in nuclei
+        )
+        diag = build_coulomb_diagonal(grid, roster, "all")
+        u_min, u_max = potential_bounds(grid, roster)
+        slack = 1e-13 * max(abs(u_min), abs(u_max))
+        assert u_min - slack <= diag.min() and diag.max() <= u_max + slack
 
     def test_level_spacing_formula(self):
         grid = build_grid(2.0, 3, 1)
@@ -340,15 +372,3 @@ class TestAntidiagonalSymmetry:
         roster = (electron(), proton_clamped((0,)), proton_clamped((3,)))
         diag = build_coulomb_diagonal(grid, roster, "en")
         assert antidiagonal_symmetry_check(diag)
-
-    def test_fold_halves_storage_and_reconstructs(self):
-        grid = build_grid(1.0, 2, 1)
-        diag = build_coulomb_diagonal(grid, (electron(), electron()), "ee")
-        half = antidiagonal_fold(diag)
-        assert half.size == diag.size // 2
-        assert np.array_equal(np.concatenate([half, half[::-1]]), diag)
-
-    @pytest.mark.parametrize("energies", [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 1.0]])
-    def test_fold_rejects_asymmetric_input(self, energies):
-        with pytest.raises(ValidationError):
-            antidiagonal_fold(np.array(energies))

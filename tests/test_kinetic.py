@@ -111,6 +111,8 @@ class TestStencils:
         for bad in (0, 1, 3, 12):
             with pytest.raises(ValidationError):
                 momentum_matrix(bad, 0.5)
+        with pytest.raises(ValidationError):
+            momentum_matrix(4, 0.0)
 
 
 class TestCouplingBlock:
@@ -229,6 +231,29 @@ class TestSpectral:
         assert p.shape == (D,)
         assert p[D // 4] == pytest.approx(-HBAR / delta, rel=1e-15)
         assert p[0] == 0.0
+
+    @pytest.mark.parametrize("D", [2, 8])
+    def test_plane_waves_are_eigenvectors(self, D):
+        # The convention: the plane wave exp(-2 pi i j k / D) over cells j
+        # takes the phase of momentum index k, and no other.
+        grid = build_grid(1.0, D.bit_length() - 1, 1)
+        plan = make_spectral_plan(D, grid.delta, 1.0, 0.05)
+        j = np.arange(D)
+        for k in range(D):
+            wave = np.exp(-2j * np.pi * j * k / D)
+            state = StateVector(wave.copy(), grid, (electron(),))
+            apply_kinetic_plan(state, 0, plan)
+            assert np.max(np.abs(state.amplitudes - plan.phase_table[k] * wave)) <= 1e-14
+
+    @given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False), min_size=8, max_size=8))
+    @settings(max_examples=50)
+    def test_step_then_reverse_step_restores(self, values):
+        vec = np.asarray(values, dtype=np.complex128)
+        grid = build_grid(1.0, 3, 1)
+        state = StateVector(vec.copy(), grid, (electron(),))
+        for eps in (0.05, -0.05):
+            apply_kinetic_plan(state, 0, make_spectral_plan(8, grid.delta, 1.0, eps))
+        assert np.allclose(state.amplitudes, vec, atol=1e-9 * (1 + np.abs(vec).max()))
 
     def test_phase_table_unit_modulus_and_quarter_entry(self):
         D, delta, mass, eps = 16, 0.25, 2.0, 1e-3

@@ -7,6 +7,7 @@ from wzsim import grid as grid_mod
 from wzsim.errors import ValidationError
 from wzsim.grid import IndexCodec, ParticleSpec, build_grid
 from wzsim.potential import (
+    ANTIDIAGONAL_TOL,
     antidiagonal_symmetry_check,
     build_coulomb_diagonal,
     composite_potential,
@@ -108,9 +109,14 @@ class TestCoulombDiagonal:
         assert np.all(nn == 0.0)
         assert np.allclose(ee + en + nn, full, atol=1e-14)
 
-    @pytest.mark.parametrize("cells", [((1, 2), (3, 0)), ((2, 2), (2, 2))], ids=["apart", "same-cell"])
+    @pytest.mark.parametrize(
+        "cells",
+        [((1, 2), (3, 0)), ((1, 2), (2, 2)), ((2, 2), (2, 2))],
+        ids=["apart", "adjacent", "same-cell"],
+    )
     def test_clamped_pair_is_a_constant(self, cells):
-        # qq / r for two nuclei in distinct cells, qq / delta in one cell.
+        # qq / r for two nuclei in distinct cells, qq / delta in one cell
+        # and in two adjacent ones.
         grid = build_grid(3.3, 2, 2)
         roster = (
             electron(),
@@ -121,6 +127,20 @@ class TestCoulombDiagonal:
         expected = pair_formula(cell_centre(grid, cells[0]), cell_centre(grid, cells[1]), 6.0, grid.delta)
         assert np.all(diag == diag[0])
         assert diag[0] == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("charges", [(2.0, 3.0), (-1.0, 3.0)], ids=["repulsive", "attractive"])
+    def test_clamped_pair_takes_the_sign_of_the_charge_product(self, charges):
+        # A neutral quantum particle adds nothing, so "all" is the clamped
+        # pair alone: a clamped electron attracts a clamped nucleus.
+        grid = build_grid(1.0, 2, 1)
+        roster = (ParticleSpec(mass=1.0, charge=0.0),) + tuple(
+            ParticleSpec(mass=1836.0, charge=q, kind="clamped", clamped_cell=(c,))
+            for q, c in zip(charges, (0, 2))
+        )
+        diag = build_coulomb_diagonal(grid, roster, "all")
+        qq = charges[0] * charges[1]
+        assert np.all(diag == pair_formula(cell_centre(grid, 0), cell_centre(grid, 2), qq, grid.delta))
+        assert np.sign(diag[0]) == np.sign(qq)
 
     def test_mixed_quantum_and_clamped_three_body(self):
         grid = build_grid(1.0, 2, 1)
@@ -372,3 +392,17 @@ class TestAntidiagonalSymmetry:
         roster = (electron(), proton_clamped((0,)), proton_clamped((3,)))
         diag = build_coulomb_diagonal(grid, roster, "en")
         assert antidiagonal_symmetry_check(diag)
+
+    @pytest.mark.parametrize(
+        "energies, symmetric",
+        [([1.0, 2.0, 3.0, 4.0], False), ([1.0, 2.0, 1.0], True)],
+        ids=["ramp", "odd-palindrome"],
+    )
+    def test_check_on_small_arrays(self, energies, symmetric):
+        assert antidiagonal_symmetry_check(np.array(energies)) is symmetric
+
+    @pytest.mark.parametrize("offset, symmetric", [(0.5, True), (2.0, False)], ids=["inside", "outside"])
+    def test_check_tolerance(self, offset, symmetric):
+        energies = np.array([3.0, 1.0, 1.0, 3.0])
+        energies[0] += offset * ANTIDIAGONAL_TOL
+        assert antidiagonal_symmetry_check(energies) is symmetric

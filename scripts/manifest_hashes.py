@@ -31,8 +31,7 @@ def nucleus(cell):
 ELECTRON = {"mass": 1.0, "charge": -1.0}
 
 # Two electrons and two protons on a 16x16 grid, with every molecule
-# term: a 1 MiB state, so the phase and the Trotter scans are cut into
-# several slabs.
+# term: a 1 MiB state, so the Trotter scans are cut into several slabs.
 TWO_ELECTRONS = {
     "qubits_per_axis": 4,
     "steps": 50,
@@ -51,6 +50,16 @@ THREE_ELECTRONS = {
     "steps": 4,
     "total_time": 0.1,
     "particles": [ELECTRON, ELECTRON, ELECTRON, nucleus([4, 4])],
+}
+
+# The same with every molecule term and Strang splitting: the state is
+# over grid.SLAB_BYTES per thread at up to 3 threads, so the potential's
+# phase tables, one per electron and one per pair, are multiplied in on
+# the slab pool too, twice per step.
+THREE_ELECTRONS_ALL_TERMS = {
+    **THREE_ELECTRONS,
+    "terms": ["T_e", "U_ee", "U_en", "U_nn", "wall"],
+    "splitting": "strang",
 }
 
 # The series at a box length and mass other than 1, at two times.
@@ -99,6 +108,7 @@ RUNS = {
     "molecule2d-2e-trotter": ("molecule2d", {**TWO_ELECTRONS, "kinetic_method": "trotter"}),
     "molecule2d-3e-spectral": ("molecule2d", THREE_ELECTRONS),
     "molecule2d-3e-trotter": ("molecule2d", {**THREE_ELECTRONS, "kinetic_method": "trotter"}),
+    "molecule2d-3e-strang-all-terms": ("molecule2d", THREE_ELECTRONS_ALL_TERMS),
     "molecule2d-row-blocks": ("molecule2d", ROW_BLOCKS),
     "sample": ("sample", {}),
     "synth-report": ("synth-report", {}),

@@ -9,15 +9,24 @@ disjoint so the order only fixes a convention.
 Every operator is a unitary on the one state vector, and it acts in
 place: step and kinetic.apply_kinetic_plan write into the amplitudes of
 the StateVector they are given, and evolve steps the caller's state
-itself. No state-sized array or StateVector is made per
-operator. The potential is summed from small tables into the real part
-of the phase's complex array, which becomes the phase in place, so no
-float energy diagonal exists. A run thus peaks at two states, the state
-and the phase, plus the tables and the kinetic slab temporaries.
+itself. No state-sized array or StateVector is made per operator.
+
+The potential phase factors over the terms of V (Wiesner; Zalka), so it
+is kept as small unit-modulus tables that broadcast into the register
+tensor: one per quantum particle, the exp of its one-body energies, and
+one per pair of quantum particles, the exp of the pair's Coulomb table
+over their displacement. step multiplies them in slab by slab of
+register 0, on the kinetic slab pool. A run of two or more quantum
+particles thus peaks at one state plus the tables, a few KiB, and the
+kinetic slab temporaries. With one quantum particle the one table is the
+whole potential phase, a second state-sized array, summed from small
+tables into the real part of its complex array and exponentiated there;
+step multiplies it in at once, on the caller's thread.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,11 +43,13 @@ from .grid import (
 from .kinetic import (
     KineticTrotterPlan,
     SpectralKineticPlan,
+    _worker_count,
     apply_kinetic_plan,
     make_spectral_plan,
     make_trotter_plan,
+    on_slabs,
 )
-from .potential import composite_potential
+from .potential import composite_potential, pair_window, quantum_pair_tables
 
 KINETIC_METHODS = ("trotter", "spectral")
 SPLITTINGS = ("first-order", "strang")
@@ -95,32 +106,79 @@ class EvolutionPlan:
 
 @dataclass
 class PreparedOperators:
-    """Potential phase and (register, kinetic plan) pairs precomputed for
-    one eps. phase is the factor the splitting applies, exp(-i eps V) for
-    first-order and exp(-i eps V / 2) for Strang, or None without a
-    potential term."""
+    """Potential phase tables and (register, kinetic plan) pairs
+    precomputed for one eps.
 
-    phase: np.ndarray | None
+    The product of the phases is the factor the splitting applies,
+    exp(-i eps V) for first-order and exp(-i eps V / 2) for Strang. Each
+    is a unit-modulus table that broadcasts into the (D,) * R register
+    tensor: first one D^d table per quantum particle, from
+    composite_potential over that particle and the clamped ones (its
+    Coulomb pairs with them and its wall faces, and on the first particle
+    the constants of the clamped pairs), then one (2D-1)^d table per pair
+    of quantum particles, seen through potential.pair_window. With one
+    quantum particle the one table is the whole phase, as big as the
+    state and flat like its amplitudes. Empty without a potential term.
+    workers is the thread count step multiplies the tables in on."""
+
+    phases: list[np.ndarray]
     kinetic: list[tuple[int, KineticTrotterPlan | SpectralKineticPlan]]
+    workers: int = 1
+
+
+def _exp_in_place(scale: complex, energies: np.ndarray) -> np.ndarray:
+    """exp(scale * E) in the complex array energies, whose real part holds E."""
+    # A huge eps makes a NaN phase, which evolve's norm check catches.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(scale, energies, out=energies)
+        return np.exp(energies, out=energies)
+
+
+def _phase_tables(
+    grid: GridSpec, particles: tuple[ParticleSpec, ...], terms: list[str], plan: EvolutionPlan
+) -> list[np.ndarray]:
+    """The PreparedOperators phases. Raises ValidationError unless the sums
+    of the tables' least and of their greatest energies are finite, so that
+    no total potential overflows."""
+    scale = -1j * plan.eps if plan.splitting == "first-order" else -1j * (plan.eps / 2.0)
+    D, d = grid.cells_per_axis, grid.d
+    positions = [k for k, p in enumerate(particles) if p.is_quantum]
+    registers = len(positions) * d
+    phases = []
+    lowest = highest = 0.0
+    for q, k in enumerate(positions):
+        own = tuple(p for m, p in enumerate(particles) if m == k or not p.is_quantum)
+        table = np.zeros(D**d, dtype=np.complex128)
+        # A module global, so that a wrapper of it sees this call.
+        energies = composite_potential(
+            grid, own, terms, v_wall=plan.v_wall, out=table.real, clamped_pairs=q == 0
+        )
+        lowest += float(energies.min())
+        highest += float(energies.max())
+        _exp_in_place(scale, table)
+        shape = (1,) * (q * d) + (D,) * d + (1,) * (registers - (q + 1) * d)
+        phases.append(table if registers == d else table.reshape(shape))
+    # An overflow here is caught below, as a non-finite extreme.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for firsts, energies in quantum_pair_tables(grid, particles, terms):
+            lowest += float(energies.min())
+            highest += float(energies.max())
+            table = _exp_in_place(scale, energies.astype(np.complex128))
+            phases.append(pair_window(table, firsts, registers))
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
+        raise ValidationError(f"non-finite energies in potential {'+'.join(sorted(terms))!r}")
+    return phases
 
 
 def prepare_operators(
     grid: GridSpec, particles: Sequence[ParticleSpec], plan: EvolutionPlan
 ) -> PreparedOperators:
+    particles = tuple(particles)
     quantum = quantum_particles(particles)
     if not quantum:
         raise ValidationError("need at least one quantum particle")
     potential_terms = [t for t in plan.terms if t.startswith("U_") or t == "wall"]
-    eps = plan.eps
-    phase = None
-    if potential_terms:
-        scale = -1j * eps if plan.splitting == "first-order" else -1j * (eps / 2.0)
-        phase = np.zeros(grid.cells_per_axis ** (len(quantum) * grid.d), dtype=np.complex128)
-        composite_potential(grid, particles, potential_terms, v_wall=plan.v_wall, out=phase.real)
-        # A huge eps makes a NaN phase, which evolve's norm check catches.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(scale, phase, out=phase)
-            np.exp(phase, out=phase)
+    phases = _phase_tables(grid, particles, potential_terms, plan) if potential_terms else []
 
     kinetic: list[tuple[int, KineticTrotterPlan | SpectralKineticPlan]] = []
     make = make_trotter_plan if plan.kinetic_method == "trotter" else make_spectral_plan
@@ -129,22 +187,45 @@ def prepare_operators(
         if particle.kinetic_term not in plan.terms:
             continue
         if particle.mass not in plans:
-            plans[particle.mass] = make(grid.cells_per_axis, grid.delta, particle.mass, eps)
+            plans[particle.mass] = make(grid.cells_per_axis, grid.delta, particle.mass, plan.eps)
         kinetic += [(r, plans[particle.mass]) for r in grid.registers(q)]
-    return PreparedOperators(phase=phase, kinetic=kinetic)
+    return PreparedOperators(phases=phases, kinetic=kinetic, workers=_worker_count())
+
+
+def _multiply_phases(a: np.ndarray, phases: list[np.ndarray], workers: int) -> None:
+    """Multiply the phase tables into the flat amplitudes a, in place. One
+    quantum particle's one table is one multiply on the caller's thread.
+    More are multiplied in table after table on each slab of register 0,
+    on the kinetic slab pool. Each slab is passed over once per table, so
+    it is cut as if it held one temporary: under SLAB_BYTES, in cache for
+    the passes after the first. Every amplitude meets the same tables in
+    the same order whatever the cut, so the bytes do not depend on it or
+    on the thread count."""
+    if len(phases) == 1:
+        np.multiply(a, phases[0], out=a)
+        return
+    first = phases[0]
+    t = a.reshape((first.shape[0],) * first.ndim)
+
+    def multiply(cut: slice) -> None:
+        slab = t[cut]
+        for table in phases:
+            np.multiply(slab, table[cut] if table.shape[0] > 1 else table, out=slab)
+
+    on_slabs(multiply, t, 0, workers, 1)
 
 
 def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) -> None:
     """Advance state by one eps, in place: the potential phase then the
     kinetic factors, or the Strang half-phase sandwich."""
     a = state.amplitudes
-    phase = operators.phase
-    if phase is not None:
-        np.multiply(a, phase, out=a)
+    phases = operators.phases
+    if phases:
+        _multiply_phases(a, phases, operators.workers)
     for register, kplan in operators.kinetic:
         apply_kinetic_plan(state, register, kplan)
-    if phase is not None and plan.splitting == "strang":
-        np.multiply(a, phase, out=a)
+    if phases and plan.splitting == "strang":
+        _multiply_phases(a, phases, operators.workers)
 
 
 @dataclass

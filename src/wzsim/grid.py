@@ -299,11 +299,38 @@ def density(state: StateVector) -> np.ndarray:
 
 
 def marginal_density(state: StateVector, particle: int) -> np.ndarray:
-    """Probability over one particle's 2^(d*n) cells, others traced out."""
+    """Probability over one particle's 2^(d*n) cells, others traced out.
+
+    |amplitude|^2 is taken slab by slab of particle 0's cells, each slab
+    under SLAB_BYTES of floats, and summed over the other particles there,
+    so nothing state-sized is made. The bytes are those of density(state)
+    summed over the other particles' axes at once: a slab's rows sum into
+    their own entries, and the sum over particle 0's cells continues from
+    the running sum, the first entry of a buffer that is zero elsewhere."""
     n_q = len(state.particles)
     if not 0 <= particle < n_q:
         raise ValidationError(f"particle index {particle} outside [0, {n_q})")
     per_particle = 1 << (state.grid.d * state.grid.n)
-    dens = density(state).reshape((per_particle,) * n_q)
+    marginal = np.zeros(per_particle)
+    if n_q == 1:
+        np.abs(state.amplitudes, out=marginal)
+        return np.square(marginal, out=marginal)
+    shape = (per_particle,) * n_q
+    t = state.amplitudes.reshape(shape)
     axes = tuple(ax for ax in range(n_q) if ax != particle)
-    return dens.sum(axis=axes) if axes else dens
+    bounds = slab_bounds(per_particle, 8 * per_particle ** (n_q - 1))
+    rows = -(-per_particle // (len(bounds) - 1))
+    # The running sum's entry in the buffer: the first cell of every
+    # summed axis but particle 0's.
+    running = (0,) * particle + (slice(None),) + (0,) * (n_q - 1 - particle)
+    buffer = np.zeros((1 + rows,) + shape[1:])
+    for lo, hi in zip(bounds, bounds[1:]):
+        dens = buffer[1 : 1 + hi - lo]
+        np.abs(t[lo:hi], out=dens)
+        np.square(dens, out=dens)
+        if particle == 0:
+            np.sum(dens, axis=axes, out=marginal[lo:hi])
+        else:
+            buffer[running] = marginal
+            np.sum(buffer[: 1 + hi - lo], axis=axes, out=marginal)
+    return marginal

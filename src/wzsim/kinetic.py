@@ -29,7 +29,8 @@ three temporaries the size of its slab, so the Trotter tensor is cut
 into as many more as keep them under SLAB_BYTES, at most one per cell
 of the cut axis. Every 1-D line is worked on alone, so the result does
 not depend on the cut or the thread count. A one-register state is one
-call on the caller's thread.
+call on the caller's thread. on_slabs, which cuts and deals the slabs,
+also multiplies in evolution's potential phase tables.
 """
 
 from __future__ import annotations
@@ -261,8 +262,15 @@ def apply_kinetic_plan(
     if t.ndim == 1:
         plan.lines(t)
         return
-    _on_slabs(
-        lambda s: plan.lines(s.swapaxes(0, register)), t, register, plan.workers, plan.temporaries
+    # Cut along another axis, so that every slab holds whole lines.
+    axis = 1 if register == 0 else 0
+    lead = (slice(None),) * axis
+    on_slabs(
+        lambda cut: plan.lines(t[lead + (cut,)].swapaxes(0, register)),
+        t,
+        axis,
+        plan.workers,
+        plan.temporaries,
     )
 
 
@@ -275,32 +283,30 @@ def _slab_pool(threads: int):
     return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wzsim-slab")
 
 
-def _on_slabs(
-    fn: Callable[[np.ndarray], None],
+def on_slabs(
+    fn: Callable[[slice], None],
     t: np.ndarray,
-    reg: int,
+    axis: int,
     workers: int,
     temporaries: int,
 ) -> None:
-    """Call fn on views that cut t along an axis other than reg. fn works
-    on whole lines along reg, so any cut gives the same bytes. There is one
-    slab per worker or, when fn holds `temporaries` arrays of its slab's
-    size, as many more as keep them under SLAB_BYTES; at most one per cell
-    of the cut axis. The slabs, of equal size to within a cell, are dealt
-    in turn to min(workers, slabs) threads, the caller's among them.
-    workers is first capped at t.nbytes // SLAB_BYTES, so that a thread's
-    share of t is worth its hand-off; below SLAB_BYTES the caller works
-    alone. t has at least two registers."""
+    """Call fn(cut) for slices cut of t's axis that together cover it, so
+    that fn works on the slab t[..., cut, ...]. There is one slab per
+    worker or, when fn holds `temporaries` arrays of its slab's size, as
+    many more as keep them under SLAB_BYTES; at most one per cell of the
+    axis. The slabs, of equal size to within a cell, are dealt in turn to
+    min(workers, slabs) threads, the caller's among them. workers is first
+    capped at t.nbytes // SLAB_BYTES, so that a thread's share of t is
+    worth its hand-off; below SLAB_BYTES the caller works alone."""
     workers = min(workers, max(1, t.nbytes // grid.SLAB_BYTES))
-    split = 1 if reg == 0 else 0
-    cells = t.shape[split]
+    cells = t.shape[axis]
     bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)
-    slabs = [t[(slice(None),) * split + (slice(lo, hi),)] for lo, hi in zip(bounds, bounds[1:])]
-    threads = min(workers, len(slabs))
+    cuts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    threads = min(workers, len(cuts))
 
     def deal(first: int) -> None:
-        for slab in slabs[first::threads]:
-            fn(slab)
+        for cut in cuts[first::threads]:
+            fn(cut)
 
     futures = [_slab_pool(threads - 1).submit(deal, i) for i in range(1, threads)]
     try:

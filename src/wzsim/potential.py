@@ -12,6 +12,14 @@ yield the terms in the order of the sums. Particles are classified by
 charge sign: negative charge means electron, positive means nucleus. Two
 particles in the same cell are regularized by replacing the vanishing
 separation with one cell width.
+
+A time step never needs the whole diagonal, only its phase, which
+factors over the terms. So evolution builds one D^d diagonal per quantum
+particle, composite_potential over that particle and the clamped ones,
+and takes each pair of quantum particles from quantum_pair_tables as its
+(2D-1)^d table over their displacement, which pair_window views into the
+register tensor. The full diagonal is built only for one quantum
+particle, where it is the particle's own, and for the references.
 """
 
 from __future__ import annotations
@@ -77,55 +85,97 @@ def _pair_table(displacements: Sequence[np.ndarray], qq: float, delta: float) ->
     return table
 
 
-def _coulomb_terms(
-    grid: GridSpec, particles: tuple[ParticleSpec, ...], term: str
-) -> Iterator[tuple[tuple, np.ndarray]]:
-    """The selected pairs' terms, in roster order. Two quantum particles:
-    a window of D cells per axis of the (2D-1)^d table over their
-    displacement, a view. A quantum particle and a clamped one: the D^d
-    table over the quantum particle's cells, in blocks of rows under
-    grid.SLAB_BYTES, as it is half a state when that particle is the only
-    one. Two clamped particles: a constant."""
-    d = grid.d
-    D = grid.cells_per_axis
+def _first_registers(particles: Sequence[ParticleSpec], d: int) -> dict[int, int]:
+    """The first register of each quantum particle, by roster index."""
     first = {}
     for i, p in enumerate(particles):
         if p.is_quantum:
             first[i] = len(first) * d
-    registers = len(first) * d
+    return first
 
-    delta = grid.delta
-    centers = register_views(cell_centers(grid), d)
-    displacements = register_views(delta * np.arange(1 - D, D, dtype=float), d)
-    backwards = (slice(None, None, -1),) * d
-    rows = slab_bounds(D, 8 * D ** (d - 1))
+
+def _selected_pairs(
+    particles: Sequence[ParticleSpec], term: str
+) -> Iterator[tuple[int, int, float]]:
+    """(i, j, qq) for the pairs i < j of the term with a nonzero charge
+    product qq, in roster order."""
     for i in range(len(particles)):
         for j in range(i + 1, len(particles)):
             pi, pj = particles[i], particles[j]
-            if not _pair_in_term(pi, pj, term):
-                continue
             qq = pi.charge * pj.charge
-            if qq == 0.0:
-                continue
-            if pi.is_quantum and pj.is_quantum:
-                # window[x, y] = table[x + y], so reversed on x it is the
-                # table at displacement y - x, for cells x of particle i
-                # and y of particle j.
-                table = _pair_table(displacements, qq, delta)
-                view = sliding_window_view(table, (D,) * d)[backwards]
-                axes = [*range(first[i], first[i] + d), *range(first[j], first[j] + d)]
-                yield (), np.expand_dims(view, tuple(set(range(registers)) - set(axes)))
-            elif pi.is_quantum or pj.is_quantum:
-                a = first[i] if pi.is_quantum else first[j]
-                fixed = clamped_position(grid, pj if pi.is_quantum else pi)
-                disp = [c - fixed[k] for k, c in enumerate(centers)]
-                for lo, hi in zip(rows, rows[1:]):
-                    block = _pair_table([disp[0][lo:hi], *disp[1:]], qq, delta)
-                    block = block.reshape(block.shape + (1,) * (registers - a - d))
-                    yield (slice(None),) * a + (slice(lo, hi),), block
-            else:
-                r = clamped_position(grid, pi) - clamped_position(grid, pj)
-                yield (), _pair_table(list(r), qq, delta)
+            if _pair_in_term(pi, pj, term) and qq != 0.0:
+                yield i, j, qq
+
+
+def _displacements(grid: GridSpec) -> list[np.ndarray]:
+    """The 2D - 1 displacements of one axis, as views along each of d axes."""
+    D = grid.cells_per_axis
+    return register_views(grid.delta * np.arange(1 - D, D, dtype=float), grid.d)
+
+
+def pair_window(table: np.ndarray, firsts: tuple[int, int], registers: int) -> np.ndarray:
+    """A (2D-1)^d table over the displacement of two quantum particles, as
+    a view that broadcasts into the (D,) * registers tensor, where firsts
+    are the particles' first registers. window[x, y] = table[x + y], so
+    reversed on x it is the table at displacement y - x, for cells x of
+    the first particle and y of the second."""
+    d = table.ndim
+    D = (table.shape[0] + 1) // 2
+    view = sliding_window_view(table, (D,) * d)[(slice(None, None, -1),) * d]
+    axes = {r for first in firsts for r in range(first, first + d)}
+    return np.expand_dims(view, tuple(set(range(registers)) - axes))
+
+
+def _coulomb_terms(
+    grid: GridSpec, particles: tuple[ParticleSpec, ...], term: str, clamped_pairs: bool = True
+) -> Iterator[tuple[tuple, np.ndarray]]:
+    """The selected pairs' terms, in roster order. Two quantum particles:
+    the pair_window of their table, a view. A quantum particle and a
+    clamped one: the D^d table over the quantum particle's cells, in
+    blocks of rows under grid.SLAB_BYTES, as it is half a state when that
+    particle is the only one. Two clamped particles: a constant, unless
+    clamped_pairs is false."""
+    d = grid.d
+    first = _first_registers(particles, d)
+    registers = len(first) * d
+    delta = grid.delta
+    centers = register_views(cell_centers(grid), d)
+    displacements = _displacements(grid)
+    rows = slab_bounds(grid.cells_per_axis, 8 * grid.cells_per_axis ** (d - 1))
+    for i, j, qq in _selected_pairs(particles, term):
+        pi, pj = particles[i], particles[j]
+        if pi.is_quantum and pj.is_quantum:
+            table = _pair_table(displacements, qq, delta)
+            yield (), pair_window(table, (first[i], first[j]), registers)
+        elif pi.is_quantum or pj.is_quantum:
+            a = first[i] if pi.is_quantum else first[j]
+            fixed = clamped_position(grid, pj if pi.is_quantum else pi)
+            disp = [c - fixed[k] for k, c in enumerate(centers)]
+            for lo, hi in zip(rows, rows[1:]):
+                block = _pair_table([disp[0][lo:hi], *disp[1:]], qq, delta)
+                block = block.reshape(block.shape + (1,) * (registers - a - d))
+                yield (slice(None),) * a + (slice(lo, hi),), block
+        elif clamped_pairs:
+            r = clamped_position(grid, pi) - clamped_position(grid, pj)
+            yield (), _pair_table(list(r), qq, delta)
+
+
+def quantum_pair_tables(
+    grid: GridSpec, particles: Sequence[ParticleSpec], terms: Sequence[str]
+) -> Iterator[tuple[tuple[int, int], np.ndarray]]:
+    """The requested Coulomb terms' pairs of two quantum particles, in the
+    order of composite_potential's sums: for each, the two particles'
+    first registers, as pair_window takes them, and the pair's (2D-1)^d
+    table of e' qq / r over their displacement."""
+    particles = tuple(particles)
+    first = _first_registers(particles, grid.d)
+    displacements = _displacements(grid)
+    for term in ("U_ee", "U_en", "U_nn"):
+        if term not in terms:
+            continue
+        for i, j, qq in _selected_pairs(particles, term.split("_")[1]):
+            if particles[i].is_quantum and particles[j].is_quantum:
+                yield (first[i], first[j]), _pair_table(displacements, qq, grid.delta)
 
 
 def _wall_terms(registers: int, v_wall: float) -> Iterator[tuple[tuple, float]]:
@@ -149,10 +199,12 @@ def build_coulomb_diagonal(
     particles: Sequence[ParticleSpec],
     term: str,
     out: np.ndarray | None = None,
+    clamped_pairs: bool = True,
 ) -> np.ndarray:
     """Sum of pair Coulomb energies for the selected term over the joint
     basis of the quantum particles, added into the flat diagonal out (a
-    new zeroed one when out is None), which is returned."""
+    new zeroed one when out is None), which is returned. clamped_pairs
+    false leaves out the constants of two clamped particles."""
     if term not in COULOMB_TERMS:
         raise ValidationError(f"term must be one of {COULOMB_TERMS}, got {term!r}")
     particles = tuple(particles)
@@ -162,7 +214,8 @@ def build_coulomb_diagonal(
     D = grid.cells_per_axis
     registers = len(quantum) * grid.d
     flat = np.zeros(D**registers) if out is None else out
-    _add_terms(flat.reshape((D,) * registers), _coulomb_terms(grid, particles, term))
+    terms = _coulomb_terms(grid, particles, term, clamped_pairs)
+    _add_terms(flat.reshape((D,) * registers), terms)
     return flat
 
 
@@ -172,12 +225,14 @@ def composite_potential(
     terms: Sequence[str],
     v_wall: float = 1e6,
     out: np.ndarray | None = None,
+    clamped_pairs: bool = True,
 ) -> np.ndarray | None:
     """Sum the requested potential diagonals ('U_ee', 'U_en', 'U_nn',
     'wall') over the joint basis, in that order, into the flat diagonal
     out (a new zeroed one when out is None), which is returned: one
-    running sum, with nothing diagonal-sized beside it. Returns None when
-    no term applies, and raises ValidationError when the sum holds a
+    running sum, with nothing diagonal-sized beside it. clamped_pairs
+    false leaves out the constants of two clamped particles. Returns None
+    when no term applies, and raises ValidationError when the sum holds a
     non-finite energy."""
     quantum = quantum_particles(particles)
     if not quantum:
@@ -197,7 +252,9 @@ def composite_potential(
                 _add_terms(energies, _wall_terms(registers, v_wall))
             else:
                 # A module global, so that a wrapper of it sees this call.
-                build_coulomb_diagonal(grid, particles, term.split("_")[1], out=total)
+                build_coulomb_diagonal(
+                    grid, particles, term.split("_")[1], out=total, clamped_pairs=clamped_pairs
+                )
     # min and max propagate NaN and +-inf, and allocate no mask.
     if not (np.isfinite(total.min()) and np.isfinite(total.max())):
         raise ValidationError(f"non-finite energies in potential {'+'.join(sorted(terms))!r}")

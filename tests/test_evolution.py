@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.array_utils import byte_bounds
 
 from wzsim.analytic import dense_evolution_oracle, loglog_slope
 from wzsim.errors import NormDriftError, ResourceLimitError, ValidationError
@@ -75,41 +76,69 @@ class TestPreparedOperators:
         grid = build_grid(1.0, 3, 1)
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e"})
         ops = prepare_operators(grid, (electron(),), plan)
-        assert ops.phase is None
+        assert ops.phases == []
         assert len(ops.kinetic) == 1
 
-    def test_phases_match_composite_diagonal(self):
-        # The phase is the factor the splitting applies.
-        grid = build_grid(1.0, 3, 1)
-        roster = (electron(), electron())
-        diag = composite_potential(grid, roster, ["U_ee", "wall"], v_wall=10.0)
-        terms = {"T_e", "U_ee", "wall"}
-        plan = EvolutionPlan(T=1e-3, N_t=10, terms=terms, splitting="first-order", v_wall=10.0)
-        ops = prepare_operators(grid, roster, plan)
-        assert np.allclose(ops.phase, np.exp(-1j * plan.eps * diag), atol=1e-15)
-        plan = EvolutionPlan(T=1e-3, N_t=10, terms=terms, splitting="strang", v_wall=10.0)
-        ops = prepare_operators(grid, roster, plan)
-        assert np.allclose(ops.phase, np.exp(-1j * plan.eps / 2 * diag), atol=1e-15)
+    @staticmethod
+    def scale(plan):
+        return -1j * plan.eps if plan.splitting == "first-order" else -1j * (plan.eps / 2.0)
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
-    def test_phase_is_exp_of_the_diagonal_bit_exact(self, splitting):
-        # Two electrons and three clamped protons in 2D, every potential
-        # term: the energies are summed into the real part of the phase
-        # and exponentiated there, with the arithmetic of exp(scale * V).
-        grid = build_grid(4.0, 3, 2)
-        roster = (*molecule_roster(grid), proton_clamped((0, 7)))
+    @pytest.mark.parametrize(
+        "d, protons, terms",
+        # The 1D box with a wall, and an electron in 2D with three clamped
+        # protons, U_nn and a wall.
+        [(1, 0, {"T_e", "wall"}), (2, 3, {"T_e", "U_en", "U_nn", "wall"})],
+    )
+    def test_phase_is_exp_of_the_diagonal_bit_exact(self, d, protons, terms, splitting):
+        # One quantum particle: its one table is the whole phase, summed in
+        # the real part of the phase and exponentiated there, with the
+        # arithmetic of exp(scale * V).
+        grid = build_grid(4.0, 3, d)
+        cells = [(1, 6), (5, 2), (6, 6)][:protons]
+        roster = (electron(), *(proton_clamped(c) for c in cells))
+        plan = EvolutionPlan(T=0.05, N_t=4, terms=terms, splitting=splitting, v_wall=30.0)
+        (phase,) = prepare_operators(grid, roster, plan).phases
+        diag = composite_potential(grid, roster, sorted(terms - {"T_e"}), v_wall=30.0)
+        assert phase.shape == (8**d,)
+        assert np.array_equal(phase, np.exp(self.scale(plan) * diag))
+
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    @pytest.mark.parametrize(
+        "d, roster, tables",
+        # Two electrons in 1D with U_ee and a wall; two electrons and three
+        # clamped protons in 2D with every potential term; three electrons
+        # and a clamped proton in 1D. One table per electron and one per
+        # pair of electrons.
+        [
+            (1, (electron(), electron()), 3),
+            (2, (electron(), electron(), *(proton_clamped(c) for c in [(3, 4), (5, 4), (0, 7)])), 3),
+            (1, (electron(),) * 3 + (proton_clamped((4,)),), 6),
+        ],
+    )
+    def test_phases_match_composite_diagonal(self, d, roster, tables, splitting):
+        # The tables' product is the factor the splitting applies, to
+        # rounding: it multiplies exp of the terms where the diagonal sums
+        # the terms under one exp.
+        grid = build_grid(4.0, 3, d)
         terms = {"T_e", "U_ee", "U_en", "U_nn", "wall"}
         plan = EvolutionPlan(T=0.05, N_t=4, terms=terms, splitting=splitting, v_wall=30.0)
-        phase = prepare_operators(grid, roster, plan).phase
-        scale = -1j * plan.eps if splitting == "first-order" else -1j * (plan.eps / 2.0)
+        phases = prepare_operators(grid, roster, plan).phases
         diag = composite_potential(grid, roster, ["U_ee", "U_en", "U_nn", "wall"], v_wall=30.0)
-        assert np.array_equal(phase, np.exp(scale * diag))
+        registers = len(quantum_particles(roster)) * d
+        product = np.ones((8,) * registers, dtype=complex)
+        for table in phases:
+            assert table.ndim == registers
+            product = product * table
+        assert len(phases) == tables
+        expected = np.exp(self.scale(plan) * diag)
+        assert np.max(np.abs(product.reshape(-1) - expected)) <= 1e-15
 
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
-    def test_build_peaks_at_the_phase_plus_an_eighth_of_a_state(self, method):
-        # Two electrons and two protons in 2D at n=4, a 1 MiB state: the
-        # phase is the one state-sized array; the tables and the kinetic
-        # plans are a few KiB.
+    def test_build_peaks_under_a_sixteenth_of_a_state(self, method):
+        # Two electrons and two protons in 2D at n=4, a 1 MiB state: no
+        # table is state-sized, as each spans a few KiB of memory, and
+        # neither are the kinetic plans.
         grid = build_grid(4.0, 4, 2)
         roster = molecule_roster(grid)
         plan = EvolutionPlan(
@@ -124,8 +153,11 @@ class TestPreparedOperators:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ops.phase.nbytes == state_bytes
-        assert peak - base <= state_bytes + state_bytes // 8
+        assert len(ops.phases) == 3
+        for table in ops.phases:
+            low, high = byte_bounds(table)
+            assert high - low < state_bytes // 16
+        assert peak - base < state_bytes // 16
 
     def test_kinetic_entries_cover_quantum_registers(self):
         grid = build_grid(1.0, 2, 2)
@@ -160,9 +192,10 @@ class TestStepComposition:
         state = gaussian_state(grid, roster)
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "wall"}, splitting="first-order")
         ops = prepare_operators(grid, roster, plan)
+        (phase,) = ops.phases
         stepped = copy_of(state)
         step(stepped, plan, ops)
-        manual = state.with_amplitudes(state.amplitudes * ops.phase)
+        manual = state.with_amplitudes(state.amplitudes * phase)
         self._manual_kinetic(manual, ops)
         assert np.array_equal(stepped.amplitudes, manual.amplitudes)
 
@@ -172,11 +205,12 @@ class TestStepComposition:
         state = gaussian_state(grid, roster)
         plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "wall"}, splitting="strang")
         ops = prepare_operators(grid, roster, plan)
+        (phase,) = ops.phases
         stepped = copy_of(state)
         step(stepped, plan, ops)
-        manual = state.with_amplitudes(state.amplitudes * ops.phase)
+        manual = state.with_amplitudes(state.amplitudes * phase)
         self._manual_kinetic(manual, ops)
-        manual = manual.with_amplitudes(manual.amplitudes * ops.phase)
+        manual = manual.with_amplitudes(manual.amplitudes * phase)
         assert np.array_equal(stepped.amplitudes, manual.amplitudes)
 
 
@@ -325,12 +359,35 @@ class TestWorkBuffer:
         buffer = state.amplitudes
         assert step(state, plan, ops) is None
         assert state.amplitudes is buffer
-        manual.amplitudes[:] *= ops.phase
+        tensor = manual.tensor
+        for table in ops.phases:
+            tensor *= table
         for register, kplan in ops.kinetic:
             apply_kinetic_plan(manual, register, kplan)
         if splitting == "strang":
-            manual.amplitudes[:] *= ops.phase
+            for table in ops.phases:
+                tensor *= table
         assert np.array_equal(state.amplitudes, manual.amplitudes)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_phase_tables_on_slabs_match_the_whole_tensor(self, monkeypatch, threads):
+        # Two electrons and two protons in 2D on 8 cells, under a cap of a
+        # third of the state: 4 slabs of register 0, on up to 3 threads.
+        # Without a kinetic term a step is the tables alone.
+        monkeypatch.setenv("WZ_THREADS", str(threads))
+        grid = build_grid(4.0, 3, 2)
+        roster = molecule_roster(grid)
+        state = random_state(grid, 2)
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // 3)
+        plan = EvolutionPlan(T=0.05, N_t=4, terms={"U_ee", "U_en", "wall"})
+        ops = prepare_operators(grid, roster, plan)
+        assert ops.workers == threads and len(ops.phases) == 3 and ops.kinetic == []
+        whole = copy_of(state)
+        tensor = whole.tensor
+        for table in ops.phases:
+            tensor *= table
+        step(state, plan, ops)
+        assert np.array_equal(state.amplitudes, whole.amplitudes)
 
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
     def test_drift_matches_chained_steps(self, method):
@@ -363,12 +420,14 @@ class TestWorkBuffer:
     def test_evolve_peaks_at_state_plus_phase(
         self, monkeypatch, n, d, particles, protons, method, splitting, wall
     ):
-        # The steps act on the caller's state, so the phase is the only
-        # state-sized array evolve makes, and the potential is built from
-        # tables of a few KiB. The Trotter scan slabs stay under the cap,
-        # here a 32nd of the state, unless one cell of the cut axis is
-        # more: 3/16 of the state in temporaries at 16 cells. Each thread
-        # holds its own slab, so this runs on one. The rest is numpy's
+        # The steps act on the caller's state, so evolve holds the phase
+        # tables and a quarter of a state at most beside it. With one
+        # quantum particle its table is the only state-sized array; with
+        # more, the tables are a few KiB. The Trotter scan slabs stay under
+        # the cap, here a 32nd of the state, unless one cell of the cut axis
+        # is more: 3/16 of the state in temporaries at 16 cells, and numpy's
+        # iterator buffers, 0.23 of the state in all. Each thread holds its
+        # own slab, so this runs on one. The spectral route holds numpy's
         # fixed-size FFT buffer, about 140 KiB.
         monkeypatch.setenv("WZ_THREADS", "1")
         grid = build_grid(4.0, n, d)
@@ -397,8 +456,11 @@ class TestWorkBuffer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        phases = prepare_operators(grid, roster, plan).phases
+        tables = sum(high - low for low, high in map(byte_bounds, phases))
         assert report.final_state is state and state.amplitudes is buffer
-        assert peak - base <= 1.25 * state_bytes
+        assert tables == state_bytes if particles == 1 else tables < state_bytes // 16
+        assert peak - base <= 0.25 * state_bytes + tables
 
     def test_statevector_builds_do_not_grow_with_steps(self, monkeypatch):
         builds = []

@@ -652,6 +652,26 @@ MALFORMED = [
     # Non-finite potential sums, rejected before the first step.
     ("molecule2d", {"terms": ["T_e", "U_en", "wall"], "wall_height": 1e308}),
     ("molecule2d", {"particles": [{**ELECTRON, "charge": -1e308}, {**PROTON, "charge": 1e308}]}),
+    # Two electrons: each one's own table is finite, at 1.4e308 in its
+    # corner, but not the four-register corner; and an overflowing U_ee.
+    (
+        "molecule2d",
+        {
+            "qubits_per_axis": 3,
+            "steps": 2,
+            "particles": [ELECTRON, ELECTRON, PROTON],
+            "terms": ["T_e", "U_en", "wall"],
+            "wall_height": 7e307,
+        },
+    ),
+    (
+        "molecule2d",
+        {
+            "qubits_per_axis": 3,
+            "steps": 2,
+            "particles": [{**ELECTRON, "charge": -1e155}, {**ELECTRON, "charge": -1e155}, PROTON],
+        },
+    ),
 ]
 
 # Bad grids, step counts and times, among them later sweep points and a

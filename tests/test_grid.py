@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wzsim import grid as grid_mod
 from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import (
     GridSpec,
@@ -320,3 +323,30 @@ class TestStateVector:
         st_ = StateVector(np.ones(4, complex), grid, (electron(),)).normalized()
         with pytest.raises(ValidationError):
             marginal_density(st_, 1)
+
+    @pytest.mark.parametrize("n, d, particles", [(6, 2, 1), (4, 2, 2), (5, 1, 3)])
+    def test_marginal_in_slabs_is_the_dense_sum(self, monkeypatch, n, d, particles):
+        # One particle in 2D, two in 2D and three in 1D. A cap of a 16th of
+        # the density cuts particle 0's cells into 16 slabs or more: every
+        # marginal is the dense reduction byte for byte, and the peak stays
+        # under two caps beside the output, where the dense one holds the
+        # whole density.
+        grid = build_grid(1.0, n, d)
+        rng = np.random.default_rng(particles)
+        dim = 1 << (n * d * particles)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        st_ = StateVector(amps, grid, (electron(),) * particles).normalized()
+        cap = 8 * dim // 16
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", cap)
+        dens = (np.abs(st_.amplitudes) ** 2).reshape((1 << (n * d),) * particles)
+        for p in range(particles):
+            others = tuple(ax for ax in range(particles) if ax != p)
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                marginal = marginal_density(st_, p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(marginal, dens.sum(axis=others) if others else dens)
+            assert peak - base < 2 * cap + marginal.nbytes

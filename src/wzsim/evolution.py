@@ -16,12 +16,14 @@ is kept as small unit-modulus tables that broadcast into the register
 tensor: one per quantum particle, the exp of its one-body energies, and
 one per pair of quantum particles, the exp of the pair's Coulomb table
 over their displacement. step multiplies them in slab by slab of
-register 0, on the kinetic slab pool. A run of two or more quantum
-particles thus peaks at one state plus the tables, a few KiB, and the
-kinetic slab temporaries. With one quantum particle the one table is the
-whole potential phase, a second state-sized array, summed from small
-tables into the real part of its complex array and exponentiated there;
-step multiplies it in at once, on the caller's thread.
+register 0, on the kinetic slab pool, which reads WZ_THREADS at each
+call. A run of two or more quantum particles thus peaks at one state
+plus the tables, a few KiB, and the kinetic slab temporaries. Every
+table has the same layout, one axis per register: with one quantum
+particle the one table is the whole potential phase, a second
+state-sized array, summed from small tables into the real part of its
+complex array and exponentiated there; step multiplies it in at once,
+on the caller's thread.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .grid import (
 from .kinetic import (
     KineticTrotterPlan,
     SpectralKineticPlan,
-    _worker_count,
     apply_kinetic_plan,
     make_spectral_plan,
     make_trotter_plan,
@@ -66,7 +67,9 @@ SHOT_CHUNK = 1 << 20
 
 
 def check_steps(n_t: int) -> None:
-    """Raise unless 1 <= n_t <= MAX_STEPS."""
+    """Raise unless n_t is an integer and 1 <= n_t <= MAX_STEPS."""
+    if not isinstance(n_t, (int, np.integer)):
+        raise ValidationError(f"the step count must be an integer, got {n_t!r}")
     if n_t < 1:
         raise ValidationError(f"need at least one step, got {n_t}")
     if n_t > MAX_STEPS:
@@ -118,12 +121,10 @@ class PreparedOperators:
     the constants of the clamped pairs), then one (2D-1)^d table per pair
     of quantum particles, seen through potential.pair_window. With one
     quantum particle the one table is the whole phase, as big as the
-    state and flat like its amplitudes. Empty without a potential term.
-    workers is the thread count step multiplies the tables in on."""
+    state. Empty without a potential term."""
 
     phases: list[np.ndarray]
     kinetic: list[tuple[int, KineticTrotterPlan | SpectralKineticPlan]]
-    workers: int = 1
 
 
 def _exp_in_place(scale: complex, energies: np.ndarray) -> np.ndarray:
@@ -157,7 +158,7 @@ def _phase_tables(
         highest += float(energies.max())
         _exp_in_place(scale, table)
         shape = (1,) * (q * d) + (D,) * d + (1,) * (registers - (q + 1) * d)
-        phases.append(table if registers == d else table.reshape(shape))
+        phases.append(table.reshape(shape))
     # An overflow here is caught below, as a non-finite extreme.
     with np.errstate(over="ignore", invalid="ignore"):
         for firsts, energies in quantum_pair_tables(grid, particles, terms):
@@ -189,11 +190,11 @@ def prepare_operators(
         if particle.mass not in plans:
             plans[particle.mass] = make(grid.cells_per_axis, grid.delta, particle.mass, plan.eps)
         kinetic += [(r, plans[particle.mass]) for r in grid.registers(q)]
-    return PreparedOperators(phases=phases, kinetic=kinetic, workers=_worker_count())
+    return PreparedOperators(phases=phases, kinetic=kinetic)
 
 
-def _multiply_phases(a: np.ndarray, phases: list[np.ndarray], workers: int) -> None:
-    """Multiply the phase tables into the flat amplitudes a, in place. One
+def _multiply_phases(t: np.ndarray, phases: list[np.ndarray]) -> None:
+    """Multiply the phase tables into the register tensor t, in place. One
     quantum particle's one table is one multiply on the caller's thread.
     More are multiplied in table after table on each slab of register 0,
     on the kinetic slab pool. Each slab is passed over once per table, so
@@ -202,30 +203,28 @@ def _multiply_phases(a: np.ndarray, phases: list[np.ndarray], workers: int) -> N
     the same order whatever the cut, so the bytes do not depend on it or
     on the thread count."""
     if len(phases) == 1:
-        np.multiply(a, phases[0], out=a)
+        np.multiply(t, phases[0], out=t)
         return
-    first = phases[0]
-    t = a.reshape((first.shape[0],) * first.ndim)
 
     def multiply(cut: slice) -> None:
         slab = t[cut]
         for table in phases:
             np.multiply(slab, table[cut] if table.shape[0] > 1 else table, out=slab)
 
-    on_slabs(multiply, t, 0, workers, 1)
+    on_slabs(multiply, t, 0, 1)
 
 
 def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) -> None:
     """Advance state by one eps, in place: the potential phase then the
     kinetic factors, or the Strang half-phase sandwich."""
-    a = state.amplitudes
     phases = operators.phases
+    t = state.tensor
     if phases:
-        _multiply_phases(a, phases, operators.workers)
+        _multiply_phases(t, phases)
     for register, kplan in operators.kinetic:
         apply_kinetic_plan(state, register, kplan)
     if phases and plan.splitting == "strang":
-        _multiply_phases(a, phases, operators.workers)
+        _multiply_phases(t, phases)
 
 
 @dataclass
@@ -278,8 +277,8 @@ def sample_configurations(state: StateVector, shots: int, seed: int) -> np.ndarr
     Uses a counter-based generator so a fixed seed reproduces the exact
     histogram; counts sum to shots.
     """
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    if shots < 1 or seed < 0:
+        raise ValidationError(f"need shots >= 1 and seed >= 0, got {shots} and {seed}")
     p = density(state)
     total = p.sum()
     if not np.isfinite(total) or total <= 0:

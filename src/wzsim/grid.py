@@ -306,15 +306,13 @@ def marginal_density(state: StateVector, particle: int) -> np.ndarray:
     so nothing state-sized is made. The bytes are those of density(state)
     summed over the other particles' axes at once: a slab's rows sum into
     their own entries, and the sum over particle 0's cells continues from
-    the running sum, the first entry of a buffer that is zero elsewhere."""
+    the running sum, the first entry of a buffer that is zero elsewhere.
+    With one particle no axis is summed, and each slab is its own entries."""
     n_q = len(state.particles)
     if not 0 <= particle < n_q:
         raise ValidationError(f"particle index {particle} outside [0, {n_q})")
     per_particle = 1 << (state.grid.d * state.grid.n)
     marginal = np.zeros(per_particle)
-    if n_q == 1:
-        np.abs(state.amplitudes, out=marginal)
-        return np.square(marginal, out=marginal)
     shape = (per_particle,) * n_q
     t = state.amplitudes.reshape(shape)
     axes = tuple(ax for ax in range(n_q) if ax != particle)

@@ -20,17 +20,20 @@ on one register of the state it is given: axis r of the register
 tensor, as GridSpec.registers numbers them. Registers are disjoint, so
 application order is irrelevant. With more than one register, it cuts
 the register tensor along another axis into slabs and deals them out
-over WZ_THREADS threads, a count read once into the plan. A thread is
-worth its hand-off only for grid.SLAB_BYTES of state, so a call uses at
-most max(1, state bytes // SLAB_BYTES) threads: a state under
-SLAB_BYTES runs on the caller's thread alone. The spectral kernel works
-in place, so its tensor is cut into one slab per thread. The scan holds
-three temporaries the size of its slab, so the Trotter tensor is cut
-into as many more as keep them under SLAB_BYTES, at most one per cell
-of the cut axis. Every 1-D line is worked on alone, so the result does
-not depend on the cut or the thread count. A one-register state is one
-call on the caller's thread. on_slabs, which cuts and deals the slabs,
-also multiplies in evolution's potential phase tables.
+over WZ_THREADS threads. on_slabs, which cuts and deals the slabs for
+the kernels and for evolution's potential phase tables, reads that
+count at every call, so a plan holds only the constants its kernel
+reads. A thread is worth its hand-off only for grid.SLAB_BYTES of
+state, so a call uses at most max(1, state bytes // SLAB_BYTES)
+threads: a state under SLAB_BYTES runs on the caller's thread alone.
+The spectral kernel works in place, so its tensor is cut into one slab
+per thread. The scan is counted as three temporaries the size of its
+slab, so the Trotter tensor is cut into as many more as keep them under
+SLAB_BYTES, at most one per cell of the cut axis; on a strided slab it
+holds about 3.7, as numpy adds an iterator buffer of up to 128 KiB to
+each call on a strided operand. Every 1-D line is worked on alone, so
+the result does not depend on the cut or the thread count. A one-register state is one call on the
+caller's thread.
 """
 
 from __future__ import annotations
@@ -60,13 +63,17 @@ def _check_register_size(D: int) -> None:
         raise ValidationError(f"register size must be a power of two >= 2, got {D}")
 
 
+def _check_spacing(delta: float) -> None:
+    if not delta > 0:
+        raise ValidationError(f"grid spacing delta must be positive, got {delta}")
+
+
 def momentum_matrix(D: int, delta: float) -> np.ndarray:
     """Hermitian central-difference momentum operator: -i hbar / (2 delta)
     on the superdiagonal, +i hbar / (2 delta) on the subdiagonal and a zero
     diagonal, the same stencil at the endpoints as inside."""
     _check_register_size(D)
-    if delta <= 0:
-        raise ValidationError("delta must be positive")
+    _check_spacing(delta)
     alpha = -1j * HBAR / (2.0 * delta)
     return alpha * (np.eye(D, k=1) - np.eye(D, k=-1)).astype(np.complex128)
 
@@ -122,16 +129,17 @@ class KineticTrotterPlan:
         E_0 * B_1 * B_2 * ... * B_{D-2} * E_{D-1}
     where E_j is the endpoint phase exp(-xi |j><j|) and B_i the coupling
     block at cells (i-1, i, i+1). Applied to a state, the rightmost factor
-    acts first. The plan holds D, xi, the thread count and the scan's
-    coefficients, computed once: lines evaluates the product as a prefix
-    scan, and trotter_factor_matrix builds the dense matrix for reference.
+    acts first. The plan holds D, xi and the scan's coefficients, computed
+    once: lines evaluates the product as a prefix scan, and
+    trotter_factor_matrix builds the dense matrix for reference.
     """
 
     dim: int
     xi: complex
-    workers: int
     scan: ScanCoefficients = field(init=False, repr=False)
     # The scan holds c, shifted and ps * c[s:], each the size of its input.
+    # On a strided slab numpy adds an iterator buffer of up to 128 KiB to
+    # each call, about 3.7 slabs in all at the 1 MiB cap; the cuts count 3.
     temporaries: ClassVar[int] = 3
 
     def __post_init__(self) -> None:
@@ -145,6 +153,7 @@ class KineticTrotterPlan:
 def trotter_xi(delta: float, mass: float, eps: float) -> complex:
     if mass <= 0:
         raise ValidationError("mass must be positive")
+    _check_spacing(delta)
     xi = 1j * HBAR * eps / (8.0 * mass * delta * delta)
     if not cmath.isfinite(xi):
         raise ValidationError(f"Trotter coupling eps/(8 m delta^2) overflows at eps={eps}")
@@ -200,28 +209,15 @@ def _trotter_scan(o: np.ndarray, k: ScanCoefficients) -> np.ndarray:
 
 def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticTrotterPlan:
     _check_register_size(D)
-    return KineticTrotterPlan(dim=D, xi=trotter_xi(delta, mass, eps), workers=_worker_count())
-
-
-def _worker_count() -> int:
-    """Kinetic threads from WZ_THREADS; unset, empty or < 1 means 1, and more
-    than MAX_FFT_THREADS means MAX_FFT_THREADS."""
-    raw = os.environ.get("WZ_THREADS", "1").strip() or "1"
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"WZ_THREADS must be an integer, got {raw!r}") from exc
-    return min(max(1, workers), MAX_FFT_THREADS)
+    return KineticTrotterPlan(dim=D, xi=trotter_xi(delta, mass, eps))
 
 
 @dataclass
 class SpectralKineticPlan:
-    """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar),
-    and the number of threads the transforms run on."""
+    """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar)."""
 
     dim: int
     phase_table: np.ndarray
-    workers: int
     temporaries: ClassVar[int] = 0
 
     def lines(self, a: np.ndarray) -> None:
@@ -235,6 +231,7 @@ def momentum_eigenvalues(D: int, delta: float) -> np.ndarray:
     """The D asymptotic eigenvalues -(hbar/delta) sin(2 pi k / D) of P
     under Fourier conjugation, k = 0 .. D-1."""
     _check_register_size(D)
+    _check_spacing(delta)
     return -(HBAR / delta) * np.sin(2.0 * np.pi * np.arange(D) / D)
 
 
@@ -246,7 +243,7 @@ def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> Spectra
     # A huge eps makes a NaN table, which evolution.evolve's norm check catches.
     with np.errstate(over="ignore", invalid="ignore"):
         table = np.exp(-1j * eps * p * p / (2.0 * mass * HBAR))
-    return SpectralKineticPlan(dim=D, phase_table=table, workers=_worker_count())
+    return SpectralKineticPlan(dim=D, phase_table=table)
 
 
 def apply_kinetic_plan(
@@ -266,12 +263,19 @@ def apply_kinetic_plan(
     axis = 1 if register == 0 else 0
     lead = (slice(None),) * axis
     on_slabs(
-        lambda cut: plan.lines(t[lead + (cut,)].swapaxes(0, register)),
-        t,
-        axis,
-        plan.workers,
-        plan.temporaries,
+        lambda cut: plan.lines(t[lead + (cut,)].swapaxes(0, register)), t, axis, plan.temporaries
     )
+
+
+def _worker_count() -> int:
+    """Kinetic threads from WZ_THREADS; unset, empty or < 1 means 1, and more
+    than MAX_FFT_THREADS means MAX_FFT_THREADS."""
+    raw = os.environ.get("WZ_THREADS", "1").strip() or "1"
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"WZ_THREADS must be an integer, got {raw!r}") from exc
+    return min(max(1, workers), MAX_FFT_THREADS)
 
 
 @functools.cache
@@ -283,22 +287,17 @@ def _slab_pool(threads: int):
     return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wzsim-slab")
 
 
-def on_slabs(
-    fn: Callable[[slice], None],
-    t: np.ndarray,
-    axis: int,
-    workers: int,
-    temporaries: int,
-) -> None:
+def on_slabs(fn: Callable[[slice], None], t: np.ndarray, axis: int, temporaries: int) -> None:
     """Call fn(cut) for slices cut of t's axis that together cover it, so
-    that fn works on the slab t[..., cut, ...]. There is one slab per
-    worker or, when fn holds `temporaries` arrays of its slab's size, as
-    many more as keep them under SLAB_BYTES; at most one per cell of the
-    axis. The slabs, of equal size to within a cell, are dealt in turn to
-    min(workers, slabs) threads, the caller's among them. workers is first
-    capped at t.nbytes // SLAB_BYTES, so that a thread's share of t is
-    worth its hand-off; below SLAB_BYTES the caller works alone."""
-    workers = min(workers, max(1, t.nbytes // grid.SLAB_BYTES))
+    that fn works on the slab t[..., cut, ...]. workers is WZ_THREADS,
+    read at this call, capped at t.nbytes // SLAB_BYTES, so that a
+    thread's share of t is worth its hand-off; below SLAB_BYTES the caller
+    works alone. There is one slab per worker or, when fn holds
+    `temporaries` arrays of its slab's size, as many more as keep them
+    under SLAB_BYTES; at most one per cell of the axis. The slabs, of
+    equal size to within a cell, are dealt in turn to min(workers, slabs)
+    threads, the caller's among them."""
+    workers = min(_worker_count(), max(1, t.nbytes // grid.SLAB_BYTES))
     cells = t.shape[axis]
     bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)
     cuts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

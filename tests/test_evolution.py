@@ -15,6 +15,7 @@ from wzsim.evolution import (
     step,
 )
 from wzsim import grid as grid_mod
+from wzsim import kinetic as kinetic_mod
 from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state, quantum_particles
 from wzsim.kinetic import apply_kinetic_plan
 from wzsim.potential import composite_potential
@@ -51,6 +52,8 @@ class TestPlanValidation:
             EvolutionPlan(T=-1.0, N_t=10)
         with pytest.raises(ValidationError):
             EvolutionPlan(T=1.0, N_t=0)
+        with pytest.raises(ValidationError):
+            EvolutionPlan(T=0.1, N_t=2.5)
         with pytest.raises(ValidationError):
             EvolutionPlan(T=1.0, N_t=10, kinetic_method="exact")
         with pytest.raises(ValidationError):
@@ -100,8 +103,8 @@ class TestPreparedOperators:
         plan = EvolutionPlan(T=0.05, N_t=4, terms=terms, splitting=splitting, v_wall=30.0)
         (phase,) = prepare_operators(grid, roster, plan).phases
         diag = composite_potential(grid, roster, sorted(terms - {"T_e"}), v_wall=30.0)
-        assert phase.shape == (8**d,)
-        assert np.array_equal(phase, np.exp(self.scale(plan) * diag))
+        assert phase.shape == (8,) * d
+        assert np.array_equal(phase.reshape(-1), np.exp(self.scale(plan) * diag))
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     @pytest.mark.parametrize(
@@ -373,21 +376,33 @@ class TestWorkBuffer:
     def test_phase_tables_on_slabs_match_the_whole_tensor(self, monkeypatch, threads):
         # Two electrons and two protons in 2D on 8 cells, under a cap of a
         # third of the state: 4 slabs of register 0, on up to 3 threads.
-        # Without a kinetic term a step is the tables alone.
-        monkeypatch.setenv("WZ_THREADS", str(threads))
+        # Without a kinetic term a step is the tables alone. The tables are
+        # made under WZ_THREADS=1 and the step reads `threads`: the pool
+        # has threads - 1.
+        asked = []
+        pool = kinetic_mod._slab_pool
+
+        def spy(count):
+            asked.append(count)
+            return pool(count)
+
+        monkeypatch.setattr(kinetic_mod, "_slab_pool", spy)
+        monkeypatch.setenv("WZ_THREADS", "1")
         grid = build_grid(4.0, 3, 2)
         roster = molecule_roster(grid)
         state = random_state(grid, 2)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // 3)
         plan = EvolutionPlan(T=0.05, N_t=4, terms={"U_ee", "U_en", "wall"})
         ops = prepare_operators(grid, roster, plan)
-        assert ops.workers == threads and len(ops.phases) == 3 and ops.kinetic == []
+        assert len(ops.phases) == 3 and ops.kinetic == []
         whole = copy_of(state)
         tensor = whole.tensor
         for table in ops.phases:
             tensor *= table
+        monkeypatch.setenv("WZ_THREADS", str(threads))
         step(state, plan, ops)
         assert np.array_equal(state.amplitudes, whole.amplitudes)
+        assert asked == [threads - 1] * (threads - 1)
 
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
     def test_drift_matches_chained_steps(self, method):
@@ -625,3 +640,5 @@ class TestSampling:
         state = gaussian_state(grid, (electron(),))
         with pytest.raises(ValidationError):
             sample_configurations(state, 0, seed=0)
+        with pytest.raises(ValidationError):
+            sample_configurations(state, 10, seed=-1)

@@ -42,7 +42,7 @@ from wzsim import grid as grid_mod
 from wzsim.analytic import BoxSeriesSpec, box_exact_density
 from wzsim.evolution import MAX_STEPS, EvolutionPlan, evolve
 from wzsim.grid import ParticleSpec, build_grid, cell_centers, density
-from wzsim.kinetic import _worker_count, make_spectral_plan
+from wzsim.kinetic import _worker_count
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -203,12 +203,6 @@ class TestHelpers:
         monkeypatch.setenv("WZ_THREADS", "many")
         with pytest.raises(ValidationError):
             _worker_count()
-
-    def test_spectral_plan_takes_fft_workers_from_env(self, monkeypatch):
-        monkeypatch.setenv("WZ_THREADS", "3")
-        assert make_spectral_plan(8, 0.125, 1.0, 1e-3).workers == 3
-        monkeypatch.delenv("WZ_THREADS")
-        assert make_spectral_plan(8, 0.125, 1.0, 1e-3).workers == 1
 
 
 def reference_csv(header, rows) -> bytes:

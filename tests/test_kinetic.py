@@ -114,6 +114,21 @@ class TestStencils:
         with pytest.raises(ValidationError):
             momentum_matrix(4, 0.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda delta: momentum_matrix(8, delta),
+            lambda delta: momentum_eigenvalues(8, delta),
+            lambda delta: make_trotter_plan(8, delta, 1.0, 1e-3),
+            lambda delta: make_spectral_plan(8, delta, 1.0, 1e-3),
+        ],
+        ids=["momentum_matrix", "momentum_eigenvalues", "trotter", "spectral"],
+    )
+    def test_grid_spacing_must_be_positive(self, build, delta):
+        with pytest.raises(ValidationError):
+            build(delta)
+
 
 class TestCouplingBlock:
     def test_matches_expm_oracle_for_random_imaginary_arguments(self):
@@ -182,7 +197,7 @@ class TestTrotterFactor:
         # On one line, and along the middle axis of a (3, D, 2) tensor, a
         # strided view as apply_kinetic_plan scans. The dense-factor tests
         # of this class hold the plan's scan to trotter_factor_matrix.
-        plan = KineticTrotterPlan(dim=D, xi=xi, workers=1)
+        plan = KineticTrotterPlan(dim=D, xi=xi)
         rng = np.random.default_rng(D)
         t = rng.normal(size=(3, D, 2)) + 1j * rng.normal(size=(3, D, 2))
         line = t[1, :, 0].copy()
@@ -333,7 +348,6 @@ class TestSpectralSlabs:
         monkeypatch.setenv("WZ_THREADS", str(threads))
         grid = state.grid
         plan = make_spectral_plan(grid.cells_per_axis, grid.delta, 1.0, 0.05)
-        assert plan.workers == threads
         out = copy_of(state)
         apply_kinetic_plan(out, reg, plan)
         return out, plan
@@ -366,9 +380,9 @@ class TestSpectralSlabs:
             assert np.array_equal(out.amplitudes, single.amplitudes)
 
     def test_thread_count_is_capped(self, monkeypatch):
+        # Read alone: on_slabs would start a pool of MAX_FFT_THREADS - 1.
         monkeypatch.setenv("WZ_THREADS", str(10**6))
-        assert make_spectral_plan(8, 0.125, 1.0, 1e-3).workers == MAX_FFT_THREADS
-        assert make_trotter_plan(8, 0.125, 1.0, 1e-3).workers == MAX_FFT_THREADS
+        assert kinetic_mod._worker_count() == MAX_FFT_THREADS
 
     @pytest.mark.parametrize(
         "n, d, particles, threads, bounds",
@@ -393,7 +407,6 @@ class TestSpectralSlabs:
         assert grid_mod.slab_bounds(D, cell_bytes, threads) == bounds
         monkeypatch.setenv("WZ_THREADS", str(threads))
         plan = make_trotter_plan(D, grid.delta, 1.0, 0.05)
-        assert plan.workers == threads
         for reg in range(registers):
             state = self.random_state(grid, (electron(),) * particles, reg)
             out = copy_of(state)
@@ -422,7 +435,9 @@ class TestSpectralSlabs:
     @pytest.mark.parametrize("method", sorted(METHODS))
     @pytest.mark.parametrize("caps, threads", [(1, 1), (2, 2), (3, 3), (100, 3)])
     def test_one_thread_per_cap_of_state(self, monkeypatch, method, caps, threads):
-        # WZ_THREADS=3 and a state of `caps` caps: the pool has threads - 1.
+        # A plan made under WZ_THREADS=1 and applied under 3 to a state of
+        # `caps` caps: on_slabs reads the count at the call, so the pool
+        # has threads - 1.
         asked = []
         pool = kinetic_mod._slab_pool
 
@@ -431,11 +446,12 @@ class TestSpectralSlabs:
             return pool(count)
 
         monkeypatch.setattr(kinetic_mod, "_slab_pool", spy)
-        monkeypatch.setenv("WZ_THREADS", "3")
+        monkeypatch.setenv("WZ_THREADS", "1")
         grid = build_grid(1.0, 3, 2)
         plan = METHODS[method](8, grid.delta, 1.0, 0.05)
         state = self.random_state(grid, (electron(), electron()), 0)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // caps)
+        monkeypatch.setenv("WZ_THREADS", "3")
         apply_kinetic_plan(state, 1, plan)
         assert asked == [threads - 1] * (threads - 1)
 

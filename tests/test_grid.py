@@ -332,7 +332,7 @@ class TestStateVector:
         # under two caps beside the output, where the dense one holds the
         # whole density. One cap is the slab buffer; the other covers about
         # 2.5 KiB of bookkeeping (the cut list, numpy's reduction setup), so
-        # no density here is under 64 KiB.
+        # every cap here is at least 8 KiB.
         grid = build_grid(1.0, n, d)
         rng = np.random.default_rng(particles)
         dim = 1 << (n * d * particles)

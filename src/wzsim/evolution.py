@@ -16,14 +16,13 @@ is kept as small unit-modulus tables that broadcast into the register
 tensor: one per quantum particle, the exp of its one-body energies, and
 one per pair of quantum particles, the exp of the pair's Coulomb table
 over their displacement. step multiplies them in slab by slab of
-register 0, on the kinetic slab pool, which reads WZ_THREADS at each
-call. A run of two or more quantum particles thus peaks at one state
-plus the tables, a few KiB, and the kinetic slab temporaries. Every
-table has the same layout, one axis per register: with one quantum
-particle the one table is the whole potential phase, a second
-state-sized array, summed from small tables into the real part of its
-complex array and exponentiated there; step multiplies it in at once,
-on the caller's thread.
+register 0, on the kinetic slab pool. A run of two or more quantum
+particles thus peaks at one state plus the tables, a few KiB, and the
+kinetic slab temporaries. Every table has one axis per register; with
+one quantum particle the one table is the whole potential phase, a
+second state-sized array, summed from small tables into the real part
+of its complex array and exponentiated there; step multiplies it in at
+once, on the caller's thread.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from .grid import (
 from .kinetic import (
     KineticTrotterPlan,
     SpectralKineticPlan,
+    _worker_count,
     apply_kinetic_plan,
     make_spectral_plan,
     make_trotter_plan,
@@ -218,13 +218,12 @@ def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) 
     """Advance state by one eps, in place: the potential phase then the
     kinetic factors, or the Strang half-phase sandwich."""
     phases = operators.phases
-    t = state.tensor
     if phases:
-        _multiply_phases(t, phases)
+        _multiply_phases(state.tensor, phases)
     for register, kplan in operators.kinetic:
         apply_kinetic_plan(state, register, kplan)
     if phases and plan.splitting == "strang":
-        _multiply_phases(t, phases)
+        _multiply_phases(state.tensor, phases)
 
 
 @dataclass
@@ -259,6 +258,8 @@ def evolve(
     if any(q.mass != s.mass or q.charge != s.charge for q, s in zip(quantum, state.particles)):
         raise ValidationError("quantum roster does not match the state's particles")
 
+    # A malformed WZ_THREADS is rejected before a step changes the state.
+    _worker_count()
     ops = prepare_operators(state.grid, roster, plan)
     drift = np.empty(plan.N_t, dtype=float)
     for k in range(1, plan.N_t + 1):

@@ -21,7 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -217,6 +217,9 @@ class StateVector:
     amplitudes: np.ndarray
     grid: GridSpec
     particles: tuple[ParticleSpec, ...]
+    # The amplitudes as the (D,) * R register tensor, a view made once:
+    # axis r is register r = particle * d + axis.
+    tensor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Contiguous, so that reshaping for a register is a view and
@@ -229,17 +232,12 @@ class StateVector:
         dim = 1 << total_qubits(self.grid.n, self.grid.d, len(self.particles))
         if amps.shape != (dim,):
             raise ValidationError(f"amplitude vector has shape {amps.shape}, expected ({dim},)")
+        registers = len(self.particles) * self.grid.d
+        object.__setattr__(self, "tensor", amps.reshape((self.grid.cells_per_axis,) * registers))
 
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    @property
-    def tensor(self) -> np.ndarray:
-        """The amplitudes as the (D,) * R register tensor, a view: axis r
-        is register r = particle * d + axis."""
-        registers = len(self.particles) * self.grid.d
-        return self.amplitudes.reshape((self.grid.cells_per_axis,) * registers)
 
     def norm(self) -> float:
         """The 2-norm, by the two real dot products np.linalg.norm takes for
@@ -306,13 +304,15 @@ def marginal_density(state: StateVector, particle: int) -> np.ndarray:
     so nothing state-sized is made. The bytes are those of density(state)
     summed over the other particles' axes at once: a slab's rows sum into
     their own entries, and the sum over particle 0's cells continues from
-    the running sum, the first entry of a buffer that is zero elsewhere.
-    With one particle no axis is summed, and each slab is its own entries."""
+    the running sum, the first entry of a buffer that is zero elsewhere."""
     n_q = len(state.particles)
     if not 0 <= particle < n_q:
         raise ValidationError(f"particle index {particle} outside [0, {n_q})")
     per_particle = 1 << (state.grid.d * state.grid.n)
     marginal = np.zeros(per_particle)
+    if n_q == 1:
+        np.abs(state.amplitudes, out=marginal)
+        return np.square(marginal, out=marginal)
     shape = (per_particle,) * n_q
     t = state.amplitudes.reshape(shape)
     axes = tuple(ax for ax in range(n_q) if ax != particle)

@@ -422,6 +422,23 @@ class TestWorkBuffer:
         assert np.array_equal(report.norm_drift, drift)
         assert np.array_equal(report.final_state.amplitudes, chained.amplitudes)
 
+    @pytest.mark.parametrize("d, particles", [(1, 1), (2, 1), (2, 2)])
+    def test_malformed_thread_count_leaves_the_state_as_it_was(self, monkeypatch, d, particles):
+        # One register, where no step reaches the slab engine; two, where
+        # the kinetic factors reach it after the phase has been multiplied
+        # in; and four, where the phase tables reach it too. evolve rejects
+        # the value before its first step in each.
+        monkeypatch.setenv("WZ_THREADS", "many")
+        grid = build_grid(4.0, 3, d)
+        roster = molecule_roster(grid) if particles == 2 else (electron(),)
+        terms = MOLECULE_TERMS if particles == 2 else {"T_e", "wall"}
+        plan = EvolutionPlan(T=0.05, N_t=2, terms=terms)
+        state = random_state(grid, particles)
+        before = state.amplitudes.copy()
+        with pytest.raises(ValidationError, match="WZ_THREADS"):
+            evolve(state, plan, particles=roster)
+        assert np.array_equal(state.amplitudes, before)
+
     @pytest.mark.parametrize("wall", [False, True])
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     @pytest.mark.parametrize("method", ["trotter", "spectral"])

@@ -324,15 +324,13 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             marginal_density(st_, 1)
 
-    @pytest.mark.parametrize("n, d, particles", [(7, 2, 1), (4, 2, 2), (5, 1, 3)])
+    @pytest.mark.parametrize("n, d, particles", [(6, 2, 1), (4, 2, 2), (5, 1, 3)])
     def test_marginal_in_slabs_is_the_dense_sum(self, monkeypatch, n, d, particles):
         # One particle in 2D, two in 2D and three in 1D. A cap of a 16th of
         # the density cuts particle 0's cells into 16 slabs or more: every
         # marginal is the dense reduction byte for byte, and the peak stays
         # under two caps beside the output, where the dense one holds the
-        # whole density. One cap is the slab buffer; the other covers about
-        # 2.5 KiB of bookkeeping (the cut list, numpy's reduction setup), so
-        # every cap here is at least 8 KiB.
+        # whole density.
         grid = build_grid(1.0, n, d)
         rng = np.random.default_rng(particles)
         dim = 1 << (n * d * particles)

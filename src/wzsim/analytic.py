@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .grid import HBAR, GridSpec, ParticleSpec, StateVector, quantum_particles
+from .grid import HBAR, GridSpec, ParticleSpec, StateVector, check_integer, quantum_particles
 from .kinetic import momentum_eigenvalues, momentum_matrix
 from .potential import composite_potential
 
@@ -44,6 +44,7 @@ class BoxSeriesSpec:
     def __post_init__(self) -> None:
         if self.length <= 0 or self.mass <= 0:
             raise ValidationError("length and mass must be positive")
+        check_integer("terms", self.terms)
         if self.terms < 1:
             raise ValidationError("series needs at least one term")
         if self.terms > MAX_SERIES_TERMS:
@@ -62,8 +63,9 @@ def box_exact_density(points: int, spec: BoxSeriesSpec) -> np.ndarray:
     sum_a w_a sin(a pi j / points) = (g_j - g_{N-j}) / 2i for
     g_j = sum_r G_r exp(2 pi i r j / N), an unscaled inverse FFT.
     """
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ValidationError(f"points must be an int >= 1, got {points!r:.40}")
+    check_integer("points", points)
+    if points < 1:
+        raise ValidationError(f"points must be >= 1, got {points}")
     N = 2 * points
     # The phase rounds as the mode energy a^2 pi^2 hbar^2 / (2 m L^2)
     # first, then times t / hbar.

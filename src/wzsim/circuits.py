@@ -147,7 +147,7 @@ def _fold_chain(qubits: Sequence[int]) -> list[Gate]:
     ]
 
 
-def _detect_parity_pattern(thetas: np.ndarray, width: int) -> int | None:
+def _detect_parity_pattern(thetas: np.ndarray) -> int | None:
     """Smallest control-bit mask whose parity, together with the last
     qubit, determines every phase exactly. None when no mask works."""
     n_ctrl = thetas.shape[0]
@@ -191,7 +191,7 @@ def synthesize_diagonal(phases: np.ndarray, strategy: str = "auto") -> Circuit:
     n_ctrl = thetas.shape[0]
 
     if strategy == "auto":
-        mask = _detect_parity_pattern(thetas, width)
+        mask = _detect_parity_pattern(thetas)
         if mask == 0:
             return Circuit(width=width, gates=[Gate(PHASE, last, phases=tuple(thetas[0]))])
         if mask is not None and 2 < n_ctrl:
@@ -211,8 +211,6 @@ def synthesize_diagonal(phases: np.ndarray, strategy: str = "auto") -> Circuit:
 
     # Blind route: theta(c) = k + sum_{S != 0} parity_S(c) * v_S with
     # v_S = -2 * walsh(theta)[S] / 2^(width-1) and k = theta(0).
-    if width == 1:
-        return Circuit(width=1, gates=[Gate(PHASE, 0, phases=tuple(thetas[0]))])
     hat = _walsh_transform(thetas) / n_ctrl
     gates = [Gate(PHASE, last, phases=tuple(thetas[0]))]
     for mask in range(1, n_ctrl):

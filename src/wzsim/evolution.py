@@ -38,6 +38,7 @@ from .grid import (
     GridSpec,
     ParticleSpec,
     StateVector,
+    check_integer,
     density,
     quantum_particles,
 )
@@ -68,8 +69,7 @@ SHOT_CHUNK = 1 << 20
 
 def check_steps(n_t: int) -> None:
     """Raise unless n_t is an integer and 1 <= n_t <= MAX_STEPS."""
-    if not isinstance(n_t, (int, np.integer)):
-        raise ValidationError(f"the step count must be an integer, got {n_t!r}")
+    check_integer("the step count", n_t)
     if n_t < 1:
         raise ValidationError(f"need at least one step, got {n_t}")
     if n_t > MAX_STEPS:
@@ -278,6 +278,8 @@ def sample_configurations(state: StateVector, shots: int, seed: int) -> np.ndarr
     Uses a counter-based generator so a fixed seed reproduces the exact
     histogram; counts sum to shots.
     """
+    check_integer("shots", shots)
+    check_integer("seed", seed)
     if shots < 1 or seed < 0:
         raise ValidationError(f"need shots >= 1 and seed >= 0, got {shots} and {seed}")
     p = density(state)

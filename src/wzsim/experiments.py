@@ -178,8 +178,12 @@ class RunConfig:
             # Every grid the run builds, before the first one evolves.
             for n in [cfg.qubits_per_axis, *(cfg.sweep_qubits or [])]:
                 build_grid(cfg.box_length, n, 1)
-        if experiment in ("box-evolve", "convergence") and set(cfg.terms) != set(BOX_TERMS):
-            raise ValidationError(f"{experiment} runs the terms {BOX_TERMS}, got {cfg.terms}")
+        if experiment in ("box-evolve", "convergence"):
+            if set(cfg.terms) != set(BOX_TERMS):
+                raise ValidationError(f"{experiment} runs the terms {BOX_TERMS}, got {cfg.terms}")
+            (particle,) = quantum_particles(particles_from_config(cfg))
+            if particle.kinetic_term not in cfg.terms:
+                raise ValidationError(f"{experiment} runs no {particle.kinetic_term} for its particle")
         # Checked whether or not the experiment reads them: the manifest
         # records every resolved value. Every sweep point is checked, so
         # none fails after an earlier one has run.

@@ -40,6 +40,12 @@ MAX_TOTAL_QUBITS = 30
 SLAB_BYTES = 1 << 20
 
 
+def check_integer(name: str, value) -> None:
+    """Raise unless value is an int or a numpy integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r:.40}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform cubic grid on [0, L]^d with 2^n cells per axis."""
@@ -51,6 +57,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not np.isfinite(self.length) or self.length <= 0:
             raise ValidationError(f"box length must be positive, got {self.length}")
+        check_integer("n", self.n)
+        check_integer("d", self.d)
         if self.n < 1:
             raise ValidationError(f"need at least one qubit per axis, got n={self.n}")
         if self.n > MAX_AXIS_QUBITS:
@@ -80,7 +88,7 @@ class GridSpec:
 
 def build_grid(length: float, n: int, d: int) -> GridSpec:
     """Validate and construct a GridSpec."""
-    return GridSpec(length=float(length), n=int(n), d=int(d))
+    return GridSpec(length=float(length), n=n, d=d)
 
 
 def cell_centers(grid: GridSpec) -> np.ndarray:

@@ -6,9 +6,9 @@ Two interchangeable single-axis methods are provided:
   momentum matrix P is squared analytically into overlapping three-level
   blocks, and exp(-i eps P^2 / 2M hbar) is approximated by the ordered
   product of the exact block exponentials (trotter_coupling_block). Only
-  the reference trotter_factor_matrix forms it: the kernel reduces it to
-  two first-order linear recurrences with a constant pole, one per cell
-  parity, which a log-depth prefix scan evaluates in O(D) numpy passes;
+  the reference trotter_factor_matrix forms it: KineticTrotterPlan.lines
+  reduces it to two linear recurrences with a constant pole, one per cell
+  parity, and evaluates them as a log-depth prefix scan in O(D) passes;
 * a spectral route: conjugation by the discrete Fourier transform, under
   which P is asymptotically diagonal with eigenvalues
   -(hbar/delta) sin(2 pi k / D) (momentum_eigenvalues), so the kinetic
@@ -32,8 +32,8 @@ slab, so the Trotter tensor is cut into as many more as keep them under
 SLAB_BYTES, at most one per cell of the cut axis; on a strided slab it
 holds about 3.7, as numpy adds an iterator buffer of up to 128 KiB to
 each call on a strided operand. Every 1-D line is worked on alone, so
-the result does not depend on the cut or the thread count. A one-register state is one call on the
-caller's thread.
+the result does not depend on the cut or the thread count. A
+one-register state is one call on the caller's thread.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from __future__ import annotations
 import cmath
 import functools
 import os
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, NamedTuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -95,32 +95,6 @@ def trotter_coupling_block(xi: complex) -> np.ndarray:
     )
 
 
-class ScanCoefficients(NamedTuple):
-    """The complex constants _trotter_scan multiplies by, for one D and xi:
-    cosh(xi), sinh(xi), mid = exp(-2 xi), cosh(xi) exp(-2 xi), top =
-    exp(xi), end = exp(-xi), and the pass strides s = 2, 4, ... < D, each
-    with its power p^(s/2) of the pole p = sinh(xi) exp(-2 xi)."""
-
-    cosh: complex
-    sinh: complex
-    mid: complex
-    cosh_mid: complex
-    top: complex
-    end: complex
-    powers: tuple[tuple[int, complex], ...]
-
-
-def scan_coefficients(D: int, xi: complex) -> ScanCoefficients:
-    """The ScanCoefficients of a register of D cells at coupling xi."""
-    ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
-    powers = []
-    s, ps = 2, sh * mid
-    while s < D:
-        powers.append((s, ps))
-        s, ps = 2 * s, ps * ps
-    return ScanCoefficients(ch, sh, mid, ch * mid, cmath.exp(xi), cmath.exp(-xi), tuple(powers))
-
-
 @dataclass
 class KineticTrotterPlan:
     """Composed finite-difference kinetic factor for one register.
@@ -129,25 +103,67 @@ class KineticTrotterPlan:
         E_0 * B_1 * B_2 * ... * B_{D-2} * E_{D-1}
     where E_j is the endpoint phase exp(-xi |j><j|) and B_i the coupling
     block at cells (i-1, i, i+1). Applied to a state, the rightmost factor
-    acts first. The plan holds D, xi and the scan's coefficients, computed
-    once: lines evaluates the product as a prefix scan, and
-    trotter_factor_matrix builds the dense matrix for reference.
+    acts first. The plan holds D and the complex constants lines multiplies
+    by, computed once by trotter_plan: cosh(xi), sinh(xi), mid =
+    exp(-2 xi), cosh_mid = cosh(xi) exp(-2 xi), top = exp(xi), end =
+    exp(-xi), and the pass strides s = 2, 4, ... < D, each with its power
+    p^(s/2) of the pole p = sinh(xi) exp(-2 xi). trotter_factor_matrix
+    builds the dense matrix for reference.
     """
 
     dim: int
-    xi: complex
-    scan: ScanCoefficients = field(init=False, repr=False)
+    cosh: complex
+    sinh: complex
+    mid: complex
+    cosh_mid: complex
+    top: complex
+    end: complex
+    powers: tuple[tuple[int, complex], ...]
     # The scan holds c, shifted and ps * c[s:], each the size of its input.
     # On a strided slab numpy adds an iterator buffer of up to 128 KiB to
     # each call, about 3.7 slabs in all at the 1 MiB cap; the cuts count 3.
     temporaries: ClassVar[int] = 3
 
-    def __post_init__(self) -> None:
-        self.scan = scan_coefficients(self.dim, self.xi)
+    def lines(self, o: np.ndarray) -> None:
+        """Apply the ordered block product along axis 0 of a complex
+        (D, ...) array, in place.
 
-    def lines(self, a: np.ndarray) -> None:
-        """Apply the block product along axis 0 of a, in place."""
-        _trotter_scan(a, self.scan)
+        Sweeping the blocks from the top, block i leaves its low cell holding
+            c_i = cosh(xi) o[i-1] + p c_{i+2},   p = sinh(xi) exp(-2 xi),
+        seeded by c_{D-1} = o[D-2] and c_D = exp(xi) o[D-1], and finalizes
+        cell i+1. With c[m] = c_{m+1} both parity chains become one recurrence
+        c[m] = u[m] + p c[m+2], evaluated as a Hillis-Steele scan from the top:
+        log2(D/2) passes of c[:-s] += p^(s/2) c[s:]. |p| = |sin(Im xi)| <= 1
+        for imaginary xi, and every partial sum is a partial product applied to
+        a truncated input, so nothing grows. Then
+            out[0] = exp(-xi) c_1,  out[1] = exp(-2 xi) c_2,
+            out[j] = sinh(xi) o[j-2] + cosh(xi) exp(-2 xi) c_{j+1}.
+        The result is written into o. c runs forward in o's memory order: a
+        reversed operand would send the multiply into o down numpy's strided
+        loop.
+        """
+        c = o * self.cosh
+        c[-1] = self.top * o[-1]
+        c[-2] = o[-2]
+        for s, ps in self.powers:
+            c[:-s] += ps * c[s:]
+        shifted = self.sinh * o[:-2]
+        np.multiply(c, self.cosh_mid, out=o)
+        o[2:] += shifted
+        o[0] = self.end * c[0]
+        o[1] = self.mid * c[1]
+
+
+def trotter_plan(D: int, xi: complex) -> KineticTrotterPlan:
+    """The KineticTrotterPlan of a register of D cells at coupling xi."""
+    _check_register_size(D)
+    ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
+    powers = []
+    s, ps = 2, sh * mid
+    while s < D:
+        powers.append((s, ps))
+        s, ps = 2 * s, ps * ps
+    return KineticTrotterPlan(D, ch, sh, mid, ch * mid, cmath.exp(xi), cmath.exp(-xi), tuple(powers))
 
 
 def trotter_xi(delta: float, mass: float, eps: float) -> complex:
@@ -164,7 +180,7 @@ def trotter_factor_matrix(D: int, xi: complex) -> np.ndarray:
     """Dense matrix of the composed block product for one register: the
     identity, with trotter_coupling_block(xi) applied to rows i-1 .. i+1
     for i = D-2 down to 1 between the endpoint phases on rows D-1 and 0.
-    A reference for _trotter_scan."""
+    A reference for KineticTrotterPlan.lines."""
     _check_register_size(D)
     a = np.eye(D, dtype=np.complex128)
     block = trotter_coupling_block(xi)
@@ -176,40 +192,8 @@ def trotter_factor_matrix(D: int, xi: complex) -> np.ndarray:
     return a
 
 
-def _trotter_scan(o: np.ndarray, k: ScanCoefficients) -> np.ndarray:
-    """Apply the ordered block product along axis 0 of a complex (D, ...)
-    array, in place, and return it. k holds the constants of D and xi.
-
-    Sweeping the blocks from the top, block i leaves its low cell holding
-        c_i = cosh(xi) o[i-1] + p c_{i+2},   p = sinh(xi) exp(-2 xi),
-    seeded by c_{D-1} = o[D-2] and c_D = exp(xi) o[D-1], and finalizes
-    cell i+1. With c[m] = c_{m+1} both parity chains become one recurrence
-    c[m] = u[m] + p c[m+2], evaluated as a Hillis-Steele scan from the top:
-    log2(D/2) passes of c[:-s] += p^(s/2) c[s:]. |p| = |sin(Im xi)| <= 1
-    for imaginary xi, and every partial sum is a partial product applied to
-    a truncated input, so nothing grows. Then
-        out[0] = exp(-xi) c_1,  out[1] = exp(-2 xi) c_2,
-        out[j] = sinh(xi) o[j-2] + cosh(xi) exp(-2 xi) c_{j+1}.
-    The result is written into o. c runs forward in o's memory order: a
-    reversed operand would send the multiply into o down numpy's strided
-    loop.
-    """
-    c = o * k.cosh
-    c[-1] = k.top * o[-1]
-    c[-2] = o[-2]
-    for s, ps in k.powers:
-        c[:-s] += ps * c[s:]
-    shifted = k.sinh * o[:-2]
-    np.multiply(c, k.cosh_mid, out=o)
-    o[2:] += shifted
-    o[0] = k.end * c[0]
-    o[1] = k.mid * c[1]
-    return o
-
-
 def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticTrotterPlan:
-    _check_register_size(D)
-    return KineticTrotterPlan(dim=D, xi=trotter_xi(delta, mass, eps))
+    return trotter_plan(D, trotter_xi(delta, mass, eps))
 
 
 @dataclass

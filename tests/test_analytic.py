@@ -71,6 +71,9 @@ class TestBoxSeries:
             BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=0)
         with pytest.raises(ResourceLimitError):
             BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=MAX_SERIES_TERMS + 1)
+        for terms in (2.5, True):
+            with pytest.raises(ValidationError):
+                BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=terms)
 
     @pytest.mark.parametrize("length", [1.0, 8.0, 3.0])
     def test_lattice_matches_direct_sum(self, length):

@@ -55,6 +55,8 @@ class TestPlanValidation:
         with pytest.raises(ValidationError):
             EvolutionPlan(T=0.1, N_t=2.5)
         with pytest.raises(ValidationError):
+            EvolutionPlan(T=0.1, N_t=True)
+        with pytest.raises(ValidationError):
             EvolutionPlan(T=1.0, N_t=10, kinetic_method="exact")
         with pytest.raises(ValidationError):
             EvolutionPlan(T=1.0, N_t=10, splitting="second-order")
@@ -659,3 +661,6 @@ class TestSampling:
             sample_configurations(state, 0, seed=0)
         with pytest.raises(ValidationError):
             sample_configurations(state, 10, seed=-1)
+        for shots, seed in [(2.5, 0), (True, 0), (10, 1.5), (10, True)]:
+            with pytest.raises(ValidationError):
+                sample_configurations(state, shots, seed)

@@ -611,6 +611,12 @@ MALFORMED = [
     ("box-evolve", {"box_length": 5e-324}),
     ("box-evolve", {"box_length": 1e308}),
     ("box-evolve", {"kinetic_method": "trotter", "particles": [{"mass": 5e-324}]}),
+    # A positive charge is moved by T_n, which the box terms do not run.
+    ("box-evolve", {"particles": [{"mass": 1.0, "charge": 1.0}], "qubits_per_axis": 5, "steps": 50}),
+    (
+        "convergence",
+        {"axis": "spatial", "sweep_qubits": [1, 2], "steps": 5, "particles": [{"charge": 1.0}]},
+    ),
     ("convergence", {"axis": "spatial", "sweep_qubits": [1, "2"]}),
     ("convergence", {"axis": "spatial", "sweep_qubits": [1, 2], "steps": 5, "terms": ["bogus"]}),
     ("convergence", {"axis": "temporal", "qubits_per_axis": 3, "sweep_steps": [2, 3.5]}),

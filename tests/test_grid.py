@@ -47,10 +47,18 @@ class TestGridSpec:
             build_grid(1.0, 21, 1)
         with pytest.raises(ValidationError):
             build_grid(1.0, 0, 1)
+        # A float or bool qubit count is neither truncated nor taken as 1.
+        for n in (2.5, True):
+            with pytest.raises(ValidationError):
+                GridSpec(1.0, n, 1)
+        with pytest.raises(ValidationError):
+            build_grid(1.0, 2.7, 1)
 
     def test_dimension_and_length_validation(self):
         with pytest.raises(ValidationError):
             build_grid(1.0, 3, 4)
+        with pytest.raises(ValidationError):
+            GridSpec(1.0, 3, True)
         with pytest.raises(ValidationError):
             build_grid(-1.0, 3, 1)
         with pytest.raises(ValidationError):
@@ -59,6 +67,10 @@ class TestGridSpec:
         for length in (5e-324, 1e-100, 1e101, 1e308):
             with pytest.raises(ValidationError):
                 build_grid(length, 3, 1)
+
+    def test_numpy_integers_are_accepted(self):
+        grid = build_grid(1.0, np.int64(3), np.int32(2))
+        assert grid.cells_per_axis == 8 and grid.delta == 0.125
 
     def test_clamped_position(self):
         grid = build_grid(1.0, 2, 2)

@@ -12,18 +12,16 @@ from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.kinetic import (
     MAX_FFT_THREADS,
-    KineticTrotterPlan,
     apply_kinetic_plan,
     fourier_conjugation_diagnostic,
     make_spectral_plan,
     make_trotter_plan,
     momentum_eigenvalues,
     momentum_matrix,
-    scan_coefficients,
     trotter_coupling_block,
     trotter_factor_matrix,
+    trotter_plan,
     trotter_xi,
-    _trotter_scan,
 )
 
 POWERS = [2, 4, 8, 16, 32]
@@ -40,8 +38,8 @@ def copy_of(state: StateVector) -> StateVector:
 
 
 def scan_per_call(o: np.ndarray, xi: complex) -> np.ndarray:
-    """_trotter_scan with every constant computed on the call from xi, as
-    the scan did before the plan held them."""
+    """KineticTrotterPlan.lines with every constant computed on the call
+    from xi, as the scan did before the plan held them."""
     D = o.shape[0]
     ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
     c = o * ch
@@ -111,6 +109,10 @@ class TestStencils:
         for bad in (0, 1, 3, 12):
             with pytest.raises(ValidationError):
                 momentum_matrix(bad, 0.5)
+            with pytest.raises(ValidationError):
+                trotter_plan(bad, 0.01j)
+            with pytest.raises(ValidationError):
+                make_trotter_plan(bad, 0.5, 1.0, 0.1)
         with pytest.raises(ValidationError):
             momentum_matrix(4, 0.0)
 
@@ -189,7 +191,8 @@ class TestTrotterFactor:
         rng = np.random.default_rng(D)
         block = rng.normal(size=(D, 3)) + 1j * rng.normal(size=(D, 3))
         dense = trotter_factor_matrix(D, xi) @ block
-        assert np.max(np.abs(_trotter_scan(block, scan_coefficients(D, xi)) - dense)) <= 1e-14
+        trotter_plan(D, xi).lines(block)
+        assert np.max(np.abs(block - dense)) <= 1e-14
 
     @pytest.mark.parametrize("D", [2**k for k in range(1, 11)])
     @pytest.mark.parametrize("xi", [0.013j, 1j * np.pi / 2, 0.3 + 0.7j])
@@ -197,13 +200,15 @@ class TestTrotterFactor:
         # On one line, and along the middle axis of a (3, D, 2) tensor, a
         # strided view as apply_kinetic_plan scans. The dense-factor tests
         # of this class hold the plan's scan to trotter_factor_matrix.
-        plan = KineticTrotterPlan(dim=D, xi=xi)
+        plan = trotter_plan(D, xi)
         rng = np.random.default_rng(D)
         t = rng.normal(size=(3, D, 2)) + 1j * rng.normal(size=(3, D, 2))
         line = t[1, :, 0].copy()
-        assert np.array_equal(_trotter_scan(line.copy(), plan.scan), scan_per_call(line, xi))
+        held_line = line.copy()
+        plan.lines(held_line)
+        assert np.array_equal(held_line, scan_per_call(line, xi))
         held, per_call = t.copy(), t.copy()
-        _trotter_scan(held.swapaxes(0, 1), plan.scan)
+        plan.lines(held.swapaxes(0, 1))
         scan_per_call(per_call.swapaxes(0, 1), xi)
         assert np.array_equal(held, per_call)
 
@@ -217,7 +222,8 @@ class TestTrotterFactor:
         out = copy_of(st_)
         apply_kinetic_plan(out, reg, plan)
         t = st_.amplitudes.reshape((16,) * 3)
-        dense = np.tensordot(trotter_factor_matrix(16, plan.xi), t, axes=(1, reg))
+        xi = trotter_xi(grid.delta, 1.0, 1e-3)
+        dense = np.tensordot(trotter_factor_matrix(16, xi), t, axes=(1, reg))
         dense = np.moveaxis(dense, 0, reg).reshape(-1)
         assert np.max(np.abs(out.amplitudes - dense)) <= 1e-14
 
@@ -232,7 +238,8 @@ class TestTrotterFactor:
         block = rng.normal(size=(D, 2)) + 1j * rng.normal(size=(D, 2))
         block /= np.linalg.norm(block, axis=0)
         dense = trotter_factor_matrix(D, xi) @ block
-        assert np.max(np.abs(_trotter_scan(block, scan_coefficients(D, xi)) - dense)) <= 1e-14
+        trotter_plan(D, xi).lines(block)
+        assert np.max(np.abs(block - dense)) <= 1e-14
 
 
 class TestSpectral:
@@ -296,7 +303,7 @@ class TestApplyKinetic:
         out = StateVector(np.kron(a, b), grid, (electron(), electron())).normalized()
         plan = make_trotter_plan(8, grid.delta, 1.0, 1e-4)
         apply_kinetic_plan(out, 0, plan)
-        expected = np.kron(trotter_factor_matrix(8, plan.xi) @ a, b)
+        expected = np.kron(trotter_factor_matrix(8, trotter_xi(grid.delta, 1.0, 1e-4)) @ a, b)
         expected /= np.linalg.norm(np.kron(a, b))
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-13
 
@@ -412,7 +419,7 @@ class TestSpectralSlabs:
             out = copy_of(state)
             apply_kinetic_plan(out, reg, plan)
             whole = state.amplitudes.copy().reshape((D,) * registers)
-            _trotter_scan(whole.swapaxes(0, reg), plan.scan)
+            plan.lines(whole.swapaxes(0, reg))
             assert np.array_equal(out.amplitudes, whole.reshape(-1))
 
     @pytest.mark.parametrize("method", sorted(METHODS))

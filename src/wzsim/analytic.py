@@ -22,7 +22,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .grid import HBAR, GridSpec, ParticleSpec, StateVector, check_integer, quantum_particles
+from .grid import (
+    HBAR,
+    GridSpec,
+    ParticleSpec,
+    StateVector,
+    check_integer,
+    check_real,
+    quantum_particles,
+)
 from .kinetic import momentum_eigenvalues, momentum_matrix
 from .potential import composite_potential
 
@@ -42,6 +50,8 @@ class BoxSeriesSpec:
     terms: int = 1000
 
     def __post_init__(self) -> None:
+        for name in ("length", "mass", "t"):
+            check_real(name, getattr(self, name))
         if self.length <= 0 or self.mass <= 0:
             raise ValidationError("length and mass must be positive")
         check_integer("terms", self.terms)

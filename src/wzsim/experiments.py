@@ -47,6 +47,7 @@ from .grid import (
     quantum_particles,
     register_views,
     total_qubits,
+    vector_norm,
 )
 
 BOX_TERMS = ["T_e", "wall"]
@@ -528,7 +529,7 @@ def run_molecule2d(cfg: RunConfig, out_dir) -> dict:
         amps = np.multiply.outer(amps, part).reshape(-1)
     # Normalized in place and wrapped once, and evolve steps this array
     # itself: no second state-sized array is made.
-    amps /= np.linalg.norm(amps)
+    amps /= vector_norm(amps)
     state = StateVector(amplitudes=amps, grid=grid, particles=electrons)
     del amps, parts
 

@@ -21,6 +21,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,11 +40,34 @@ MAX_TOTAL_QUBITS = 30
 # kinetic factor also takes one thread per SLAB_BYTES of state at most.
 SLAB_BYTES = 1 << 20
 
+# vector_norm sums squares by BLAS ddot over chunks of this many
+# amplitudes, in order. OpenBLAS threads no ddot this short, so the sum
+# does not depend on its thread count.
+NORM_CHUNK = 8192
+
 
 def check_integer(name: str, value) -> None:
     """Raise unless value is an int or a numpy integer; a bool is not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r:.40}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise unless value is a real number; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r:.40}")
+
+
+def vector_norm(amps: np.ndarray) -> float:
+    """The 2-norm of a complex vector: the two real dot products
+    np.linalg.norm takes, summed chunk by chunk of NORM_CHUNK amplitudes in
+    order. A vector of one chunk is one pair, bit for bit np.linalg.norm."""
+    re, im = amps.real, amps.imag
+    total = 0.0
+    for lo in range(0, len(amps), NORM_CHUNK):
+        r, i = re[lo : lo + NORM_CHUNK], im[lo : lo + NORM_CHUNK]
+        total += r.dot(r) + i.dot(i)
+    return math.sqrt(total)
 
 
 @dataclass(frozen=True)
@@ -55,7 +79,8 @@ class GridSpec:
     d: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.length) or self.length <= 0:
+        check_real("box length", self.length)
+        if not 0 < self.length < math.inf:
             raise ValidationError(f"box length must be positive, got {self.length}")
         check_integer("n", self.n)
         check_integer("d", self.d)
@@ -71,6 +96,7 @@ class GridSpec:
         # both must stay finite doubles.
         if self.length > 1e100 or self.delta < 1e-100:
             raise ValidationError(f"box length {self.length} outside [2^n * 1e-100, 1e100]")
+        object.__setattr__(self, "length", float(self.length))
 
     @property
     def delta(self) -> float:
@@ -88,7 +114,7 @@ class GridSpec:
 
 def build_grid(length: float, n: int, d: int) -> GridSpec:
     """Validate and construct a GridSpec."""
-    return GridSpec(length=float(length), n=n, d=d)
+    return GridSpec(length=length, n=n, d=d)
 
 
 def cell_centers(grid: GridSpec) -> np.ndarray:
@@ -116,6 +142,10 @@ class ParticleSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("quantum", "clamped"):
             raise ValidationError(f"unknown particle kind {self.kind!r}")
+        check_real("mass", self.mass)
+        check_real("charge", self.charge)
+        if not abs(self.charge) <= sys.float_info.max:
+            raise ValidationError(f"charge must be finite, got {self.charge}")
         # The Trotter coupling divides by 8 m delta^2; with the grid's
         # bounds on delta this keeps it a normal double.
         if not 1e-100 <= self.mass <= 1e100:
@@ -125,6 +155,8 @@ class ParticleSpec:
         if self.kind == "quantum" and self.clamped_cell is not None:
             raise ValidationError("quantum particles cannot carry a clamped_cell")
         if self.clamped_cell is not None:
+            for c in self.clamped_cell:
+                check_integer("a clamped cell index", c)
             object.__setattr__(
                 self, "clamped_cell", tuple(int(c) for c in self.clamped_cell)
             )
@@ -248,12 +280,8 @@ class StateVector:
         return self.amplitudes.shape[0]
 
     def norm(self) -> float:
-        """The 2-norm, by the two real dot products np.linalg.norm takes for
-        a complex vector, so the result is bit for bit its value, without
-        its dispatch."""
-        a = self.amplitudes
-        re, im = a.real, a.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
+        """The 2-norm of the amplitudes, by vector_norm."""
+        return vector_norm(self.amplitudes)
 
     def normalized(self) -> "StateVector":
         nrm = self.norm()
@@ -293,7 +321,7 @@ def encode_state(
     amps = np.empty(dim, dtype=np.complex128)
     for m in range(dim):
         amps[m] = sampler(*positions[m])
-    nrm = np.linalg.norm(amps)
+    nrm = vector_norm(amps)
     if nrm == 0.0:
         raise ValidationError("sampler produced the zero vector; cannot normalize")
     return StateVector(amplitudes=amps / nrm, grid=grid, particles=quantum)

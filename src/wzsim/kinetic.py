@@ -13,6 +13,13 @@ Two interchangeable single-axis methods are provided:
   which P is asymptotically diagonal with eigenvalues
   -(hbar/delta) sin(2 pi k / D) (momentum_eigenvalues), so the kinetic
   phase is applied exactly in momentum space, in place in numpy.fft.
+  numpy transforms line by line, and on lines of up to 64 cells that
+  costs more per amplitude than a dense product in BLAS. So for D <=
+  DENSE_MAX_CELLS the plan also holds the factor F^dagger diag(phases) F
+  as a D x D matrix, the FFT kernel's image of the identity, and applies
+  it with one matmul per slab. Measured at 2 threads through
+  apply_kinetic_plan, the matrix takes 0.4-0.7 of the FFT's time per
+  amplitude from 4 to 64 cells, 1.1 at 128 and 2.9 at 256.
 
 Each plan carries its line kernel: lines(a) applies the factor along
 axis 0 of a, in place. apply_kinetic_plan, the one apply path, runs it
@@ -26,14 +33,19 @@ count at every call, so a plan holds only the constants its kernel
 reads. A thread is worth its hand-off only for grid.SLAB_BYTES of
 state, so a call uses at most max(1, state bytes // SLAB_BYTES)
 threads: a state under SLAB_BYTES runs on the caller's thread alone.
-The spectral kernel works in place, so its tensor is cut into one slab
-per thread. The scan is counted as three temporaries the size of its
+The FFT works in place, so its tensor is cut into one slab per thread.
+matmul copies its input, which overlaps its output; the matrix plan
+counts that copy twice, so that it and the slab share SLAB_BYTES. The
+scan is counted as three temporaries the size of its
 slab, so the Trotter tensor is cut into as many more as keep them under
 SLAB_BYTES, at most one per cell of the cut axis; on a strided slab it
 holds about 3.7, as numpy adds an iterator buffer of up to 128 KiB to
 each call on a strided operand. Every 1-D line is worked on alone, so
-the result does not depend on the cut or the thread count. A
-one-register state is one call on the caller's thread.
+the result does not depend on the cut or the thread count. BLAS works
+many lines at once, but its result for a line does not depend on how
+many share a call, so long as there are two or more (one line is a
+matrix-vector product, which rounds otherwise). A one-register state,
+the only source of one-line calls, is one call on the caller's thread.
 """
 
 from __future__ import annotations
@@ -52,6 +64,10 @@ from .grid import HBAR, StateVector, slab_bounds
 
 # fourier_conjugation_diagnostic builds O(D^2) dense intermediates.
 MAX_DIAGNOSTIC_DIM = 4096
+
+# The spectral factor of a register of at most this many cells is one
+# dense matrix product per slab; above it, two FFTs and a phase pass.
+DENSE_MAX_CELLS = 64
 
 # Each kinetic thread is an OS thread; a huge WZ_THREADS must not start
 # thousands of them. The thread count never changes output bytes.
@@ -196,19 +212,52 @@ def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticT
     return trotter_plan(D, trotter_xi(delta, mass, eps))
 
 
+def _fft_lines(a: np.ndarray, phase_table: np.ndarray) -> None:
+    """F^dagger diag(phase_table) F along axis 0 of a, in place in numpy.fft."""
+    np.fft.ifft(a, axis=0, norm="ortho", out=a)
+    a *= phase_table.reshape((len(phase_table),) + (1,) * (a.ndim - 1))
+    np.fft.fft(a, axis=0, norm="ortho", out=a)
+
+
+def _lines_last(a: np.ndarray) -> np.ndarray:
+    """a, whose lines run along axis 0, as a view with the line axis last
+    and the other axes in memory order, largest stride first, each merged
+    into the one before it where the strides allow. matmul then hands BLAS
+    a few large products with one unit-stride operand, and no copy."""
+    shape: list[int] = []
+    strides: list[int] = []
+    for ax in sorted(range(1, a.ndim), key=lambda ax: -a.strides[ax]):
+        if shape and strides[-1] == a.shape[ax] * a.strides[ax]:
+            shape[-1] *= a.shape[ax]
+            strides[-1] = a.strides[ax]
+        else:
+            shape.append(a.shape[ax])
+            strides.append(a.strides[ax])
+    return np.lib.stride_tricks.as_strided(
+        a, (*shape, a.shape[0]), (*strides, a.strides[0])
+    )
+
+
 @dataclass
 class SpectralKineticPlan:
-    """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar)."""
+    """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar), and
+    for a register of at most DENSE_MAX_CELLS cells the factor they make,
+    F^dagger diag(phases) F, as a dense matrix stored transposed."""
 
     dim: int
     phase_table: np.ndarray
-    temporaries: ClassVar[int] = 0
+    matrix_t: np.ndarray | None = None
+    # Slab-sized arrays lines holds, as on_slabs counts them: 0 for the
+    # FFT, 2 for the matrix (see the module docstring).
+    temporaries: int = 0
 
     def lines(self, a: np.ndarray) -> None:
-        """Apply the momentum-space phase along axis 0 of a, in place."""
-        np.fft.ifft(a, axis=0, norm="ortho", out=a)
-        a *= self.phase_table.reshape((self.dim,) + (1,) * (a.ndim - 1))
-        np.fft.fft(a, axis=0, norm="ortho", out=a)
+        """Apply the kinetic factor along axis 0 of a, in place."""
+        if self.matrix_t is None:
+            _fft_lines(a, self.phase_table)
+            return
+        v = _lines_last(a)
+        np.matmul(v, self.matrix_t, out=v)
 
 
 def momentum_eigenvalues(D: int, delta: float) -> np.ndarray:
@@ -227,7 +276,12 @@ def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> Spectra
     # A huge eps makes a NaN table, which evolution.evolve's norm check catches.
     with np.errstate(over="ignore", invalid="ignore"):
         table = np.exp(-1j * eps * p * p / (2.0 * mass * HBAR))
-    return SpectralKineticPlan(dim=D, phase_table=table)
+        if D > DENSE_MAX_CELLS:
+            return SpectralKineticPlan(dim=D, phase_table=table)
+        # Column j is the FFT kernel's image of cell j.
+        factor = np.eye(D, dtype=np.complex128)
+        _fft_lines(factor, table)
+    return SpectralKineticPlan(dim=D, phase_table=table, matrix_t=factor.T, temporaries=2)
 
 
 def apply_kinetic_plan(

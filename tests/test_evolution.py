@@ -308,6 +308,19 @@ class TestEvolve:
             evolve(state, plan)
         assert np.isnan(state.norm())
 
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_nan_kinetic_factor_aborts(self, n):
+        # eps = 1e308 makes the spectral phases NaN, and with them the
+        # matrix (D = 8) or the FFT's phase pass (D = 128): the norm check
+        # aborts the first step, and numpy warns of nothing (tier-1 turns a
+        # RuntimeWarning into an error).
+        grid = build_grid(1.0, n, 1)
+        state = gaussian_state(grid, (electron(),))
+        plan = EvolutionPlan(T=1e308, N_t=1, terms={"T_e"})
+        with pytest.raises(NormDriftError, match="nan"):
+            evolve(state, plan)
+        assert np.isnan(state.norm())
+
 
 MOLECULE_TERMS = {"T_e", "U_ee", "U_en", "wall"}
 
@@ -576,6 +589,32 @@ class TestInteractingOracle:
         slope_min, finest_max = self.BOUNDS[method, splitting]
         assert loglog_slope([(self.T / k, d) for k, d in zip(self.STEPS, distances)]) >= slope_min
         assert distances[-1] < finest_max
+
+
+class TestSpectralKernelsAgainstTheOracle:
+    """One electron in a 1D box with the kinetic term alone, which the
+    spectral route applies exactly at any step count, against the dense
+    propagator of the spectral generator: at n = 5 and 6 on the matrix
+    kernel, at n = 7 and 10 on the FFT kernel (D = 128 and 1024)."""
+
+    T, STEPS = 0.05, (1, 10, 160)
+
+    @pytest.mark.parametrize("n, bound", [(5, 1e-12), (6, 1e-12), (7, 1e-12), (10, 1e-10)])
+    def test_kinetic_factor_is_the_exact_propagator(self, n, bound):
+        grid = build_grid(1.0, n, 1)
+        roster = (electron(),)
+        state = gaussian_state(grid, roster)
+        exact = dense_evolution_oracle(
+            grid, roster, {"T_e"}, self.T, kinetic_generator="spectral"
+        )(state).amplitudes
+        ops = prepare_operators(grid, roster, EvolutionPlan(T=self.T, N_t=1, terms={"T_e"}))
+        ((_, kplan),) = ops.kinetic
+        assert (kplan.matrix_t is None) == (grid.cells_per_axis > kinetic_mod.DENSE_MAX_CELLS)
+        for n_t in self.STEPS:
+            for splitting in ("first-order", "strang"):
+                evo = EvolutionPlan(T=self.T, N_t=n_t, terms={"T_e"}, splitting=splitting)
+                final = evolve(copy_of(state), evo).final_state
+                assert np.linalg.norm(final.amplitudes - exact) <= bound
 
 
 class TestExchangeSymmetry:

@@ -1,4 +1,9 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +64,11 @@ class TestGridSpec:
             build_grid(1.0, 3, 4)
         with pytest.raises(ValidationError):
             GridSpec(1.0, 3, True)
+        for length in (True, np.bool_(True), "1.0"):
+            with pytest.raises(ValidationError):
+                GridSpec(length, 3, 1)
+            with pytest.raises(ValidationError):
+                build_grid(length, 3, 1)
         with pytest.raises(ValidationError):
             build_grid(-1.0, 3, 1)
         with pytest.raises(ValidationError):
@@ -99,11 +109,21 @@ class TestParticleSpec:
             ParticleSpec(mass=1.0, charge=1.0, kind="clamped")
         with pytest.raises(ValidationError):
             ParticleSpec(mass=1.0, charge=1.0, kind="quantum", clamped_cell=(1,))
+        # Each cell index is an integer: none is truncated or read from a bool.
+        for cell in ((2.7, 1), (2, True), (np.float64(2.0), 1)):
+            with pytest.raises(ValidationError):
+                ParticleSpec(mass=1.0, charge=1.0, kind="clamped", clamped_cell=cell)
+        kept = ParticleSpec(mass=1.0, charge=1.0, kind="clamped", clamped_cell=(np.int64(2), 1))
+        assert kept.clamped_cell == (2, 1) and type(kept.clamped_cell[0]) is int
 
     def test_mass_positive(self):
-        for mass in (0.0, 5e-324, 1e101, float("nan")):
+        for mass in (0.0, 5e-324, 1e101, float("nan"), True, np.bool_(True)):
             with pytest.raises(ValidationError):
                 ParticleSpec(mass=mass, charge=-1.0)
+        # The charge is a finite real number too.
+        for charge in (True, False, float("nan"), float("inf"), -float("inf"), "1", 10**400):
+            with pytest.raises(ValidationError):
+                ParticleSpec(mass=1.0, charge=charge)
 
     def test_roster_helpers(self):
         e = electron()
@@ -247,14 +267,45 @@ class TestStateVector:
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_norm_is_bit_equal_to_linalg_norm(self, n):
-        # From 2 to 2^20 amplitudes, a random state and its unit multiple.
+        # From 2 to 2^20 amplitudes, a random state and its unit multiple:
+        # bit for bit up to one chunk, whose sum is one pair of dot
+        # products. Above it the chunks are summed in order, and the norm
+        # agrees to 1e-15 with the one of the correctly rounded sum of
+        # squares (np.linalg.norm's own single pair is off by up to 1.3e-15
+        # at 2^20).
         grid = build_grid(1.0, n, 1)
         rng = np.random.default_rng(n)
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         for a in (amps, amps / np.linalg.norm(amps)):
             norm = StateVector(a, grid, (electron(),)).norm()
             assert type(norm) is float
-            assert norm == float(np.linalg.norm(a))
+            if 2**n <= grid_mod.NORM_CHUNK:
+                assert norm == float(np.linalg.norm(a))
+            else:
+                exact = math.sqrt(math.fsum(np.concatenate([a.real**2, a.imag**2])))
+                assert abs(norm - exact) <= 1e-15 * exact
+
+    def test_norm_does_not_depend_on_blas_threads(self):
+        # OpenBLAS threads a ddot of 2^20 terms, and then sums in another
+        # order; no chunk of the norm is that long. A fresh interpreter per
+        # thread count, as OpenBLAS reads it once.
+        code = (
+            "import numpy as np\n"
+            "from wzsim.grid import vector_norm\n"
+            "rng = np.random.default_rng(0)\n"
+            "a = (rng.normal(size=2**20) + 1j * rng.normal(size=2**20)) * 2.0**-11\n"
+            "print(repr(vector_norm(a)))\n"
+        )
+        src = Path(grid_mod.__file__).resolve().parents[1]
+        printed = []
+        for threads in ("1", "4"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            )
+            assert out.returncode == 0, out.stderr
+            printed.append(out.stdout)
+        assert printed[0] == printed[1]
 
     def test_dim_mismatch_rejected(self):
         grid = build_grid(1.0, 2, 1)

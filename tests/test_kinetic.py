@@ -360,22 +360,33 @@ class TestSpectralSlabs:
         return out, plan
 
     @staticmethod
-    def dense_reference(state, reg, plan):
-        """F^dagger diag(phase) F on register reg, with the unitary
+    def dense_factor(plan):
+        """F^dagger diag(phase) F, with the unitary
         F[j, k] = exp(2 pi i j k / D) / sqrt(D)."""
         D = plan.dim
         j, k = np.meshgrid(np.arange(D), np.arange(D), indexing="ij")
         F = np.exp(2j * np.pi * j * k / D) / np.sqrt(D)
-        factor = F.conj().T @ (plan.phase_table[:, None] * F)
+        return F.conj().T @ (plan.phase_table[:, None] * F)
+
+    @classmethod
+    def dense_reference(cls, state, reg, plan):
+        """The dense factor on register reg."""
+        D = plan.dim
         t = state.amplitudes.reshape((D,) * (len(state.particles) * state.grid.d))
-        return np.moveaxis(np.tensordot(factor, t, axes=(1, reg)), 0, reg).reshape(-1)
+        product = np.tensordot(cls.dense_factor(plan), t, axes=(1, reg))
+        return np.moveaxis(product, 0, reg).reshape(-1)
 
     @pytest.mark.parametrize(
         "n, d, particles, threads",
         # Three registers (one particle in 3D) and four (two in 2D) of 8
         # cells, where 3 threads cut uneven slabs of 2, 3 and 3 cells; and
         # four registers of 2 cells, where 4 threads find only 2 slabs.
-        [(3, 3, 1, t) for t in (1, 2, 3)] + [(3, 2, 2, t) for t in (1, 2, 3)] + [(1, 2, 2, 4)],
+        # Two registers of 128 cells run the FFT kernel, above
+        # DENSE_MAX_CELLS.
+        [(3, 3, 1, t) for t in (1, 2, 3)]
+        + [(3, 2, 2, t) for t in (1, 2, 3)]
+        + [(1, 2, 2, 4)]
+        + [(7, 2, 1, t) for t in (1, 3)],
     )
     def test_matches_dense_reference_on_every_register(self, monkeypatch, n, d, particles, threads):
         grid = build_grid(1.0, n, d)
@@ -385,6 +396,39 @@ class TestSpectralSlabs:
             assert np.max(np.abs(out.amplitudes - self.dense_reference(state, reg, plan))) <= 1e-15
             single, _ = self.apply(monkeypatch, 1, state, reg)
             assert np.array_equal(out.amplitudes, single.amplitudes)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matrix_and_fft_kernels_agree(self, monkeypatch, n):
+        # D = 2 .. 128 on 1 to 4 registers, as many as keep the state at
+        # 2^16 amplitudes or less. The bound moved to 128 cells builds the
+        # matrix of every plan here, and moved to 1 cell none.
+        D = 2**n
+        plans = {}
+        for bound in (1, 128):
+            monkeypatch.setattr(kinetic_mod, "DENSE_MAX_CELLS", bound)
+            plans[bound] = make_spectral_plan(D, 1.0 / D, 1.0, 0.05)
+        assert plans[1].matrix_t is None and plans[128].matrix_t is not None
+        grid = build_grid(1.0, n, 1)
+        for registers in range(1, min(4, 16 // n) + 1):
+            state = self.random_state(grid, (electron(),) * registers, registers)
+            for reg in range(registers):
+                fft, matrix = copy_of(state), copy_of(state)
+                apply_kinetic_plan(fft, reg, plans[1])
+                apply_kinetic_plan(matrix, reg, plans[128])
+                assert np.max(np.abs(fft.amplitudes - matrix.amplitudes)) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matrix_exactly_up_to_the_bound(self, n):
+        # The matrix is the dense reference's factor to rounding, and a
+        # plan holds one, counted as two slab temporaries, exactly when D
+        # is at most DENSE_MAX_CELLS.
+        D = 2**n
+        plan = make_spectral_plan(D, 1.0 / D, 1.0, 0.05)
+        if D > kinetic_mod.DENSE_MAX_CELLS:
+            assert plan.matrix_t is None and plan.temporaries == 0
+            return
+        assert plan.temporaries == 2
+        assert np.max(np.abs(plan.matrix_t.T - self.dense_factor(plan))) <= 1e-14
 
     def test_thread_count_is_capped(self, monkeypatch):
         # Read alone: on_slabs would start a pool of MAX_FFT_THREADS - 1.

@@ -39,6 +39,7 @@ from .grid import (
     ParticleSpec,
     StateVector,
     check_integer,
+    check_real,
     density,
     quantum_particles,
 )
@@ -89,6 +90,8 @@ class EvolutionPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", frozenset(self.terms))
+        check_real("T", self.T)
+        check_real("v_wall", self.v_wall)
         if self.T < 0 or not np.isfinite(self.T):
             raise ValidationError(f"T must be nonnegative, got {self.T}")
         check_steps(self.N_t)
@@ -211,7 +214,7 @@ def _multiply_phases(t: np.ndarray, phases: list[np.ndarray]) -> None:
         for table in phases:
             np.multiply(slab, table[cut] if table.shape[0] > 1 else table, out=slab)
 
-    on_slabs(multiply, t, 0, 1)
+    on_slabs(multiply, t, 1)
 
 
 def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) -> None:

@@ -179,6 +179,10 @@ class RunConfig:
             # Every grid the run builds, before the first one evolves.
             for n in [cfg.qubits_per_axis, *(cfg.sweep_qubits or [])]:
                 build_grid(cfg.box_length, n, 1)
+            # Two cells have no interior. A temporal sweep builds no sweep_qubits grid.
+            spatial = experiment == "convergence" and cfg.axis == "spatial"
+            if cfg.interior_only and 1 in (cfg.sweep_qubits if spatial else [cfg.qubits_per_axis]):
+                raise ValidationError("interior_only needs 2 or more qubits per axis")
         if experiment in ("box-evolve", "convergence"):
             if set(cfg.terms) != set(BOX_TERMS):
                 raise ValidationError(f"{experiment} runs the terms {BOX_TERMS}, got {cfg.terms}")

@@ -23,29 +23,30 @@ Two interchangeable single-axis methods are provided:
 
 Each plan carries its line kernel: lines(a) applies the factor along
 axis 0 of a, in place. apply_kinetic_plan, the one apply path, runs it
-on one register of the state it is given: axis r of the register
-tensor, as GridSpec.registers numbers them. Registers are disjoint, so
-application order is irrelevant. With more than one register, it cuts
-the register tensor along another axis into slabs and deals them out
-over WZ_THREADS threads. on_slabs, which cuts and deals the slabs for
-the kernels and for evolution's potential phase tables, reads that
-count at every call, so a plan holds only the constants its kernel
-reads. A thread is worth its hand-off only for grid.SLAB_BYTES of
-state, so a call uses at most max(1, state bytes // SLAB_BYTES)
-threads: a state under SLAB_BYTES runs on the caller's thread alone.
-The FFT works in place, so its tensor is cut into one slab per thread.
-matmul copies its input, which overlaps its output; the matrix plan
-counts that copy twice, so that it and the slab share SLAB_BYTES. The
-scan is counted as three temporaries the size of its
-slab, so the Trotter tensor is cut into as many more as keep them under
-SLAB_BYTES, at most one per cell of the cut axis; on a strided slab it
-holds about 3.7, as numpy adds an iterator buffer of up to 128 KiB to
-each call on a strided operand. Every 1-D line is worked on alone, so
-the result does not depend on the cut or the thread count. BLAS works
-many lines at once, but its result for a line does not depend on how
-many share a call, so long as there are two or more (one line is a
-matrix-vector product, which rounds otherwise). A one-register state,
-the only source of one-line calls, is one call on the caller's thread.
+on one register r of the state it is given, as GridSpec.registers
+numbers them. Registers are disjoint, so application order is
+irrelevant. With R > 1 registers it views the state as (A, D, B) =
+(D^r, D, D^(R-r-1)), and register 0 as (B, D, 1), cuts axis 0 of that
+view into slabs and hands the kernel each slab with its lines first.
+on_slabs, which cuts and deals the slabs over WZ_THREADS threads for the
+kernels and for evolution's potential phase tables, reads that count at
+every call, so a plan holds only the constants its kernel reads. A
+thread is worth its hand-off only for grid.SLAB_BYTES of state, so a
+call uses at most max(1, state bytes // SLAB_BYTES) threads: a state
+under SLAB_BYTES runs on the caller's thread alone. The FFT works in
+place, so it is cut into one slab per thread. matmul copies its input,
+which overlaps its output; the matrix plan counts that copy twice, so
+that it and the slab share SLAB_BYTES. The scan is counted as three
+temporaries the size of its slab, so it is cut into as many more slabs
+as keep them under SLAB_BYTES; on a strided slab it holds about 3.7, as
+numpy adds an iterator buffer of up to 128 KiB to each call on a
+strided operand. A slab is at least one cell of axis 0: one line on the
+first and last registers, but a D-th of the state on register 1, which
+can exceed the cap. Every 1-D line is worked on alone, so the result
+does not depend on the cut or the thread count. Nor does BLAS's, with
+two or more lines to a call (one line is a matrix-vector product, which
+rounds otherwise); under the default cap only a one-register state makes
+a one-line call.
 """
 
 from __future__ import annotations
@@ -219,25 +220,6 @@ def _fft_lines(a: np.ndarray, phase_table: np.ndarray) -> None:
     np.fft.fft(a, axis=0, norm="ortho", out=a)
 
 
-def _lines_last(a: np.ndarray) -> np.ndarray:
-    """a, whose lines run along axis 0, as a view with the line axis last
-    and the other axes in memory order, largest stride first, each merged
-    into the one before it where the strides allow. matmul then hands BLAS
-    a few large products with one unit-stride operand, and no copy."""
-    shape: list[int] = []
-    strides: list[int] = []
-    for ax in sorted(range(1, a.ndim), key=lambda ax: -a.strides[ax]):
-        if shape and strides[-1] == a.shape[ax] * a.strides[ax]:
-            shape[-1] *= a.shape[ax]
-            strides[-1] = a.strides[ax]
-        else:
-            shape.append(a.shape[ax])
-            strides.append(a.strides[ax])
-    return np.lib.stride_tricks.as_strided(
-        a, (*shape, a.shape[0]), (*strides, a.strides[0])
-    )
-
-
 @dataclass
 class SpectralKineticPlan:
     """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar), and
@@ -256,7 +238,11 @@ class SpectralKineticPlan:
         if self.matrix_t is None:
             _fft_lines(a, self.phase_table)
             return
-        v = _lines_last(a)
+        v = np.moveaxis(a, 0, -1)
+        if v.ndim == 3 and v.shape[1] == 1:
+            # The first or last register: one product, not a batch of
+            # matrix-vector products.
+            v = v[:, 0]
         np.matmul(v, self.matrix_t, out=v)
 
 
@@ -288,6 +274,7 @@ def apply_kinetic_plan(
     state: StateVector, register: int, plan: KineticTrotterPlan | SpectralKineticPlan
 ) -> None:
     """Apply plan's kinetic factor to one register of state, in place."""
+    grid.check_integer("register", register)
     t = state.tensor
     if not 0 <= register < t.ndim:
         raise ValidationError(f"register {register} outside [0, {t.ndim})")
@@ -297,12 +284,12 @@ def apply_kinetic_plan(
     if t.ndim == 1:
         plan.lines(t)
         return
-    # Cut along another axis, so that every slab holds whole lines.
-    axis = 1 if register == 0 else 0
-    lead = (slice(None),) * axis
-    on_slabs(
-        lambda cut: plan.lines(t[lead + (cut,)].swapaxes(0, register)), t, axis, plan.temporaries
-    )
+    # (A, D, B): the cells before the register, its own and those after
+    # it. Register 0, whose A is 1, is cut along B.
+    x = state.amplitudes.reshape(D**register, D, -1)
+    if register == 0:
+        x = x.transpose(2, 1, 0)
+    on_slabs(lambda cut: plan.lines(x[cut].swapaxes(0, 1)), x, plan.temporaries)
 
 
 def _worker_count() -> int:
@@ -325,18 +312,17 @@ def _slab_pool(threads: int):
     return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wzsim-slab")
 
 
-def on_slabs(fn: Callable[[slice], None], t: np.ndarray, axis: int, temporaries: int) -> None:
-    """Call fn(cut) for slices cut of t's axis that together cover it, so
-    that fn works on the slab t[..., cut, ...]. workers is WZ_THREADS,
-    read at this call, capped at t.nbytes // SLAB_BYTES, so that a
-    thread's share of t is worth its hand-off; below SLAB_BYTES the caller
-    works alone. There is one slab per worker or, when fn holds
-    `temporaries` arrays of its slab's size, as many more as keep them
-    under SLAB_BYTES; at most one per cell of the axis. The slabs, of
+def on_slabs(fn: Callable[[slice], None], t: np.ndarray, temporaries: int) -> None:
+    """Call fn(cut) for slices cut of t's axis 0 that together cover it, so
+    that fn works on the slab t[cut]. workers is WZ_THREADS, read at this
+    call, capped at t.nbytes // SLAB_BYTES, so that a thread's share of t
+    is worth its hand-off; below SLAB_BYTES the caller works alone. There
+    is one slab per worker or, when fn holds `temporaries` arrays of its
+    slab's size, as many more as keep them under SLAB_BYTES. The slabs, of
     equal size to within a cell, are dealt in turn to min(workers, slabs)
     threads, the caller's among them."""
     workers = min(_worker_count(), max(1, t.nbytes // grid.SLAB_BYTES))
-    cells = t.shape[axis]
+    cells = t.shape[0]
     bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)
     cuts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     threads = min(workers, len(cuts))

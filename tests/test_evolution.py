@@ -62,7 +62,10 @@ class TestPlanValidation:
             EvolutionPlan(T=1.0, N_t=10, splitting="second-order")
         with pytest.raises(ValidationError):
             EvolutionPlan(T=1.0, N_t=10, terms={"T_e", "U_xx"})
-        for v_wall in (-1.0, float("nan")):
+        for T in (True, "x"):
+            with pytest.raises(ValidationError):
+                EvolutionPlan(T=T, N_t=1)
+        for v_wall in (-1.0, float("nan"), True, "x"):
             with pytest.raises(ValidationError):
                 EvolutionPlan(T=1.0, N_t=10, v_wall=v_wall)
 

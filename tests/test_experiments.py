@@ -625,6 +625,10 @@ MALFORMED = [
     ("convergence", {"axis": "spatial", "sweep_qubits": []}),
     ("convergence", {"axis": "spatial", "sweep_qubits": [3, 3]}),
     ("convergence", {"axis": "temporal", "sweep_steps": [50, 50]}),
+    # Two cells have no interior: refused before any grid evolves.
+    ("box-evolve", {"interior_only": True, "qubits_per_axis": 1}),
+    ("convergence", {"axis": "spatial", "interior_only": True, "sweep_qubits": [3, 1], "steps": 10}),
+    ("sample", {"interior_only": True, "qubits_per_axis": 1}),
     ("box-evolve", {"evolve_times": [1e-3], "total_time": -1.0}),
     ("sample", {"seed": -1}),
     ("sample", {"seed": 1.5}),
@@ -681,6 +685,7 @@ MALFORMED = [
 CHECKED_BEFORE_EVOLVE = [
     ("convergence", {"axis": "spatial", "sweep_qubits": [10, 25]}, 3),
     ("convergence", {"axis": "spatial", "sweep_qubits": [3, 0]}, 2),
+    ("convergence", {"axis": "spatial", "interior_only": True, "sweep_qubits": [3, 1]}, 2),
     ("convergence", {"axis": "temporal", "sweep_steps": [10, 0]}, 2),
     ("convergence", {"axis": "temporal", "sweep_steps": [10, MAX_STEPS + 1]}, 3),
     ("box-evolve", {"qubits_per_axis": 21}, 3),
@@ -723,7 +728,9 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
+        # molecule2d sums its potential's extremes once the directory is
+        # made, and leaves it empty; every other run is refused before.
+        assert not out.exists() or (command == "molecule2d" and not any(out.iterdir()))
 
     @pytest.mark.parametrize(
         "command, payload, code",
@@ -948,6 +955,15 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["convergence", "--config", cfg, "--axis", "spatial", "--out", str(out)]) == 0
         assert json.loads((out / "summary.json").read_text())["axis"] == "spatial"
+
+    def test_temporal_interior_only_keeps_the_unused_sweep_grids(self, tmp_path):
+        # A temporal sweep builds only the qubits_per_axis grid, so its
+        # default sweep_qubits, which start at one qubit, are not refused.
+        payload = {"axis": "temporal", "interior_only": True, "qubits_per_axis": 3, "sweep_steps": [5, 10]}
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["axis"] == "temporal"
 
     def test_spectral_runs_do_not_load_scipy(self, tmp_path):
         # The spectral route runs on numpy.fft, so neither the import nor a

@@ -1,4 +1,6 @@
 import cmath
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,11 @@ from wzsim.kinetic import (
 POWERS = [2, 4, 8, 16, 32]
 
 METHODS = {"trotter": make_trotter_plan, "spectral": make_spectral_plan}
+
+# Cut points of 256, 512 and 32 cells into 6, 3 and 11 even slabs.
+SIXTHS = [0, 42, 85, 128, 170, 213, 256]
+THIRDS = [0, 170, 341, 512]
+ELEVENTHS = [0, 2, 5, 8, 11, 14, 17, 20, 23, 26, 29, 32]
 
 
 def electron():
@@ -311,13 +318,13 @@ class TestApplyKinetic:
     @pytest.mark.parametrize("particles, d", [(1, 1), (2, 1), (1, 2)])
     def test_register_bounds_checked(self, method, particles, d):
         # One register, and two as two particles or as two axes: every
-        # register index outside the state is refused, and the state is
-        # left as it was.
+        # register index outside the state, and every index that is not an
+        # integer, is refused, and the state is left as it was.
         grid = build_grid(1.0, 2, d)
         state = TestSpectralSlabs.random_state(grid, (electron(),) * particles, 0)
         before = state.amplitudes.copy()
         plan = METHODS[method](4, grid.delta, 1.0, 1e-3)
-        for register in (-1, particles * d, particles * d + 1):
+        for register in (-1, particles * d, particles * d + 1, True, 1.0):
             with pytest.raises(ValidationError):
                 apply_kinetic_plan(state, register, plan)
         assert np.array_equal(state.amplitudes, before)
@@ -335,9 +342,9 @@ class TestApplyKinetic:
 
 
 class TestSpectralSlabs:
-    """apply_kinetic_plan cuts the register tensor into WZ_THREADS slabs
-    for the spectral kernel, and into as many more as keep the scan under
-    the cap for the Trotter kernel."""
+    """apply_kinetic_plan cuts a register's (A, D, B) view along A, or
+    along B for register 0, into WZ_THREADS slabs, and into as many more as
+    keep the kernel's temporaries under the cap."""
 
     @staticmethod
     def random_state(grid, particles, seed):
@@ -436,35 +443,98 @@ class TestSpectralSlabs:
         assert kinetic_mod._worker_count() == MAX_FFT_THREADS
 
     @pytest.mark.parametrize(
-        "n, d, particles, threads, bounds",
-        # A cap of three cells' worth of scan temporaries cuts 16 cells into
-        # 6 uneven slabs, more than threads, and 8 cells into 3 uneven ones;
-        # 2 cells give one slab per cell. Those states are under two caps,
-        # so the caller scans every slab. One particle in 2D on 32 cells is
-        # over three caps: 11 uneven slabs, dealt out to up to 3 threads.
-        [(4, 3, 1, t, [0, 2, 5, 8, 10, 13, 16]) for t in (1, 2, 3)]
-        + [(3, 2, 2, t, [0, 2, 5, 8]) for t in (1, 2, 3)]
-        + [(1, 2, 2, 3, [0, 1, 2])]
-        + [(5, 2, 1, t, [0, 2, 5, 8, 11, 14, 17, 20, 23, 26, 29, 32]) for t in (1, 2, 3)],
+        "n, d, particles, threads, cap, cuts, dealt",
+        # Each register r is cut along the D^r cells of the registers before
+        # it, register 0 along the D^(R-1) after it. A cap of three cells'
+        # worth of register 1's scan temporaries cuts every register of one
+        # particle in 3D on 16 cells into 6 uneven slabs, more than threads,
+        # and of two in 2D on 8 cells into 3; those states are under two
+        # caps, so the caller scans every slab. A cap of one amplitude cuts
+        # two particles in 2D on 2 cells into one slab per cell, dealt out
+        # to 3 threads, or 2 for the 2 cells of register 1. One particle in
+        # 2D on 32 cells is over three caps: 11 uneven slabs, dealt out to
+        # up to 3 threads.
+        [(4, 3, 1, t, 36864, [SIXTHS, [0, 2, 5, 8, 10, 13, 16], SIXTHS], [1] * 3) for t in (1, 2, 3)]
+        + [
+            (3, 2, 2, t, 73728, [THIRDS, [0, 2, 5, 8], [0, 21, 42, 64], THIRDS], [1] * 4)
+            for t in (1, 2, 3)
+        ]
+        + [(1, 2, 2, 3, 16, [[*range(9)], [0, 1, 2], [*range(5)], [*range(9)]], [3, 2, 3, 3])]
+        + [(5, 2, 1, t, 4608, [ELEVENTHS] * 2, [t] * 2) for t in (1, 2, 3)],
     )
     def test_trotter_slabs_match_whole_tensor_scan(
-        self, monkeypatch, n, d, particles, threads, bounds
+        self, monkeypatch, n, d, particles, threads, cap, cuts, dealt
     ):
+        made = []
+        on_slabs = kinetic_mod.on_slabs
+
+        def spy(fn, t, temporaries):
+            seen = []
+
+            def record(cut):
+                seen.append((cut.start, cut.stop, threading.current_thread().name))
+                fn(cut)
+
+            on_slabs(record, t, temporaries)
+            made.append(seen)
+
+        asked = []
+        pool = kinetic_mod._slab_pool
+
+        def pool_spy(count):
+            asked.append(count)
+            return pool(count)
+
+        monkeypatch.setattr(kinetic_mod, "on_slabs", spy)
+        monkeypatch.setattr(kinetic_mod, "_slab_pool", pool_spy)
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", cap)
+        monkeypatch.setenv("WZ_THREADS", str(threads))
         grid = build_grid(1.0, n, d)
         D = grid.cells_per_axis
         registers = particles * d
-        cell_bytes = 3 * 16 * D ** (registers - 1)
-        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 3 * cell_bytes)
-        assert grid_mod.slab_bounds(D, cell_bytes, threads) == bounds
-        monkeypatch.setenv("WZ_THREADS", str(threads))
         plan = make_trotter_plan(D, grid.delta, 1.0, 0.05)
         for reg in range(registers):
             state = self.random_state(grid, (electron(),) * particles, reg)
             out = copy_of(state)
+            asked.clear()
             apply_kinetic_plan(out, reg, plan)
+            slabs = sorted(made[-1])
+            starts = [lo for lo, _, _ in slabs]
+            assert starts + [slabs[-1][1]] == cuts[reg]
+            # Dealt in turn: the caller takes slabs 0, dealt, 2 dealt, ...
+            # and the pool has dealt - 1 threads.
+            assert asked == [dealt[reg] - 1] * (dealt[reg] - 1)
+            ours = [lo for lo, _, name in slabs if name == threading.current_thread().name]
+            assert ours == starts[:: dealt[reg]]
             whole = state.amplitudes.copy().reshape((D,) * registers)
             plan.lines(whole.swapaxes(0, reg))
             assert np.array_equal(out.amplitudes, whole.reshape(-1))
+        assert len(made) == registers
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_peak_per_register_under_four_caps(self, monkeypatch, method):
+        # Two electrons in 2D on 16 cells under a cap of a 64th of the
+        # state, on one thread. Registers 0, 2 and 3 are cut fine enough to
+        # keep their temporaries under the cap. Register 1 is cut along the
+        # 16 cells of register 0 alone, so its slab is at least a 16th of
+        # the state, 4 caps, and its kernel holds one or two temporaries
+        # that size.
+        grid = build_grid(1.0, 4, 2)
+        state = self.random_state(grid, (electron(), electron()), 0)
+        cap = state.amplitudes.nbytes // 64
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", cap)
+        monkeypatch.setenv("WZ_THREADS", "1")
+        plan = METHODS[method](16, grid.delta, 1.0, 0.05)
+        peaks = []
+        for reg in range(4):
+            tracemalloc.start()
+            try:
+                apply_kinetic_plan(state, reg, plan)
+                peaks.append(tracemalloc.get_traced_memory()[1] / cap)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks[0], peaks[2], peaks[3]) < 4, peaks
+        assert 4 <= peaks[1] <= 2 * 4 + 1, peaks
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_small_states_stay_on_the_callers_thread(self, monkeypatch, method):

@@ -7,8 +7,10 @@ exceeded, 4 norm drift abort.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -90,17 +92,20 @@ def main(argv=None) -> int:
     # Each flag's dest is the RunConfig field it overrides.
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    out_existed = os.path.lexists(args.out)
     try:
         # Validated on every run, not only where a Trotter or spectral plan reads it.
         _worker_count()
         cfg = dataclasses.replace(load_config(args.config), **overrides)
         runners[args.command](cfg, args.out)
-    except ValidationError as exc:
+    except (ValidationError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if not out_existed:
+            # A refused run leaves no directory it made; rmdir keeps one
+            # that holds anything.
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
+        return 2 if isinstance(exc, ValidationError) else 3
     except NormDriftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

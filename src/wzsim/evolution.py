@@ -44,8 +44,7 @@ from .grid import (
     quantum_particles,
 )
 from .kinetic import (
-    KineticTrotterPlan,
-    SpectralKineticPlan,
+    KineticPlan,
     _worker_count,
     apply_kinetic_plan,
     make_spectral_plan,
@@ -127,7 +126,7 @@ class PreparedOperators:
     state. Empty without a potential term."""
 
     phases: list[np.ndarray]
-    kinetic: list[tuple[int, KineticTrotterPlan | SpectralKineticPlan]]
+    kinetic: list[tuple[int, KineticPlan]]
 
 
 def _exp_in_place(scale: complex, energies: np.ndarray) -> np.ndarray:
@@ -184,9 +183,9 @@ def prepare_operators(
     potential_terms = [t for t in plan.terms if t.startswith("U_") or t == "wall"]
     phases = _phase_tables(grid, particles, potential_terms, plan) if potential_terms else []
 
-    kinetic: list[tuple[int, KineticTrotterPlan | SpectralKineticPlan]] = []
+    kinetic: list[tuple[int, KineticPlan]] = []
     make = make_trotter_plan if plan.kinetic_method == "trotter" else make_spectral_plan
-    plans: dict[float, KineticTrotterPlan | SpectralKineticPlan] = {}
+    plans: dict[float, KineticPlan] = {}
     for q, particle in enumerate(quantum):
         if particle.kinetic_term not in plan.terms:
             continue

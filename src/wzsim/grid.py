@@ -36,8 +36,11 @@ HBAR = 1.0
 MAX_AXIS_QUBITS = 20
 MAX_TOTAL_QUBITS = 30
 
-# Bytes of temporaries one Trotter scan slab may hold on each thread; a
-# kinetic factor also takes one thread per SLAB_BYTES of state at most.
+# Bytes one slab may hold on each thread, for every slab kernel: a
+# kinetic kernel's temporaries, evolution's multiply of phase tables, the
+# rows of a quantum-clamped Coulomb table built at once, and the |a|^2 of
+# a marginal_density slab. A kinetic factor or a multiply of phase tables
+# also takes one thread per SLAB_BYTES of state at most.
 SLAB_BYTES = 1 << 20
 
 # vector_norm sums squares by BLAS ddot over chunks of this many

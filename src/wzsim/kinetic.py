@@ -15,28 +15,31 @@ Two interchangeable single-axis methods are provided:
   phase is applied exactly in momentum space, in place in numpy.fft.
   numpy transforms line by line, and on lines of up to 64 cells that
   costs more per amplitude than a dense product in BLAS. So for D <=
-  DENSE_MAX_CELLS the plan also holds the factor F^dagger diag(phases) F
-  as a D x D matrix, the FFT kernel's image of the identity, and applies
-  it with one matmul per slab. Measured at 2 threads through
-  apply_kinetic_plan, the matrix takes 0.4-0.7 of the FFT's time per
-  amplitude from 4 to 64 cells, 1.1 at 128 and 2.9 at 256.
+  DENSE_MAX_CELLS make_spectral_plan returns the factor F^dagger
+  diag(phases) F as a D x D matrix, the FFT kernel's image of the
+  identity, applied with one matmul per slab. Measured at 2 threads
+  through apply_kinetic_plan, the matrix takes 0.4-0.7 of the FFT's time
+  per amplitude from 4 to 64 cells, 1.1 at 128 and 2.9 at 256.
 
-Each plan carries its line kernel: lines(a) applies the factor along
-axis 0 of a, in place. apply_kinetic_plan, the one apply path, runs it
-on one register r of the state it is given, as GridSpec.registers
-numbers them. Registers are disjoint, so application order is
-irrelevant. With R > 1 registers it views the state as (A, D, B) =
-(D^r, D, D^(R-r-1)), and register 0 as (B, D, 1), cuts axis 0 of that
-view into slabs and hands the kernel each slab with its lines first.
-on_slabs, which cuts and deals the slabs over WZ_THREADS threads for the
-kernels and for evolution's potential phase tables, reads that count at
-every call, so a plan holds only the constants its kernel reads. A
-thread is worth its hand-off only for grid.SLAB_BYTES of state, so a
-call uses at most max(1, state bytes // SLAB_BYTES) threads: a state
-under SLAB_BYTES runs on the caller's thread alone. The FFT works in
-place, so it is cut into one slab per thread. matmul copies its input,
-which overlaps its output; the matrix plan counts that copy twice, so
-that it and the slab share SLAB_BYTES. The scan is counted as three
+A plan is its kernel, one class each: KineticTrotterPlan (the scan),
+SpectralKineticPlan (the FFT) and MatrixKineticPlan (the matrix). Each
+holds only the constants its lines(a) reads, which applies the factor
+along axis 0 of a, in place, and its class constant temporaries counts
+the slab-sized arrays lines holds. apply_kinetic_plan, the one apply
+path, runs lines on one register r of the state it is given, as
+GridSpec.registers numbers them. Registers are disjoint, so application
+order is irrelevant. With R > 1 registers it views the state as (A, D,
+B) = (D^r, D, D^(R-r-1)), and register 0 as (B, D, 1), cuts axis 0 of
+that view into slabs and hands the kernel each slab with its lines
+first. on_slabs, which cuts and deals the slabs over WZ_THREADS threads
+for the kernels and for evolution's potential phase tables, reads that
+count at every call, so no plan holds it. A thread is worth its
+hand-off only for grid.SLAB_BYTES of state, so a call uses at most
+max(1, state bytes // SLAB_BYTES) threads: a state under SLAB_BYTES
+runs on the caller's thread alone. The FFT works in place, so it is
+cut into one slab per thread. matmul copies its input, which overlaps
+its output; the matrix plan counts that copy twice, so that it and the
+slab share SLAB_BYTES. The scan is counted as three
 temporaries the size of its slab, so it is cut into as many more slabs
 as keep them under SLAB_BYTES; on a strided slab it holds about 3.7, as
 numpy adds an iterator buffer of up to 128 KiB to each call on a
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, ClassVar
@@ -76,13 +80,20 @@ MAX_FFT_THREADS = 64
 
 
 def _check_register_size(D: int) -> None:
+    grid.check_integer("register size", D)
     if D < 2 or (D & (D - 1)) != 0:
         raise ValidationError(f"register size must be a power of two >= 2, got {D}")
 
 
-def _check_spacing(delta: float) -> None:
-    if not delta > 0:
-        raise ValidationError(f"grid spacing delta must be positive, got {delta}")
+def _check_positive(name: str, value: float) -> None:
+    grid.check_real(name, value)
+    if not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_mass_and_step(mass: float, eps: float) -> None:
+    _check_positive("mass", mass)
+    grid.check_real("eps", eps)
 
 
 def momentum_matrix(D: int, delta: float) -> np.ndarray:
@@ -90,7 +101,7 @@ def momentum_matrix(D: int, delta: float) -> np.ndarray:
     on the superdiagonal, +i hbar / (2 delta) on the subdiagonal and a zero
     diagonal, the same stencil at the endpoints as inside."""
     _check_register_size(D)
-    _check_spacing(delta)
+    _check_positive("grid spacing delta", delta)
     alpha = -1j * HBAR / (2.0 * delta)
     return alpha * (np.eye(D, k=1) - np.eye(D, k=-1)).astype(np.complex128)
 
@@ -184,9 +195,8 @@ def trotter_plan(D: int, xi: complex) -> KineticTrotterPlan:
 
 
 def trotter_xi(delta: float, mass: float, eps: float) -> complex:
-    if mass <= 0:
-        raise ValidationError("mass must be positive")
-    _check_spacing(delta)
+    _check_mass_and_step(mass, eps)
+    _check_positive("grid spacing delta", delta)
     xi = 1j * HBAR * eps / (8.0 * mass * delta * delta)
     if not cmath.isfinite(xi):
         raise ValidationError(f"Trotter coupling eps/(8 m delta^2) overflows at eps={eps}")
@@ -213,31 +223,33 @@ def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticT
     return trotter_plan(D, trotter_xi(delta, mass, eps))
 
 
-def _fft_lines(a: np.ndarray, phase_table: np.ndarray) -> None:
-    """F^dagger diag(phase_table) F along axis 0 of a, in place in numpy.fft."""
-    np.fft.ifft(a, axis=0, norm="ortho", out=a)
-    a *= phase_table.reshape((len(phase_table),) + (1,) * (a.ndim - 1))
-    np.fft.fft(a, axis=0, norm="ortho", out=a)
-
-
 @dataclass
 class SpectralKineticPlan:
-    """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar), and
-    for a register of at most DENSE_MAX_CELLS cells the factor they make,
-    F^dagger diag(phases) F, as a dense matrix stored transposed."""
+    """Unit-modulus momentum-space phases exp(-i eps p_k^2 / 2 M hbar)."""
 
     dim: int
     phase_table: np.ndarray
-    matrix_t: np.ndarray | None = None
-    # Slab-sized arrays lines holds, as on_slabs counts them: 0 for the
-    # FFT, 2 for the matrix (see the module docstring).
-    temporaries: int = 0
+    # numpy.fft works in place.
+    temporaries: ClassVar[int] = 0
 
     def lines(self, a: np.ndarray) -> None:
-        """Apply the kinetic factor along axis 0 of a, in place."""
-        if self.matrix_t is None:
-            _fft_lines(a, self.phase_table)
-            return
+        """F^dagger diag(phase_table) F along axis 0 of a, in place in numpy.fft."""
+        np.fft.ifft(a, axis=0, norm="ortho", out=a)
+        a *= self.phase_table.reshape((self.dim,) + (1,) * (a.ndim - 1))
+        np.fft.fft(a, axis=0, norm="ortho", out=a)
+
+
+@dataclass
+class MatrixKineticPlan:
+    """A register's kinetic factor as a dense matrix, stored transposed."""
+
+    dim: int
+    matrix_t: np.ndarray
+    # matmul's copy of its input, counted twice (see the module docstring).
+    temporaries: ClassVar[int] = 2
+
+    def lines(self, a: np.ndarray) -> None:
+        """Apply the factor along axis 0 of a, in place."""
         v = np.moveaxis(a, 0, -1)
         if v.ndim == 3 and v.shape[1] == 1:
             # The first or last register: one product, not a batch of
@@ -250,29 +262,29 @@ def momentum_eigenvalues(D: int, delta: float) -> np.ndarray:
     """The D asymptotic eigenvalues -(hbar/delta) sin(2 pi k / D) of P
     under Fourier conjugation, k = 0 .. D-1."""
     _check_register_size(D)
-    _check_spacing(delta)
+    _check_positive("grid spacing delta", delta)
     return -(HBAR / delta) * np.sin(2.0 * np.pi * np.arange(D) / D)
 
 
-def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> SpectralKineticPlan:
-    _check_register_size(D)
-    if mass <= 0:
-        raise ValidationError("mass must be positive")
+KineticPlan = KineticTrotterPlan | SpectralKineticPlan | MatrixKineticPlan
+
+
+def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> KineticPlan:
+    """The FFT plan, or for D <= DENSE_MAX_CELLS the matrix of its factor."""
+    _check_mass_and_step(mass, eps)
     p = momentum_eigenvalues(D, delta)
     # A huge eps makes a NaN table, which evolution.evolve's norm check catches.
     with np.errstate(over="ignore", invalid="ignore"):
-        table = np.exp(-1j * eps * p * p / (2.0 * mass * HBAR))
+        plan = SpectralKineticPlan(D, np.exp(-1j * eps * p * p / (2.0 * mass * HBAR)))
         if D > DENSE_MAX_CELLS:
-            return SpectralKineticPlan(dim=D, phase_table=table)
+            return plan
         # Column j is the FFT kernel's image of cell j.
         factor = np.eye(D, dtype=np.complex128)
-        _fft_lines(factor, table)
-    return SpectralKineticPlan(dim=D, phase_table=table, matrix_t=factor.T, temporaries=2)
+        plan.lines(factor)
+    return MatrixKineticPlan(D, factor.T)
 
 
-def apply_kinetic_plan(
-    state: StateVector, register: int, plan: KineticTrotterPlan | SpectralKineticPlan
-) -> None:
+def apply_kinetic_plan(state: StateVector, register: int, plan: KineticPlan) -> None:
     """Apply plan's kinetic factor to one register of state, in place."""
     grid.check_integer("register", register)
     t = state.tensor

@@ -17,7 +17,7 @@ from wzsim.evolution import (
 from wzsim import grid as grid_mod
 from wzsim import kinetic as kinetic_mod
 from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state, quantum_particles
-from wzsim.kinetic import apply_kinetic_plan
+from wzsim.kinetic import MatrixKineticPlan, SpectralKineticPlan, apply_kinetic_plan
 from wzsim.potential import composite_potential
 
 
@@ -612,7 +612,8 @@ class TestSpectralKernelsAgainstTheOracle:
         )(state).amplitudes
         ops = prepare_operators(grid, roster, EvolutionPlan(T=self.T, N_t=1, terms={"T_e"}))
         ((_, kplan),) = ops.kinetic
-        assert (kplan.matrix_t is None) == (grid.cells_per_axis > kinetic_mod.DENSE_MAX_CELLS)
+        matrix = grid.cells_per_axis <= kinetic_mod.DENSE_MAX_CELLS
+        assert isinstance(kplan, MatrixKineticPlan if matrix else SpectralKineticPlan)
         for n_t in self.STEPS:
             for splitting in ("first-order", "strang"):
                 evo = EvolutionPlan(T=self.T, N_t=n_t, terms={"T_e"}, splitting=splitting)

@@ -728,9 +728,21 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        # molecule2d sums its potential's extremes once the directory is
-        # made, and leaves it empty; every other run is refused before.
-        assert not out.exists() or (command == "molecule2d" and not any(out.iterdir()))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("inside", [None, "notes.txt"])
+    def test_refused_run_keeps_a_directory_it_did_not_make(self, tmp_path, capsys, inside):
+        # molecule2d refuses a non-finite potential sum after it makes the
+        # directory: one that was there before the run stays, as it was.
+        payload = {"terms": ["T_e", "U_en", "wall"], "wall_height": 1e308}
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        out.mkdir()
+        if inside:
+            (out / inside).write_text("kept")
+        assert main(["molecule2d", "--config", cfg, "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ([inside] if inside else [])
 
     @pytest.mark.parametrize(
         "command, payload, code",
@@ -749,7 +761,7 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", sorted(FUZZ_BASES))
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -14,6 +14,8 @@ from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.kinetic import (
     MAX_FFT_THREADS,
+    MatrixKineticPlan,
+    SpectralKineticPlan,
     apply_kinetic_plan,
     fourier_conjugation_diagnostic,
     make_spectral_plan,
@@ -64,6 +66,12 @@ def scan_per_call(o: np.ndarray, xi: complex) -> np.ndarray:
     return o
 
 
+def spectral_phases(D: int, delta: float, mass: float = 1.0, eps: float = 0.05) -> np.ndarray:
+    """exp(-i eps p_k^2 / 2 M hbar) over the momentum eigenvalues p_k."""
+    p = momentum_eigenvalues(D, delta)
+    return np.exp(-1j * eps * p * p / (2 * mass * HBAR))
+
+
 def coupling_generator(D: int) -> np.ndarray:
     """Independent reconstruction: sum of embedded three-level generators
     plus the endpoint projectors, built entry by entry."""
@@ -112,18 +120,21 @@ class TestStencils:
         lhs = -np.real(P @ P)
         assert np.array_equal(lhs, coupling_generator(D))
 
-    def test_register_size_validation(self):
-        for bad in (0, 1, 3, 12):
-            with pytest.raises(ValidationError):
-                momentum_matrix(bad, 0.5)
-            with pytest.raises(ValidationError):
-                trotter_plan(bad, 0.01j)
-            with pytest.raises(ValidationError):
-                make_trotter_plan(bad, 0.5, 1.0, 0.1)
+    @pytest.mark.parametrize("bad", [0, 1, 3, 12, 4.0, 8.0, True, "8"])
+    def test_register_size_validation(self, bad):
         with pytest.raises(ValidationError):
-            momentum_matrix(4, 0.0)
+            momentum_matrix(bad, 0.5)
+        with pytest.raises(ValidationError):
+            momentum_eigenvalues(bad, 0.5)
+        with pytest.raises(ValidationError):
+            trotter_plan(bad, 0.01j)
+        with pytest.raises(ValidationError):
+            trotter_factor_matrix(bad, 0.01j)
+        for make in METHODS.values():
+            with pytest.raises(ValidationError):
+                make(bad, 0.5, 1.0, 0.1)
 
-    @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan")])
+    @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan"), float("inf"), True, "x"])
     @pytest.mark.parametrize(
         "build",
         [
@@ -137,6 +148,27 @@ class TestStencils:
     def test_grid_spacing_must_be_positive(self, build, delta):
         with pytest.raises(ValidationError):
             build(delta)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), float("inf"), True, "x"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda mass: trotter_xi(0.5, mass, 1e-3),
+            lambda mass: make_trotter_plan(8, 0.5, mass, 1e-3),
+            lambda mass: make_spectral_plan(8, 0.5, mass, 1e-3),
+            lambda mass: make_spectral_plan(128, 0.5, mass, 1e-3),
+        ],
+        ids=["trotter_xi", "trotter", "spectral-matrix", "spectral-fft"],
+    )
+    def test_mass_must_be_positive_and_finite(self, build, mass):
+        with pytest.raises(ValidationError, match="mass"):
+            build(mass)
+
+    @pytest.mark.parametrize("eps", ["x", None, True, 1j])
+    @pytest.mark.parametrize("make", sorted(METHODS))
+    def test_step_must_be_a_real_number(self, make, eps):
+        with pytest.raises(ValidationError, match="eps"):
+            METHODS[make](8, 0.5, 1.0, eps)
 
 
 class TestCouplingBlock:
@@ -221,18 +253,21 @@ class TestTrotterFactor:
 
     @pytest.mark.parametrize("reg", [0, 1, 2])
     def test_scan_on_every_axis_of_three_registers(self, reg):
+        # The scan, and the matrix kernel on the dense factor, through
+        # apply_kinetic_plan.
         grid = build_grid(1.0, 4, 3)
         rng = np.random.default_rng(reg)
         amps = rng.normal(size=16**3) + 1j * rng.normal(size=16**3)
         st_ = StateVector(amps, grid, (electron(),)).normalized()
-        plan = make_trotter_plan(16, grid.delta, 1.0, 1e-3)
-        out = copy_of(st_)
-        apply_kinetic_plan(out, reg, plan)
-        t = st_.amplitudes.reshape((16,) * 3)
         xi = trotter_xi(grid.delta, 1.0, 1e-3)
-        dense = np.tensordot(trotter_factor_matrix(16, xi), t, axes=(1, reg))
-        dense = np.moveaxis(dense, 0, reg).reshape(-1)
-        assert np.max(np.abs(out.amplitudes - dense)) <= 1e-14
+        factor = trotter_factor_matrix(16, xi)
+        scan, matrix = copy_of(st_), copy_of(st_)
+        apply_kinetic_plan(scan, reg, make_trotter_plan(16, grid.delta, 1.0, 1e-3))
+        apply_kinetic_plan(matrix, reg, MatrixKineticPlan(16, factor.T))
+        t = st_.amplitudes.reshape((16,) * 3)
+        dense = np.moveaxis(np.tensordot(factor, t, axes=(1, reg)), 0, reg).reshape(-1)
+        assert np.max(np.abs(scan.amplitudes - dense)) <= 1e-14
+        assert np.max(np.abs(matrix.amplitudes - scan.amplitudes)) <= 1e-14
 
     @pytest.mark.parametrize("D", [2, 16, 512])
     @pytest.mark.parametrize("theta", [np.pi / 2 - 1e-3, np.pi / 2, np.pi / 2 + 1e-7])
@@ -267,12 +302,13 @@ class TestSpectral:
         # takes the phase of momentum index k, and no other.
         grid = build_grid(1.0, D.bit_length() - 1, 1)
         plan = make_spectral_plan(D, grid.delta, 1.0, 0.05)
+        phases = spectral_phases(D, grid.delta)
         j = np.arange(D)
         for k in range(D):
             wave = np.exp(-2j * np.pi * j * k / D)
             state = StateVector(wave.copy(), grid, (electron(),))
             apply_kinetic_plan(state, 0, plan)
-            assert np.max(np.abs(state.amplitudes - plan.phase_table[k] * wave)) <= 1e-14
+            assert np.max(np.abs(state.amplitudes - phases[k] * wave)) <= 1e-14
 
     @given(st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False), min_size=8, max_size=8))
     @settings(max_examples=50)
@@ -285,8 +321,10 @@ class TestSpectral:
         assert np.allclose(state.amplitudes, vec, atol=1e-9 * (1 + np.abs(vec).max()))
 
     def test_phase_table_unit_modulus_and_quarter_entry(self):
-        D, delta, mass, eps = 16, 0.25, 2.0, 1e-3
+        # The FFT plan, the one that holds a phase table.
+        D, delta, mass, eps = 128, 0.25, 2.0, 1e-3
         plan = make_spectral_plan(D, delta, mass, eps)
+        assert isinstance(plan, SpectralKineticPlan)
         assert np.allclose(np.abs(plan.phase_table), 1.0, atol=1e-15)
         expected = np.exp(-1j * eps * (HBAR / delta) ** 2 / (2 * mass * HBAR))
         assert plan.phase_table[D // 4] == pytest.approx(expected, abs=1e-15)
@@ -367,20 +405,19 @@ class TestSpectralSlabs:
         return out, plan
 
     @staticmethod
-    def dense_factor(plan):
-        """F^dagger diag(phase) F, with the unitary
+    def dense_factor(D, delta):
+        """F^dagger diag(phase) F at mass 1 and eps 0.05, with the unitary
         F[j, k] = exp(2 pi i j k / D) / sqrt(D)."""
-        D = plan.dim
         j, k = np.meshgrid(np.arange(D), np.arange(D), indexing="ij")
         F = np.exp(2j * np.pi * j * k / D) / np.sqrt(D)
-        return F.conj().T @ (plan.phase_table[:, None] * F)
+        return F.conj().T @ (spectral_phases(D, delta)[:, None] * F)
 
     @classmethod
     def dense_reference(cls, state, reg, plan):
         """The dense factor on register reg."""
         D = plan.dim
         t = state.amplitudes.reshape((D,) * (len(state.particles) * state.grid.d))
-        product = np.tensordot(cls.dense_factor(plan), t, axes=(1, reg))
+        product = np.tensordot(cls.dense_factor(D, state.grid.delta), t, axes=(1, reg))
         return np.moveaxis(product, 0, reg).reshape(-1)
 
     @pytest.mark.parametrize(
@@ -414,7 +451,8 @@ class TestSpectralSlabs:
         for bound in (1, 128):
             monkeypatch.setattr(kinetic_mod, "DENSE_MAX_CELLS", bound)
             plans[bound] = make_spectral_plan(D, 1.0 / D, 1.0, 0.05)
-        assert plans[1].matrix_t is None and plans[128].matrix_t is not None
+        assert isinstance(plans[1], SpectralKineticPlan)
+        assert isinstance(plans[128], MatrixKineticPlan)
         grid = build_grid(1.0, n, 1)
         for registers in range(1, min(4, 16 // n) + 1):
             state = self.random_state(grid, (electron(),) * registers, registers)
@@ -426,16 +464,21 @@ class TestSpectralSlabs:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matrix_exactly_up_to_the_bound(self, n):
-        # The matrix is the dense reference's factor to rounding, and a
-        # plan holds one, counted as two slab temporaries, exactly when D
-        # is at most DENSE_MAX_CELLS.
+        # A plan is its kernel: the matrix, counted as two slab
+        # temporaries, exactly when D is at most DENSE_MAX_CELLS, and the
+        # FFT's phase table, counted as none, above. Each holds no other
+        # array, and the matrix is the dense reference's factor to rounding.
         D = 2**n
         plan = make_spectral_plan(D, 1.0 / D, 1.0, 0.05)
-        if D > kinetic_mod.DENSE_MAX_CELLS:
-            assert plan.matrix_t is None and plan.temporaries == 0
-            return
-        assert plan.temporaries == 2
-        assert np.max(np.abs(plan.matrix_t.T - self.dense_factor(plan))) <= 1e-14
+        matrix = D <= kinetic_mod.DENSE_MAX_CELLS
+        kind = MatrixKineticPlan if matrix else SpectralKineticPlan
+        assert type(plan) is kind
+        arrays = {name for name, v in vars(plan).items() if isinstance(v, np.ndarray)}
+        assert arrays == ({"matrix_t"} if matrix else {"phase_table"})
+        assert plan.temporaries == (2 if matrix else 0)
+        assert "temporaries" not in vars(plan)
+        if matrix:
+            assert np.max(np.abs(plan.matrix_t.T - self.dense_factor(D, 1.0 / D))) <= 1e-14
 
     def test_thread_count_is_capped(self, monkeypatch):
         # Read alone: on_slabs would start a pool of MAX_FFT_THREADS - 1.

@@ -24,7 +24,7 @@ from .experiments import (
     run_sample,
     run_synth_report,
 )
-from .kinetic import _worker_count
+from .grid import worker_count
 
 
 def load_config(path: str) -> RunConfig:
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     out_existed = os.path.lexists(args.out)
     try:
         # Validated on every run, not only where a Trotter or spectral plan reads it.
-        _worker_count()
+        worker_count()
         cfg = dataclasses.replace(load_config(args.config), **overrides)
         runners[args.command](cfg, args.out)
     except (ValidationError, ResourceLimitError) as exc:

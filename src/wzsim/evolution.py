@@ -16,7 +16,7 @@ is kept as small unit-modulus tables that broadcast into the register
 tensor: one per quantum particle, the exp of its one-body energies, and
 one per pair of quantum particles, the exp of the pair's Coulomb table
 over their displacement. step multiplies them in slab by slab of
-register 0, on the kinetic slab pool. A run of two or more quantum
+register 0, on grid.on_slabs. A run of two or more quantum
 particles thus peaks at one state plus the tables, a few KiB, and the
 kinetic slab temporaries. Every table has one axis per register; with
 one quantum particle the one table is the whole potential phase, a
@@ -41,16 +41,11 @@ from .grid import (
     check_integer,
     check_real,
     density,
-    quantum_particles,
-)
-from .kinetic import (
-    KineticPlan,
-    _worker_count,
-    apply_kinetic_plan,
-    make_spectral_plan,
-    make_trotter_plan,
     on_slabs,
+    quantum_particles,
+    worker_count,
 )
+from .kinetic import KineticPlan, apply_kinetic_plan, make_spectral_plan, make_trotter_plan
 from .potential import composite_potential, pair_window, quantum_pair_tables
 
 KINETIC_METHODS = ("trotter", "spectral")
@@ -199,11 +194,11 @@ def _multiply_phases(t: np.ndarray, phases: list[np.ndarray]) -> None:
     """Multiply the phase tables into the register tensor t, in place. One
     quantum particle's one table is one multiply on the caller's thread.
     More are multiplied in table after table on each slab of register 0,
-    on the kinetic slab pool. Each slab is passed over once per table, so
-    it is cut as if it held one temporary: under SLAB_BYTES, in cache for
-    the passes after the first. Every amplitude meets the same tables in
-    the same order whatever the cut, so the bytes do not depend on it or
-    on the thread count."""
+    by on_slabs. Each slab is passed over once per table, so it is cut as
+    if it held one temporary: under SLAB_BYTES, in cache for the passes
+    after the first. Every amplitude meets the same tables in the same
+    order whatever the cut, so the bytes do not depend on it or on the
+    thread count."""
     if len(phases) == 1:
         np.multiply(t, phases[0], out=t)
         return
@@ -261,7 +256,7 @@ def evolve(
         raise ValidationError("quantum roster does not match the state's particles")
 
     # A malformed WZ_THREADS is rejected before a step changes the state.
-    _worker_count()
+    worker_count()
     ops = prepare_operators(state.grid, roster, plan)
     drift = np.empty(plan.N_t, dtype=float)
     for k in range(1, plan.N_t + 1):

@@ -16,11 +16,15 @@ Conventions used throughout the package:
   is that tensor as a view, register_views broadcasts a per-cell table
   along each of its axes, and IndexCodec converts single indices for
   reference.
+* Work on a state-sized array runs slab by slab of its axis 0, on up to
+  WZ_THREADS threads: on_slabs holds the policy and SLAB_BYTES the cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -39,9 +43,13 @@ MAX_TOTAL_QUBITS = 30
 # Bytes one slab may hold on each thread, for every slab kernel: a
 # kinetic kernel's temporaries, evolution's multiply of phase tables, the
 # rows of a quantum-clamped Coulomb table built at once, and the |a|^2 of
-# a marginal_density slab. A kinetic factor or a multiply of phase tables
-# also takes one thread per SLAB_BYTES of state at most.
+# a marginal_density slab. A call of on_slabs also takes one thread per
+# SLAB_BYTES of its array at most.
 SLAB_BYTES = 1 << 20
+
+# Each slab thread is an OS thread; a huge WZ_THREADS must not start
+# thousands of them. The thread count never changes output bytes.
+MAX_THREADS = 64
 
 # vector_norm sums squares by BLAS ddot over chunks of this many
 # amplitudes, in order. OpenBLAS threads no ddot this short, so the sum
@@ -303,6 +311,55 @@ def slab_bounds(cells: int, cell_bytes: int, minimum: int = 1) -> list[int]:
     per_slab = max(1, SLAB_BYTES // cell_bytes) if cell_bytes > 0 else cells
     count = min(cells, max(minimum, -(-cells // per_slab)))
     return [cells * i // count for i in range(count + 1)]
+
+
+def worker_count() -> int:
+    """Slab threads from WZ_THREADS; unset, empty or < 1 means 1, and more
+    than MAX_THREADS means MAX_THREADS."""
+    raw = os.environ.get("WZ_THREADS", "1").strip() or "1"
+    try:
+        workers = int(raw)
+    except ValueError as exc:
+        raise ValidationError(f"WZ_THREADS must be an integer, got {raw!r}") from exc
+    return min(max(1, workers), MAX_THREADS)
+
+
+@functools.cache
+def _slab_pool(threads: int):
+    """The threads that work on slabs beside the caller's own, made on the
+    first call with this count, so importing wzsim starts none."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wzsim-slab")
+
+
+def on_slabs(fn: Callable[[slice], None], t: np.ndarray, temporaries: int) -> None:
+    """Call fn(cut) for slices cut of t's axis 0 that together cover it, so
+    that fn works on the slab t[cut]: every kinetic factor of two or more
+    registers and every multiply of two or more phase tables. workers is
+    worker_count(), read at this call, so no plan holds it, capped at
+    t.nbytes // SLAB_BYTES, so that a thread's share of t is worth its
+    hand-off; below SLAB_BYTES the caller works alone. There is one slab
+    per worker or, when fn holds `temporaries` arrays of its slab's size,
+    as many more as keep them under SLAB_BYTES. The slabs, of equal size
+    to within a cell, are dealt in turn to min(workers, slabs) threads,
+    the caller's among them."""
+    workers = min(worker_count(), max(1, t.nbytes // SLAB_BYTES))
+    cells = t.shape[0]
+    bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)
+    cuts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    threads = min(workers, len(cuts))
+
+    def deal(first: int) -> None:
+        for cut in cuts[first::threads]:
+            fn(cut)
+
+    futures = [_slab_pool(threads - 1).submit(deal, i) for i in range(1, threads)]
+    try:
+        deal(0)
+    finally:
+        for future in futures:
+            future.result()
 
 
 def encode_state(

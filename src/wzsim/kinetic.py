@@ -24,48 +24,41 @@ Two interchangeable single-axis methods are provided:
 A plan is its kernel, one class each: KineticTrotterPlan (the scan),
 SpectralKineticPlan (the FFT) and MatrixKineticPlan (the matrix). Each
 holds only the constants its lines(a) reads, which applies the factor
-along axis 0 of a, in place, and its class constant temporaries counts
-the slab-sized arrays lines holds. apply_kinetic_plan, the one apply
-path, runs lines on one register r of the state it is given, as
-GridSpec.registers numbers them. Registers are disjoint, so application
-order is irrelevant. With R > 1 registers it views the state as (A, D,
-B) = (D^r, D, D^(R-r-1)), and register 0 as (B, D, 1), cuts axis 0 of
-that view into slabs and hands the kernel each slab with its lines
-first. on_slabs, which cuts and deals the slabs over WZ_THREADS threads
-for the kernels and for evolution's potential phase tables, reads that
-count at every call, so no plan holds it. A thread is worth its
-hand-off only for grid.SLAB_BYTES of state, so a call uses at most
-max(1, state bytes // SLAB_BYTES) threads: a state under SLAB_BYTES
-runs on the caller's thread alone. The FFT works in place, so it is
-cut into one slab per thread. matmul copies its input, which overlaps
-its output; the matrix plan counts that copy twice, so that it and the
-slab share SLAB_BYTES. The scan is counted as three
-temporaries the size of its slab, so it is cut into as many more slabs
-as keep them under SLAB_BYTES; on a strided slab it holds about 3.7, as
-numpy adds an iterator buffer of up to 128 KiB to each call on a
-strided operand. A slab is at least one cell of axis 0: one line on the
-first and last registers, but a D-th of the state on register 1, which
-can exceed the cap. Every 1-D line is worked on alone, so the result
-does not depend on the cut or the thread count. Nor does BLAS's, with
-two or more lines to a call (one line is a matrix-vector product, which
-rounds otherwise); under the default cap only a one-register state makes
-a one-line call.
+along axis 0 of a, in place. Its class constant temporaries counts the
+slab-sized arrays lines holds, by which grid.on_slabs sizes the slabs:
+none for the FFT, which works in place, so it is cut into one slab per
+thread; two for the matrix, as matmul copies its input, which overlaps
+its output, and the copy is counted twice so that it and the slab share
+SLAB_BYTES; three for the scan, which on a strided slab holds about 3.7,
+as numpy adds an iterator buffer of up to 128 KiB to each call on a
+strided operand.
+
+apply_kinetic_plan, the one apply path, runs lines on one register r of
+the state it is given, as GridSpec.registers numbers them. Registers are
+disjoint, so application order is irrelevant. With R > 1 registers it
+views the state as (A, D, B) = (D^r, D, D^(R-r-1)), and register 0 as
+(B, D, 1), and grid.on_slabs cuts axis 0 of that view; the kernel gets
+each slab with its lines first. A slab is at least one cell of axis 0:
+one line on the first and last registers, but a D-th of the state on
+register 1, which can exceed the cap. Every 1-D line is worked on alone,
+so the result does not depend on the cut. Nor does BLAS's, with two or
+more lines to a call (one line is a matrix-vector product, which rounds
+otherwise); under the default cap only a one-register state makes a
+one-line call.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import os
 from dataclasses import dataclass
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
 from . import grid
 from .errors import ResourceLimitError, ValidationError
-from .grid import HBAR, StateVector, slab_bounds
+from .grid import HBAR, StateVector
 
 # fourier_conjugation_diagnostic builds O(D^2) dense intermediates.
 MAX_DIAGNOSTIC_DIM = 4096
@@ -73,10 +66,6 @@ MAX_DIAGNOSTIC_DIM = 4096
 # The spectral factor of a register of at most this many cells is one
 # dense matrix product per slab; above it, two FFTs and a phase pass.
 DENSE_MAX_CELLS = 64
-
-# Each kinetic thread is an OS thread; a huge WZ_THREADS must not start
-# thousands of them. The thread count never changes output bytes.
-MAX_FFT_THREADS = 64
 
 
 def _check_register_size(D: int) -> None:
@@ -148,8 +137,6 @@ class KineticTrotterPlan:
     end: complex
     powers: tuple[tuple[int, complex], ...]
     # The scan holds c, shifted and ps * c[s:], each the size of its input.
-    # On a strided slab numpy adds an iterator buffer of up to 128 KiB to
-    # each call, about 3.7 slabs in all at the 1 MiB cap; the cuts count 3.
     temporaries: ClassVar[int] = 3
 
     def lines(self, o: np.ndarray) -> None:
@@ -301,54 +288,7 @@ def apply_kinetic_plan(state: StateVector, register: int, plan: KineticPlan) -> 
     x = state.amplitudes.reshape(D**register, D, -1)
     if register == 0:
         x = x.transpose(2, 1, 0)
-    on_slabs(lambda cut: plan.lines(x[cut].swapaxes(0, 1)), x, plan.temporaries)
-
-
-def _worker_count() -> int:
-    """Kinetic threads from WZ_THREADS; unset, empty or < 1 means 1, and more
-    than MAX_FFT_THREADS means MAX_FFT_THREADS."""
-    raw = os.environ.get("WZ_THREADS", "1").strip() or "1"
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"WZ_THREADS must be an integer, got {raw!r}") from exc
-    return min(max(1, workers), MAX_FFT_THREADS)
-
-
-@functools.cache
-def _slab_pool(threads: int):
-    """The threads that work on slabs beside the caller's own, made on the
-    first call with this count, so importing wzsim starts none."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="wzsim-slab")
-
-
-def on_slabs(fn: Callable[[slice], None], t: np.ndarray, temporaries: int) -> None:
-    """Call fn(cut) for slices cut of t's axis 0 that together cover it, so
-    that fn works on the slab t[cut]. workers is WZ_THREADS, read at this
-    call, capped at t.nbytes // SLAB_BYTES, so that a thread's share of t
-    is worth its hand-off; below SLAB_BYTES the caller works alone. There
-    is one slab per worker or, when fn holds `temporaries` arrays of its
-    slab's size, as many more as keep them under SLAB_BYTES. The slabs, of
-    equal size to within a cell, are dealt in turn to min(workers, slabs)
-    threads, the caller's among them."""
-    workers = min(_worker_count(), max(1, t.nbytes // grid.SLAB_BYTES))
-    cells = t.shape[0]
-    bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)
-    cuts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    threads = min(workers, len(cuts))
-
-    def deal(first: int) -> None:
-        for cut in cuts[first::threads]:
-            fn(cut)
-
-    futures = [_slab_pool(threads - 1).submit(deal, i) for i in range(1, threads)]
-    try:
-        deal(0)
-    finally:
-        for future in futures:
-            future.result()
+    grid.on_slabs(lambda cut: plan.lines(x[cut].swapaxes(0, 1)), x, plan.temporaries)
 
 
 def fourier_conjugation_diagnostic(D: int, delta: float) -> tuple[float, np.ndarray]:

@@ -398,13 +398,13 @@ class TestWorkBuffer:
         # made under WZ_THREADS=1 and the step reads `threads`: the pool
         # has threads - 1.
         asked = []
-        pool = kinetic_mod._slab_pool
+        pool = grid_mod._slab_pool
 
         def spy(count):
             asked.append(count)
             return pool(count)
 
-        monkeypatch.setattr(kinetic_mod, "_slab_pool", spy)
+        monkeypatch.setattr(grid_mod, "_slab_pool", spy)
         monkeypatch.setenv("WZ_THREADS", "1")
         grid = build_grid(4.0, 3, 2)
         roster = molecule_roster(grid)

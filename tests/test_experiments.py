@@ -41,8 +41,7 @@ from wzsim import experiments as experiments_mod
 from wzsim import grid as grid_mod
 from wzsim.analytic import BoxSeriesSpec, box_exact_density
 from wzsim.evolution import MAX_STEPS, EvolutionPlan, evolve
-from wzsim.grid import ParticleSpec, build_grid, cell_centers, density
-from wzsim.kinetic import _worker_count
+from wzsim.grid import ParticleSpec, build_grid, cell_centers, density, worker_count
 
 
 def write_config(path: Path, payload: dict) -> str:
@@ -195,14 +194,14 @@ class TestHelpers:
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.delenv("WZ_THREADS", raising=False)
-        assert _worker_count() == 1
+        assert worker_count() == 1
         monkeypatch.setenv("WZ_THREADS", "4")
-        assert _worker_count() == 4
+        assert worker_count() == 4
         monkeypatch.setenv("WZ_THREADS", "0")
-        assert _worker_count() == 1
+        assert worker_count() == 1
         monkeypatch.setenv("WZ_THREADS", "many")
         with pytest.raises(ValidationError):
-            _worker_count()
+            worker_count()
 
 
 def reference_csv(header, rows) -> bytes:

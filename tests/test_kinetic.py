@@ -12,8 +12,8 @@ from wzsim import grid as grid_mod
 from wzsim import kinetic as kinetic_mod
 from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
+from wzsim.grid import MAX_THREADS
 from wzsim.kinetic import (
-    MAX_FFT_THREADS,
     MatrixKineticPlan,
     SpectralKineticPlan,
     apply_kinetic_plan,
@@ -481,9 +481,9 @@ class TestSpectralSlabs:
             assert np.max(np.abs(plan.matrix_t.T - self.dense_factor(D, 1.0 / D))) <= 1e-14
 
     def test_thread_count_is_capped(self, monkeypatch):
-        # Read alone: on_slabs would start a pool of MAX_FFT_THREADS - 1.
+        # Read alone: on_slabs would start a pool of MAX_THREADS - 1.
         monkeypatch.setenv("WZ_THREADS", str(10**6))
-        assert kinetic_mod._worker_count() == MAX_FFT_THREADS
+        assert grid_mod.worker_count() == MAX_THREADS
 
     @pytest.mark.parametrize(
         "n, d, particles, threads, cap, cuts, dealt",
@@ -509,7 +509,7 @@ class TestSpectralSlabs:
         self, monkeypatch, n, d, particles, threads, cap, cuts, dealt
     ):
         made = []
-        on_slabs = kinetic_mod.on_slabs
+        on_slabs = grid_mod.on_slabs
 
         def spy(fn, t, temporaries):
             seen = []
@@ -522,14 +522,14 @@ class TestSpectralSlabs:
             made.append(seen)
 
         asked = []
-        pool = kinetic_mod._slab_pool
+        pool = grid_mod._slab_pool
 
         def pool_spy(count):
             asked.append(count)
             return pool(count)
 
-        monkeypatch.setattr(kinetic_mod, "on_slabs", spy)
-        monkeypatch.setattr(kinetic_mod, "_slab_pool", pool_spy)
+        monkeypatch.setattr(grid_mod, "on_slabs", spy)
+        monkeypatch.setattr(grid_mod, "_slab_pool", pool_spy)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", cap)
         monkeypatch.setenv("WZ_THREADS", str(threads))
         grid = build_grid(1.0, n, d)
@@ -586,7 +586,7 @@ class TestSpectralSlabs:
         def no_pool(threads):
             raise AssertionError(f"a pool of {threads} was asked for")
 
-        monkeypatch.setattr(kinetic_mod, "_slab_pool", no_pool)
+        monkeypatch.setattr(grid_mod, "_slab_pool", no_pool)
         monkeypatch.setenv("WZ_THREADS", "3")
         grid = build_grid(1.0, 3, 2)
         plan = METHODS[method](8, grid.delta, 1.0, 0.05)
@@ -603,13 +603,13 @@ class TestSpectralSlabs:
         # `caps` caps: on_slabs reads the count at the call, so the pool
         # has threads - 1.
         asked = []
-        pool = kinetic_mod._slab_pool
+        pool = grid_mod._slab_pool
 
         def spy(count):
             asked.append(count)
             return pool(count)
 
-        monkeypatch.setattr(kinetic_mod, "_slab_pool", spy)
+        monkeypatch.setattr(grid_mod, "_slab_pool", spy)
         monkeypatch.setenv("WZ_THREADS", "1")
         grid = build_grid(1.0, 3, 2)
         plan = METHODS[method](8, grid.delta, 1.0, 0.05)

@@ -64,9 +64,12 @@ def check_integer(name: str, value) -> None:
 
 
 def check_real(name: str, value) -> None:
-    """Raise unless value is a real number; a bool is not."""
+    """Raise unless value is a real number; a bool is not, nor is an int
+    too large for a double."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValidationError(f"{name} must be a real number, got {value!r:.40}")
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{name} must fit a double, got an int of {value.bit_length()} bits")
 
 
 def vector_norm(amps: np.ndarray) -> float:
@@ -388,8 +391,9 @@ def encode_state(
 
 
 def density(state: StateVector) -> np.ndarray:
-    """Per-configuration probability |amplitude|^2."""
-    return np.abs(state.amplitudes) ** 2
+    """Per-configuration probability |amplitude|^2, in one float array."""
+    p = np.abs(state.amplitudes)
+    return np.square(p, out=p)
 
 
 def marginal_density(state: StateVector, particle: int) -> np.ndarray:
@@ -404,11 +408,10 @@ def marginal_density(state: StateVector, particle: int) -> np.ndarray:
     n_q = len(state.particles)
     if not 0 <= particle < n_q:
         raise ValidationError(f"particle index {particle} outside [0, {n_q})")
+    if n_q == 1:
+        return density(state)
     per_particle = 1 << (state.grid.d * state.grid.n)
     marginal = np.zeros(per_particle)
-    if n_q == 1:
-        np.abs(state.amplitudes, out=marginal)
-        return np.square(marginal, out=marginal)
     shape = (per_particle,) * n_q
     t = state.amplitudes.reshape(shape)
     axes = tuple(ax for ax in range(n_q) if ax != particle)

@@ -83,6 +83,8 @@ def _check_positive(name: str, value: float) -> None:
 def _check_mass_and_step(mass: float, eps: float) -> None:
     _check_positive("mass", mass)
     grid.check_real("eps", eps)
+    if not math.isfinite(eps):
+        raise ValidationError(f"eps must be finite, got {eps}")
 
 
 def momentum_matrix(D: int, delta: float) -> np.ndarray:

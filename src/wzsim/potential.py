@@ -35,6 +35,7 @@ from .grid import (
     GridSpec,
     ParticleSpec,
     cell_centers,
+    check_real,
     clamped_position,
     quantum_particles,
     register_views,
@@ -240,8 +241,10 @@ def composite_potential(
     applied = [t for t in ("U_ee", "U_en", "U_nn", "wall") if t in terms]
     if not applied:
         return None
-    if "wall" in applied and v_wall < 0:
-        raise ValidationError("wall height must be nonnegative")
+    if "wall" in applied:
+        check_real("wall height", v_wall)
+        if v_wall < 0:
+            raise ValidationError("wall height must be nonnegative")
     registers = len(quantum) * grid.d
     total = np.zeros(grid.cells_per_axis**registers) if out is None else out
     # An overflow here is caught below, as a non-finite sum.

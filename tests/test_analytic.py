@@ -75,8 +75,9 @@ class TestBoxSeries:
             with pytest.raises(ValidationError):
                 BoxSeriesSpec(length=1.0, mass=1.0, t=0.0, terms=terms)
         for field in ("length", "mass", "t"):
-            with pytest.raises(ValidationError):
-                BoxSeriesSpec(**{"length": 1.0, "mass": 1.0, "t": 0.0, field: True})
+            for bad in (True, 10**400):
+                with pytest.raises(ValidationError):
+                    BoxSeriesSpec(**{"length": 1.0, "mass": 1.0, "t": 0.0, field: bad})
 
     @pytest.mark.parametrize("length", [1.0, 8.0, 3.0])
     def test_lattice_matches_direct_sum(self, length):

@@ -16,7 +16,15 @@ from wzsim.evolution import (
 )
 from wzsim import grid as grid_mod
 from wzsim import kinetic as kinetic_mod
-from wzsim.grid import ParticleSpec, StateVector, build_grid, encode_state, quantum_particles
+from wzsim.experiments import box_initial_state
+from wzsim.grid import (
+    ParticleSpec,
+    StateVector,
+    build_grid,
+    density,
+    encode_state,
+    quantum_particles,
+)
 from wzsim.kinetic import MatrixKineticPlan, SpectralKineticPlan, apply_kinetic_plan
 from wzsim.potential import composite_potential
 
@@ -62,10 +70,10 @@ class TestPlanValidation:
             EvolutionPlan(T=1.0, N_t=10, splitting="second-order")
         with pytest.raises(ValidationError):
             EvolutionPlan(T=1.0, N_t=10, terms={"T_e", "U_xx"})
-        for T in (True, "x"):
+        for T in (True, "x", 10**400):
             with pytest.raises(ValidationError):
                 EvolutionPlan(T=T, N_t=1)
-        for v_wall in (-1.0, float("nan"), True, "x"):
+        for v_wall in (-1.0, float("nan"), True, "x", 10**400):
             with pytest.raises(ValidationError):
                 EvolutionPlan(T=1.0, N_t=10, v_wall=v_wall)
 
@@ -619,6 +627,59 @@ class TestSpectralKernelsAgainstTheOracle:
                 evo = EvolutionPlan(T=self.T, N_t=n_t, terms={"T_e"}, splitting=splitting)
                 final = evolve(copy_of(state), evo).final_state
                 assert np.linalg.norm(final.amplitudes - exact) <= bound
+
+
+class TestSeparableBox:
+    """The paper's 3D setting: one electron in a walled box. Its kinetic
+    term and its wall are sums over the axes, and a uniform start is a
+    product over them, so evolved as one d = 3 state it is the outer
+    product of the 1D run on each axis."""
+
+    @staticmethod
+    def run(n, d, method, splitting):
+        grid = build_grid(1.0, n, d)
+        plan = EvolutionPlan(
+            T=1e-3,
+            N_t=200,
+            kinetic_method=method,
+            terms={"T_e", "wall"},
+            splitting=splitting,
+            v_wall=1e6,
+        )
+        return evolve(box_initial_state(grid, electron(), interior_only=False), plan).final_state
+
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_three_dimensional_box_is_the_outer_product_of_one_axis(self, n, method, splitting):
+        line = self.run(n, 1, method, splitting)
+        box = self.run(n, 3, method, splitting)
+        p = density(line)
+        assert np.max(np.abs(density(box) - np.einsum("i,j,k->ijk", p, p, p).reshape(-1))) <= 1e-15
+        a = line.amplitudes
+        product = np.einsum("i,j,k->ijk", a, a, a).reshape(-1)
+        assert np.max(np.abs(box.amplitudes - product)) <= 1e-13
+
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    def test_three_registers_on_slabs_match_the_uncapped_run(self, monkeypatch, method):
+        # n = 5 in 3D is 512 KiB, under the default cap: one slab on the
+        # caller's thread. Under a cap of a 16th of it, every register is
+        # cut into slabs on 3 threads: the pool has 2.
+        asked = set()
+        pool = grid_mod._slab_pool
+
+        def spy(count):
+            asked.add(count)
+            return pool(count)
+
+        monkeypatch.setattr(grid_mod, "_slab_pool", spy)
+        monkeypatch.setenv("WZ_THREADS", "1")
+        whole = self.run(5, 3, method, "strang")
+        assert asked == set()
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", whole.amplitudes.nbytes // 16)
+        monkeypatch.setenv("WZ_THREADS", "3")
+        assert np.array_equal(self.run(5, 3, method, "strang").amplitudes, whole.amplitudes)
+        assert asked == {2}
 
 
 class TestExchangeSymmetry:

@@ -134,7 +134,9 @@ class TestStencils:
             with pytest.raises(ValidationError):
                 make(bad, 0.5, 1.0, 0.1)
 
-    @pytest.mark.parametrize("delta", [0.0, -0.5, float("nan"), float("inf"), True, "x"])
+    @pytest.mark.parametrize(
+        "delta", [0.0, -0.5, float("nan"), float("inf"), True, "x", pytest.param(10**400, id="10**400")]
+    )
     @pytest.mark.parametrize(
         "build",
         [
@@ -149,7 +151,9 @@ class TestStencils:
         with pytest.raises(ValidationError):
             build(delta)
 
-    @pytest.mark.parametrize("mass", [0.0, -1.0, float("nan"), float("inf"), True, "x"])
+    @pytest.mark.parametrize(
+        "mass", [0.0, -1.0, float("nan"), float("inf"), True, "x", pytest.param(10**400, id="10**400")]
+    )
     @pytest.mark.parametrize(
         "build",
         [
@@ -164,11 +168,20 @@ class TestStencils:
         with pytest.raises(ValidationError, match="mass"):
             build(mass)
 
-    @pytest.mark.parametrize("eps", ["x", None, True, 1j])
+    @pytest.mark.parametrize("eps", ["x", None, True, 1j, pytest.param(10**400, id="10**400")])
     @pytest.mark.parametrize("make", sorted(METHODS))
     def test_step_must_be_a_real_number(self, make, eps):
         with pytest.raises(ValidationError, match="eps"):
             METHODS[make](8, 0.5, 1.0, eps)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("D", [8, 128])
+    @pytest.mark.parametrize("make", sorted(METHODS))
+    def test_step_must_be_finite(self, make, D, eps):
+        # One message on both routes; a finite eps too large for the
+        # Trotter coupling is refused as an overflow instead.
+        with pytest.raises(ValidationError, match=f"^eps must be finite, got {eps}$"):
+            METHODS[make](D, 0.5, 1.0, eps)
 
 
 class TestCouplingBlock:

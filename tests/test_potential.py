@@ -177,6 +177,12 @@ class TestWall:
         with pytest.raises(ValidationError):
             composite_potential(grid, (electron(),), ("wall",), v_wall=-1.0)
 
+    @pytest.mark.parametrize("height", [True, "x", pytest.param(10**400, id="10**400")])
+    def test_wall_height_must_be_a_real_double(self, height):
+        grid = build_grid(1.0, 2, 1)
+        with pytest.raises(ValidationError, match="wall height"):
+            composite_potential(grid, (electron(),), ("wall",), v_wall=height)
+
 
 class TestComposite:
     def test_sum_of_selected_terms(self):

@@ -13,8 +13,13 @@ two commits, to check that outputs are byte-identical.
     PYTHONPATH=src WZ_THREADS=1 python3 scripts/manifest_hashes.py > a.json
     PYTHONPATH=src WZ_THREADS=3 python3 scripts/manifest_hashes.py > b.json
     diff a.json b.json
+
+With --keep DIR the run directories are written under DIR and kept, so
+that scripts/output_deviation.py can measure how far the outputs of two
+trees moved where their hashes differ.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -124,29 +129,42 @@ def load_finite(path: Path, run: str) -> dict:
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-def run_hashes() -> dict:
+def run_hashes(root: Path) -> dict:
+    """Every run's output hashes; run NAME writes into root / NAME."""
     hashes = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, (command, payload) in RUNS.items():
-            config = Path(tmp) / f"{name}.json"
-            config.write_text(json.dumps(payload))
-            out = Path(tmp) / name
-            code = cli_main([command, "--config", str(config), "--out", str(out)])
-            if code != 0:
-                raise SystemExit(f"{name}: {command} exited {code}")
-            load_finite(out / "summary.json", name)
-            recorded = load_finite(out / "manifest.json", name)["outputs"]
-            on_disk = {
-                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in out.iterdir()
-                if p.name != "manifest.json"
-            }
-            if on_disk != recorded:
-                raise SystemExit(f"{name}: the manifest's hashes differ from the files on disk")
-            hashes[name] = recorded
+    for name, (command, payload) in RUNS.items():
+        config = root / f"{name}.json"
+        config.write_text(json.dumps(payload))
+        out = root / name
+        code = cli_main([command, "--config", str(config), "--out", str(out)])
+        if code != 0:
+            raise SystemExit(f"{name}: {command} exited {code}")
+        load_finite(out / "summary.json", name)
+        recorded = load_finite(out / "manifest.json", name)["outputs"]
+        on_disk = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()
+            if p.name != "manifest.json"
+        }
+        if on_disk != recorded:
+            raise SystemExit(f"{name}: the manifest's hashes differ from the files on disk")
+        hashes[name] = recorded
     return hashes
 
 
-if __name__ == "__main__":
-    json.dump(run_hashes(), sys.stdout, indent=2, sort_keys=True)
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--keep", metavar="DIR", type=Path, help="keep the run directories under DIR")
+    args = ap.parse_args()
+    if args.keep:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        hashes = run_hashes(args.keep)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            hashes = run_hashes(Path(tmp))
+    json.dump(hashes, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()

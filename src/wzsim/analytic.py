@@ -16,6 +16,7 @@ the splitting-error reference for small systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -51,7 +52,10 @@ class BoxSeriesSpec:
 
     def __post_init__(self) -> None:
         for name in ("length", "mass", "t"):
-            check_real(name, getattr(self, name))
+            value = getattr(self, name)
+            check_real(name, value)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.length <= 0 or self.mass <= 0:
             raise ValidationError("length and mass must be positive")
         check_integer("terms", self.terms)
@@ -72,22 +76,29 @@ def box_exact_density(points: int, spec: BoxSeriesSpec) -> np.ndarray:
     N = 2 points and G_r the sum of the weights of the modes a = r mod N,
     sum_a w_a sin(a pi j / points) = (g_j - g_{N-j}) / 2i for
     g_j = sum_r G_r exp(2 pi i r j / N), an unscaled inverse FFT.
+
+    Raises ValidationError unless the top mode's phase E t / hbar is
+    finite; the phase grows with the mode, so it bounds them all.
     """
     check_integer("points", points)
     if points < 1:
         raise ValidationError(f"points must be >= 1, got {points}")
     N = 2 * points
-    # The phase rounds as the mode energy a^2 pi^2 hbar^2 / (2 m L^2)
-    # first, then times t / hbar.
     a = np.arange(1, 2 * spec.terms, 2, dtype=np.int64)
     residue = a % N
     a = a.astype(float)
-    angle = a * a
-    angle *= np.pi**2
-    angle *= HBAR**2
-    angle /= 2.0 * spec.mass * spec.length**2
-    angle *= spec.t
-    angle /= HBAR
+    # The phase rounds as the mode energy a^2 pi^2 hbar^2 / (2 m L^2)
+    # first, then times t / hbar. An overflow is caught below; an L^2 that
+    # overflows makes every energy 0.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        angle = a * a
+        angle *= np.pi**2
+        angle *= HBAR**2
+        angle /= 2.0 * spec.mass * np.float64(spec.length) ** 2
+        angle *= spec.t
+        angle /= HBAR
+    if not math.isfinite(angle[-1]):
+        raise ValidationError(f"the phase E t / hbar of mode {2 * spec.terms - 1} is {angle[-1]}")
     re = np.cos(angle)
     re /= a
     im = np.sin(angle, out=angle)

@@ -2,9 +2,10 @@
 
 A step applies the potential phase first and the kinetic factors second
 (first-order splitting), or the potential in two half phases around the
-kinetic factor (Strang). Kinetic factors act as (register, plan) pairs,
-in the ascending register order of GridSpec.registers; the registers are
-disjoint so the order only fixes a convention.
+kinetic factor (Strang), which evolve fuses across steps (see evolve).
+Kinetic factors act as (register, plan) pairs, in the ascending register
+order of GridSpec.registers; the registers are disjoint so the order only
+fixes a convention.
 
 Every operator is a unitary on the one state vector, and it acts in
 place: step and kinetic.apply_kinetic_plan write into the amplitudes of
@@ -28,7 +29,7 @@ once, on the caller's thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -118,10 +119,18 @@ class PreparedOperators:
     the constants of the clamped pairs), then one (2D-1)^d table per pair
     of quantum particles, seen through potential.pair_window. With one
     quantum particle the one table is the whole phase, as big as the
-    state. Empty without a potential term."""
+    state. Empty without a potential term.
+
+    fused, for a Strang plan only, is the phase of a whole eps that evolve
+    multiplies in between two kinetic passes, in place of the trailing
+    half phase of one step and the leading one of the next: the tables of
+    exp(-i eps V), as a first-order plan has them, or with one quantum
+    particle its one half table listed twice, so that no second
+    state-sized array is made."""
 
     phases: list[np.ndarray]
     kinetic: list[tuple[int, KineticPlan]]
+    fused: list[np.ndarray] = field(default_factory=list)
 
 
 def _exp_in_place(scale: complex, energies: np.ndarray) -> np.ndarray:
@@ -134,15 +143,20 @@ def _exp_in_place(scale: complex, energies: np.ndarray) -> np.ndarray:
 
 def _phase_tables(
     grid: GridSpec, particles: tuple[ParticleSpec, ...], terms: list[str], plan: EvolutionPlan
-) -> list[np.ndarray]:
-    """The PreparedOperators phases. Raises ValidationError unless the sums
-    of the tables' least and of their greatest energies are finite, so that
-    no total potential overflows."""
-    scale = -1j * plan.eps if plan.splitting == "first-order" else -1j * (plan.eps / 2.0)
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The PreparedOperators phases and fused tables. Raises
+    ValidationError unless the sums of the tables' least and of their
+    greatest energies are finite, so that no total potential overflows."""
+    strang = plan.splitting == "strang"
+    whole = -1j * plan.eps
+    scale = -1j * (plan.eps / 2.0) if strang else whole
     D, d = grid.cells_per_axis, grid.d
     positions = [k for k, p in enumerate(particles) if p.is_quantum]
     registers = len(positions) * d
-    phases = []
+    # A fused table of its own for each small table; one quantum
+    # particle's is as big as the state.
+    small = strang and len(positions) > 1
+    phases, fused = [], []
     lowest = highest = 0.0
     for q, k in enumerate(positions):
         own = tuple(p for m, p in enumerate(particles) if m == k or not p.is_quantum)
@@ -153,8 +167,10 @@ def _phase_tables(
         )
         lowest += float(energies.min())
         highest += float(energies.max())
-        _exp_in_place(scale, table)
         shape = (1,) * (q * d) + (D,) * d + (1,) * (registers - (q + 1) * d)
+        if small:
+            fused.append(_exp_in_place(whole, table.copy()).reshape(shape))
+        _exp_in_place(scale, table)
         phases.append(table.reshape(shape))
     # An overflow here is caught below, as a non-finite extreme.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -163,9 +179,14 @@ def _phase_tables(
             highest += float(energies.max())
             table = _exp_in_place(scale, energies.astype(np.complex128))
             phases.append(pair_window(table, firsts, registers))
+            if small:
+                table = _exp_in_place(whole, energies.astype(np.complex128))
+                fused.append(pair_window(table, firsts, registers))
     if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise ValidationError(f"non-finite energies in potential {'+'.join(sorted(terms))!r}")
-    return phases
+    if strang and not small:
+        fused = phases * 2
+    return phases, fused
 
 
 def prepare_operators(
@@ -176,7 +197,9 @@ def prepare_operators(
     if not quantum:
         raise ValidationError("need at least one quantum particle")
     potential_terms = [t for t in plan.terms if t.startswith("U_") or t == "wall"]
-    phases = _phase_tables(grid, particles, potential_terms, plan) if potential_terms else []
+    phases, fused = [], []
+    if potential_terms:
+        phases, fused = _phase_tables(grid, particles, potential_terms, plan)
 
     kinetic: list[tuple[int, KineticPlan]] = []
     make = make_trotter_plan if plan.kinetic_method == "trotter" else make_spectral_plan
@@ -187,20 +210,22 @@ def prepare_operators(
         if particle.mass not in plans:
             plans[particle.mass] = make(grid.cells_per_axis, grid.delta, particle.mass, plan.eps)
         kinetic += [(r, plans[particle.mass]) for r in grid.registers(q)]
-    return PreparedOperators(phases=phases, kinetic=kinetic)
+    return PreparedOperators(phases=phases, kinetic=kinetic, fused=fused)
 
 
 def _multiply_phases(t: np.ndarray, phases: list[np.ndarray]) -> None:
     """Multiply the phase tables into the register tensor t, in place. One
-    quantum particle's one table is one multiply on the caller's thread.
-    More are multiplied in table after table on each slab of register 0,
-    by on_slabs. Each slab is passed over once per table, so it is cut as
+    quantum particle's table, as big as the state, is one multiply on the
+    caller's thread, or two on a fused Strang step. Smaller tables are
+    multiplied in table after table on each slab of register 0, by
+    on_slabs. Each slab is passed over once per table, so it is cut as
     if it held one temporary: under SLAB_BYTES, in cache for the passes
     after the first. Every amplitude meets the same tables in the same
     order whatever the cut, so the bytes do not depend on it or on the
     thread count."""
-    if len(phases) == 1:
-        np.multiply(t, phases[0], out=t)
+    if phases[0].size == t.size:
+        for table in phases:
+            np.multiply(t, table, out=t)
         return
 
     def multiply(cut: slice) -> None:
@@ -213,7 +238,8 @@ def _multiply_phases(t: np.ndarray, phases: list[np.ndarray]) -> None:
 
 def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) -> None:
     """Advance state by one eps, in place: the potential phase then the
-    kinetic factors, or the Strang half-phase sandwich."""
+    kinetic factors, or the Strang half-phase sandwich. evolve runs a
+    Strang plan as first-order steps instead (see evolve)."""
     phases = operators.phases
     if phases:
         _multiply_phases(state.tensor, phases)
@@ -247,6 +273,15 @@ def evolve(
     state's own amplitudes are the work buffer: the report's final_state is
     state, and state holds the last step taken, also when the norm check
     aborts. To keep the initial state, pass a copy.
+
+    A Strang run is fused (Strang 1968): the trailing half phase of each
+    step and the leading one of the next are one whole-step phase, so the
+    run is first-order steps, the first with the half phases and the rest
+    with the fused tables, and after the last one the half phases once
+    more, before its norm check. That is one phase pass a step fewer than
+    chained Strang steps, and the same product but for rounding; the drift
+    of every step but the last is taken without its trailing half phase,
+    which differs only by rounding, as the phase has modulus one.
     """
     roster = tuple(particles) if particles is not None else state.particles
     quantum = quantum_particles(roster)
@@ -258,9 +293,15 @@ def evolve(
     # A malformed WZ_THREADS is rejected before a step changes the state.
     worker_count()
     ops = prepare_operators(state.grid, roster, plan)
+    rest, last = ops, []
+    if plan.splitting == "strang" and ops.phases:
+        plan = replace(plan, splitting="first-order")
+        rest, last = PreparedOperators(ops.fused, ops.kinetic), ops.phases
     drift = np.empty(plan.N_t, dtype=float)
     for k in range(1, plan.N_t + 1):
-        step(state, plan, ops)
+        step(state, plan, rest if k > 1 else ops)
+        if k == plan.N_t and last:
+            _multiply_phases(state.tensor, last)
         drift[k - 1] = abs(state.norm() - 1.0)
         if not drift[k - 1] <= NORM_ABORT_TOL:
             raise NormDriftError(

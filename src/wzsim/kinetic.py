@@ -19,7 +19,11 @@ Two interchangeable single-axis methods are provided:
   diag(phases) F as a D x D matrix, the FFT kernel's image of the
   identity, applied with one matmul per slab. Measured at 2 threads
   through apply_kinetic_plan, the matrix takes 0.4-0.7 of the FFT's time
-  per amplitude from 4 to 64 cells, 1.1 at 128 and 2.9 at 256.
+  per amplitude from 4 to 64 cells, 1.1 at 128 and 2.9 at 256. The
+  phases sin^2(2 pi k / D) repeat after D / 2 momenta, so the factor, as
+  the stencil, never couples an even cell to an odd one, and it acts
+  alike on both parities: the plan also holds its D/2 x D/2 block on the
+  even cells, which does half the flops of the whole matrix.
 
 A plan is its kernel, one class each: KineticTrotterPlan (the scan),
 SpectralKineticPlan (the FFT) and MatrixKineticPlan (the matrix). Each
@@ -38,9 +42,11 @@ the state it is given, as GridSpec.registers numbers them. Registers are
 disjoint, so application order is irrelevant. With R > 1 registers it
 views the state as (A, D, B) = (D^r, D, D^(R-r-1)), and register 0 as
 (B, D, 1), and grid.on_slabs cuts axis 0 of that view; the kernel gets
-each slab with its lines first. A slab is at least one cell of axis 0:
-one line on the first and last registers, but a D-th of the state on
-register 1, which can exceed the cap. Every 1-D line is worked on alone,
+each slab with its lines first. A matrix plan with a block sees every
+register but the last as (A, D/2, 2B), the lines of both parities side
+by side, and register 0 as (2B, D/2, 1). A slab is at least one cell of
+axis 0: one line on the first and last registers, but a D-th of the
+state on register 1, which can exceed the cap. Every 1-D line is worked on alone,
 so the result does not depend on the cut. Nor does BLAS's, with two or
 more lines to a call (one line is a matrix-vector product, which rounds
 otherwise); under the default cap only a one-register state makes a
@@ -230,21 +236,29 @@ class SpectralKineticPlan:
 
 @dataclass
 class MatrixKineticPlan:
-    """A register's kinetic factor as a dense matrix, stored transposed."""
+    """A register's kinetic factor as a dense matrix, stored transposed.
+
+    block_t, when given, is the factor's block on the even cells, stored
+    transposed, for a factor that couples no even cell to an odd one and
+    acts alike on both parities, as the spectral factor does. Then
+    apply_kinetic_plan hands lines half-length lines of one parity on
+    every register but the last, and lines applies the block to them."""
 
     dim: int
     matrix_t: np.ndarray
+    block_t: np.ndarray | None = None
     # matmul's copy of its input, counted twice (see the module docstring).
     temporaries: ClassVar[int] = 2
 
     def lines(self, a: np.ndarray) -> None:
-        """Apply the factor along axis 0 of a, in place."""
+        """Apply the factor along axis 0 of a, in place: the matrix on
+        lines of dim cells, the block on lines of dim / 2."""
         v = np.moveaxis(a, 0, -1)
         if v.ndim == 3 and v.shape[1] == 1:
             # The first or last register: one product, not a batch of
             # matrix-vector products.
             v = v[:, 0]
-        np.matmul(v, self.matrix_t, out=v)
+        np.matmul(v, self.matrix_t if len(a) == self.dim else self.block_t, out=v)
 
 
 def momentum_eigenvalues(D: int, delta: float) -> np.ndarray:
@@ -270,7 +284,9 @@ def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> Kinetic
         # Column j is the FFT kernel's image of cell j.
         factor = np.eye(D, dtype=np.complex128)
         plan.lines(factor)
-    return MatrixKineticPlan(D, factor.T)
+    # The phases repeat after D / 2 momenta, so the factor is zero at odd
+    # offsets, to rounding, and its even and odd blocks agree.
+    return MatrixKineticPlan(D, factor.T, np.ascontiguousarray(factor[::2, ::2].T))
 
 
 def apply_kinetic_plan(state: StateVector, register: int, plan: KineticPlan) -> None:
@@ -286,8 +302,14 @@ def apply_kinetic_plan(state: StateVector, register: int, plan: KineticPlan) -> 
         plan.lines(t)
         return
     # (A, D, B): the cells before the register, its own and those after
-    # it. Register 0, whose A is 1, is cut along B.
-    x = state.amplitudes.reshape(D**register, D, -1)
+    # it. Register 0, whose A is 1, is cut along B. A factor of one block
+    # per parity acts on (A, D/2, 2B), both parities' lines side by side,
+    # unless B is 1: on the last register that would make each line its
+    # own two-row product.
+    cells = D
+    if isinstance(plan, MatrixKineticPlan) and plan.block_t is not None and register < t.ndim - 1:
+        cells = D // 2
+    x = state.amplitudes.reshape(D**register, cells, -1)
     if register == 0:
         x = x.transpose(2, 1, 0)
     grid.on_slabs(lambda cut: plan.lines(x[cut].swapaxes(0, 1)), x, plan.temporaries)

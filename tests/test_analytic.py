@@ -79,6 +79,40 @@ class TestBoxSeries:
                 with pytest.raises(ValidationError):
                     BoxSeriesSpec(**{"length": 1.0, "mass": 1.0, "t": 0.0, field: bad})
 
+    @pytest.mark.parametrize("field", ["length", "mass", "t"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_spec_refuses_a_non_finite_field(self, field, bad):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            BoxSeriesSpec(**{"length": 1.0, "mass": 1.0, "t": 0.0, field: bad})
+
+    @pytest.mark.parametrize(
+        "length, mass, t",
+        # The phase overflows: a huge time, a tiny box or mass, an infinite
+        # energy times t = 0, and a time at which only the top mode's
+        # phase, of mode 1999, overflows.
+        [
+            (1.0, 1.0, 1e308),
+            (1e-200, 1.0, 1.0),
+            (1.0, 1e-320, 1.0),
+            (1e-200, 1.0, 0.0),
+            (1.0, 1.0, 1e302),
+        ],
+    )
+    def test_series_refuses_a_non_finite_top_phase(self, length, mass, t):
+        spec = BoxSeriesSpec(length=length, mass=mass, t=t, terms=1000)
+        with pytest.raises(ValidationError, match="phase"):
+            box_exact_density(8, spec)
+
+    @pytest.mark.parametrize(
+        "length, t, terms",
+        # Mode 1 alone at the time that overflows mode 1999; and a box whose
+        # L^2 overflows, so that every mode energy is 0.
+        [(1.0, 1e302, 1), (1e200, 1.0, 1000)],
+    )
+    def test_finite_phases_give_a_finite_density(self, length, t, terms):
+        rho = box_exact_density(8, BoxSeriesSpec(length=length, mass=1.0, t=t, terms=terms))
+        assert np.all(np.isfinite(rho)) and rho[0] == 0.0
+
     @pytest.mark.parametrize("length", [1.0, 8.0, 3.0])
     def test_lattice_matches_direct_sum(self, length):
         # The worst case, about 7e-13 at t = 0 and K = 5000, is the direct

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from wzsim.errors import NormDriftError, ResourceLimitError, ValidationError
 from wzsim.evolution import (
     MAX_STEPS,
     EvolutionPlan,
+    PreparedOperators,
+    _multiply_phases,
     evolve,
     prepare_operators,
     sample_configurations,
@@ -353,12 +356,39 @@ def random_state(grid, n_particles, seed=0):
     return StateVector(amps / np.linalg.norm(amps), grid, (electron(),) * n_particles)
 
 
+def chained_steps(state, plan, ops):
+    """A copy of state after N_t calls of step, and the drift after each."""
+    chained, drift = copy_of(state), []
+    for _ in range(plan.N_t):
+        step(chained, plan, ops)
+        drift.append(abs(chained.norm() - 1.0))
+    return chained, drift
+
+
+def fused_chain(state, plan, ops):
+    """A Strang run by hand, as evolve fuses it: first-order steps, the
+    first with the half phases and the rest with the fused tables, then the
+    half phases once more before the last norm. Returns the copy of state
+    and the drift after each step."""
+    first_order = replace(plan, splitting="first-order")
+    fused = PreparedOperators(ops.fused, ops.kinetic)
+    chained, drift = copy_of(state), []
+    for k in range(plan.N_t):
+        step(chained, first_order, fused if k else ops)
+        if k == plan.N_t - 1:
+            _multiply_phases(chained.tensor, ops.phases)
+        drift.append(abs(chained.norm() - 1.0))
+    return chained, drift
+
+
 class TestWorkBuffer:
     """evolve steps the caller's state in place, one step call at a time."""
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
     def test_evolve_equals_chained_steps(self, method, splitting):
+        # First-order: N_t steps, bit for bit. Strang: the fused chain bit
+        # for bit, and N_t half-phase sandwiches to rounding.
         grid = build_grid(4.0, 3, 2)
         roster = molecule_roster(grid)
         state = random_state(grid, 2)
@@ -367,10 +397,13 @@ class TestWorkBuffer:
         )
         report = evolve(copy_of(state), plan, particles=roster)
         ops = prepare_operators(grid, roster, plan)
-        chained = copy_of(state)
-        for _ in range(plan.N_t):
-            step(chained, plan, ops)
-        assert np.array_equal(report.final_state.amplitudes, chained.amplitudes)
+        chained, _ = chained_steps(state, plan, ops)
+        if splitting == "first-order":
+            assert np.array_equal(report.final_state.amplitudes, chained.amplitudes)
+        else:
+            fused, _ = fused_chain(state, plan, ops)
+            assert np.array_equal(report.final_state.amplitudes, fused.amplitudes)
+            assert np.max(np.abs(report.final_state.amplitudes - chained.amplitudes)) <= 1e-14
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
@@ -432,21 +465,74 @@ class TestWorkBuffer:
 
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
     def test_drift_matches_chained_steps(self, method):
+        # The drift of the fused chain bit for bit, and that of N_t
+        # sandwiches to rounding: the steps before the last are measured
+        # without their trailing half phase, of modulus one.
         grid = build_grid(4.0, 3, 2)
         roster = molecule_roster(grid)
         plan = EvolutionPlan(
             T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, splitting="strang"
         )
         state = random_state(grid, 2)
-        chained = copy_of(state)
-        report = evolve(state, plan, particles=roster)
         ops = prepare_operators(grid, roster, plan)
-        drift = []
-        for _ in range(plan.N_t):
-            step(chained, plan, ops)
-            drift.append(abs(chained.norm() - 1.0))
-        assert np.array_equal(report.norm_drift, drift)
+        fused, fused_drift = fused_chain(state, plan, ops)
+        chained, drift = chained_steps(state, plan, ops)
+        report = evolve(state, plan, particles=roster)
+        assert np.array_equal(report.norm_drift, fused_drift)
+        assert np.array_equal(report.final_state.amplitudes, fused.amplitudes)
+        assert np.max(np.abs(report.norm_drift - drift)) <= 1e-15
+        assert np.max(np.abs(report.final_state.amplitudes - chained.amplitudes)) <= 1e-14
+
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    def test_one_strang_step_is_the_sandwich(self, method):
+        grid = build_grid(4.0, 3, 2)
+        roster = molecule_roster(grid)
+        plan = EvolutionPlan(
+            T=0.05, N_t=1, kinetic_method=method, terms=MOLECULE_TERMS, splitting="strang"
+        )
+        state = random_state(grid, 2)
+        ops = prepare_operators(grid, roster, plan)
+        chained, drift = chained_steps(state, plan, ops)
+        report = evolve(state, plan, particles=roster)
         assert np.array_equal(report.final_state.amplitudes, chained.amplitudes)
+        assert np.array_equal(report.norm_drift, drift)
+
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_quantum_particle_strang_equals_chained_steps(self, d, method):
+        # One electron's fused table is its half table listed twice, each
+        # multiplied in whole, so the fused run is N_t sandwiches bit for
+        # bit, with no second state-sized table.
+        grid = build_grid(4.0, 4, d)
+        mid = grid.cells_per_axis // 2
+        roster = (electron(), proton_clamped((mid - 1,) * d), proton_clamped((mid + 1,) * d))
+        plan = EvolutionPlan(
+            T=0.05, N_t=5, kinetic_method=method, terms={"T_e", "U_en", "wall"},
+            splitting="strang", v_wall=50.0,
+        )
+        state = random_state(grid, 1)
+        ops = prepare_operators(grid, roster, plan)
+        (half,) = ops.phases
+        assert len(ops.fused) == 2 and all(table is half for table in ops.fused)
+        chained, _ = chained_steps(state, plan, ops)
+        report = evolve(state, plan, particles=roster)
+        assert np.array_equal(report.final_state.amplitudes, chained.amplitudes)
+
+    @pytest.mark.parametrize("roster", ["molecule", "one ion"])
+    def test_fused_tables_are_the_first_order_phases(self, roster):
+        # Two or more quantum particles: the fused tables are exp(-i eps V),
+        # bit for bit the phases of the first-order plan, in small tables
+        # of their own.
+        grid = build_grid(4.0, 3, 2)
+        particles = molecule_roster(grid) if roster == "molecule" else one_ion_roster(grid)
+        plan = EvolutionPlan(T=0.05, N_t=4, terms=MOLECULE_TERMS, splitting="strang")
+        ops = prepare_operators(grid, particles, plan)
+        first = prepare_operators(grid, particles, replace(plan, splitting="first-order"))
+        assert first.fused == []
+        assert len(ops.fused) == len(first.phases) == len(ops.phases)
+        for fused, whole, half in zip(ops.fused, first.phases, ops.phases):
+            assert np.array_equal(fused, whole)
+            assert not np.shares_memory(fused, half)
 
     @pytest.mark.parametrize("d, particles", [(1, 1), (2, 1), (2, 2)])
     def test_malformed_thread_count_leaves_the_state_as_it_was(self, monkeypatch, d, particles):

@@ -477,21 +477,100 @@ class TestSpectralSlabs:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matrix_exactly_up_to_the_bound(self, n):
-        # A plan is its kernel: the matrix, counted as two slab
-        # temporaries, exactly when D is at most DENSE_MAX_CELLS, and the
-        # FFT's phase table, counted as none, above. Each holds no other
-        # array, and the matrix is the dense reference's factor to rounding.
+        # A plan is its kernel: the matrix and its even-cell block, counted
+        # as two slab temporaries, exactly when D is at most
+        # DENSE_MAX_CELLS, and the FFT's phase table, counted as none,
+        # above. Each holds no other array, and the matrix is the dense
+        # reference's factor to rounding.
         D = 2**n
         plan = make_spectral_plan(D, 1.0 / D, 1.0, 0.05)
         matrix = D <= kinetic_mod.DENSE_MAX_CELLS
         kind = MatrixKineticPlan if matrix else SpectralKineticPlan
         assert type(plan) is kind
         arrays = {name for name, v in vars(plan).items() if isinstance(v, np.ndarray)}
-        assert arrays == ({"matrix_t"} if matrix else {"phase_table"})
+        assert arrays == ({"matrix_t", "block_t"} if matrix else {"phase_table"})
         assert plan.temporaries == (2 if matrix else 0)
         assert "temporaries" not in vars(plan)
         if matrix:
             assert np.max(np.abs(plan.matrix_t.T - self.dense_factor(D, 1.0 / D))) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_spectral_factor_keeps_each_parity(self, n):
+        # The phases repeat after D / 2 cells of momentum, so the factor is
+        # zero at odd offsets and its even and odd blocks are one block, to
+        # rounding. The plan's block is the even one, transposed. The
+        # rounding grows with the largest phase of a step: here the
+        # benchmark's molecule, an 8-bohr box at eps = 0.02, at most 0.64
+        # rad. (At delta = 1 / D and eps = 0.05, 102 rad at D = 64, the odd
+        # entries reach 9e-15 of the largest.)
+        D = 2**n
+        plan = make_spectral_plan(D, 8.0 / D, 1.0, 0.02)
+        factor = plan.matrix_t.T
+        i, j = np.indices(factor.shape)
+        largest = np.max(np.abs(factor))
+        assert np.max(np.abs(factor[(i - j) % 2 == 1])) <= 1e-15 * largest
+        assert np.max(np.abs(factor[::2, ::2] - factor[1::2, 1::2])) <= 1e-15
+        assert np.array_equal(plan.block_t, factor[::2, ::2].T)
+
+    @pytest.mark.parametrize(
+        "n, d, particles",
+        # 1, 2 and 3 particles in 1D and 2D, at 4, 8 and 32 cells where the
+        # state has at most 2^15 amplitudes.
+        [
+            (n, d, particles)
+            for n in (2, 3, 5)
+            for d in (1, 2)
+            for particles in (1, 2, 3)
+            if n * d * particles <= 15
+        ],
+    )
+    def test_parity_split_matches_the_whole_matrix(self, n, d, particles):
+        # Every register: the plan, which applies its block to each parity
+        # on all but the last register, against the same matrix with no
+        # block, D x D on every register.
+        grid = build_grid(1.0, n, d)
+        D = grid.cells_per_axis
+        plan = make_spectral_plan(D, grid.delta, 1.0, 0.05)
+        whole = MatrixKineticPlan(D, plan.matrix_t)
+        lines, seen = plan.lines, set()
+
+        def spy(a):
+            seen.add(len(a))
+            lines(a)
+
+        plan.lines = spy
+        last = particles * d - 1
+        for reg in range(last + 1):
+            state = self.random_state(grid, (electron(),) * particles, reg)
+            split, full = copy_of(state), copy_of(state)
+            seen.clear()
+            apply_kinetic_plan(split, reg, plan)
+            apply_kinetic_plan(full, reg, whole)
+            assert seen == {D if reg == last else D // 2}
+            assert np.max(np.abs(split.amplitudes - full.amplitudes)) <= 1e-15
+            if reg == last:
+                assert np.array_equal(split.amplitudes, full.amplitudes)
+
+    @pytest.mark.parametrize("d, particles", [(1, 3), (2, 2)])
+    def test_parity_split_bytes_do_not_depend_on_the_cut(self, monkeypatch, d, particles):
+        # 2^12 amplitudes of 16 cells: the default cap holds the state in
+        # one slab; a cap of a 16th of it cuts every register, dealt to 1,
+        # 2 or 3 threads.
+        grid = build_grid(1.0, 4, d)
+        D = grid.cells_per_axis
+        plan = make_spectral_plan(D, grid.delta, 1.0, 0.05)
+        for reg in range(particles * d):
+            state = self.random_state(grid, (electron(),) * particles, reg)
+            monkeypatch.setenv("WZ_THREADS", "1")
+            monkeypatch.setattr(grid_mod, "SLAB_BYTES", 1 << 20)
+            uncut = copy_of(state)
+            apply_kinetic_plan(uncut, reg, plan)
+            monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // 16)
+            for threads in (1, 2, 3):
+                monkeypatch.setenv("WZ_THREADS", str(threads))
+                cut = copy_of(state)
+                apply_kinetic_plan(cut, reg, plan)
+                assert np.array_equal(cut.amplitudes, uncut.amplitudes)
 
     def test_thread_count_is_capped(self, monkeypatch):
         # Read alone: on_slabs would start a pool of MAX_THREADS - 1.

@@ -66,6 +66,28 @@ class BoxSeriesSpec:
                 f"{self.terms} series terms exceed the limit of {MAX_SERIES_TERMS}"
             )
 
+    def check_phases(self) -> None:
+        """Raise ValidationError unless the top mode's phase E t / hbar is
+        finite; the phase grows with the mode, so it bounds them all."""
+        top = 2 * self.terms - 1
+        phase = _mode_phases(np.float64(top), self)
+        if not math.isfinite(phase):
+            raise ValidationError(f"the phase E t / hbar of mode {top} is {phase}")
+
+
+def _mode_phases(a, spec: BoxSeriesSpec):
+    """E_a t / hbar of the modes a, float64, rounded as the mode energy
+    a^2 pi^2 hbar^2 / (2 m L^2) first, then times t / hbar. An overflow
+    gives inf; an L^2 that overflows makes every energy 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        angle = a * a
+        angle *= np.pi**2
+        angle *= HBAR**2
+        angle /= 2.0 * spec.mass * np.float64(spec.length) ** 2
+        angle *= spec.t
+        angle /= HBAR
+    return angle
+
 
 def box_exact_density(points: int, spec: BoxSeriesSpec) -> np.ndarray:
     """|psi(x_j, t)|^2 at x_j = j L / points for j = 0 .. points - 1, for
@@ -78,27 +100,17 @@ def box_exact_density(points: int, spec: BoxSeriesSpec) -> np.ndarray:
     g_j = sum_r G_r exp(2 pi i r j / N), an unscaled inverse FFT.
 
     Raises ValidationError unless the top mode's phase E t / hbar is
-    finite; the phase grows with the mode, so it bounds them all.
+    finite (BoxSeriesSpec.check_phases).
     """
     check_integer("points", points)
     if points < 1:
         raise ValidationError(f"points must be >= 1, got {points}")
+    spec.check_phases()
     N = 2 * points
     a = np.arange(1, 2 * spec.terms, 2, dtype=np.int64)
     residue = a % N
     a = a.astype(float)
-    # The phase rounds as the mode energy a^2 pi^2 hbar^2 / (2 m L^2)
-    # first, then times t / hbar. An overflow is caught below; an L^2 that
-    # overflows makes every energy 0.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        angle = a * a
-        angle *= np.pi**2
-        angle *= HBAR**2
-        angle /= 2.0 * spec.mass * np.float64(spec.length) ** 2
-        angle *= spec.t
-        angle /= HBAR
-    if not math.isfinite(angle[-1]):
-        raise ValidationError(f"the phase E t / hbar of mode {2 * spec.terms - 1} is {angle[-1]}")
+    angle = _mode_phases(a, spec)
     re = np.cos(angle)
     re /= a
     im = np.sin(angle, out=angle)

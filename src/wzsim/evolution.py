@@ -1,10 +1,10 @@
 """Split-operator time stepping and configuration sampling.
 
-A step applies the potential phase first and the kinetic factors second
-(first-order splitting), or the potential in two half phases around the
-kinetic factor (Strang), which evolve fuses across steps (see evolve).
-Kinetic factors act as (register, plan) pairs, in the ascending register
-order of GridSpec.registers; the registers are disjoint so the order only
+step is the first-order step: the potential phase first, then the
+kinetic factors. evolve alone runs a Strang plan, as a schedule of such
+steps with the half phases fused across them (see evolve). Kinetic
+factors act as (register, plan) pairs, in the ascending register order
+of GridSpec.registers; the registers are disjoint so the order only
 fixes a convention.
 
 Every operator is a unitary on the one state vector, and it acts in
@@ -29,7 +29,7 @@ once, on the caller's thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -121,16 +121,16 @@ class PreparedOperators:
     quantum particle the one table is the whole phase, as big as the
     state. Empty without a potential term.
 
-    fused, for a Strang plan only, is the phase of a whole eps that evolve
-    multiplies in between two kinetic passes, in place of the trailing
-    half phase of one step and the leading one of the next: the tables of
-    exp(-i eps V), as a first-order plan has them, or with one quantum
+    fused is the phase of a whole eps, which evolve's steps after the
+    first multiply in: phases itself for a first-order plan. For Strang
+    it replaces the trailing half phase of one step and the leading one
+    of the next: the tables of exp(-i eps V), or with one quantum
     particle its one half table listed twice, so that no second
     state-sized array is made."""
 
     phases: list[np.ndarray]
     kinetic: list[tuple[int, KineticPlan]]
-    fused: list[np.ndarray] = field(default_factory=list)
+    fused: list[np.ndarray]
 
 
 def _exp_in_place(scale: complex, energies: np.ndarray) -> np.ndarray:
@@ -184,7 +184,9 @@ def _phase_tables(
                 fused.append(pair_window(table, firsts, registers))
     if not (math.isfinite(lowest) and math.isfinite(highest)):
         raise ValidationError(f"non-finite energies in potential {'+'.join(sorted(terms))!r}")
-    if strang and not small:
+    if not strang:
+        fused = phases
+    elif not small:
         fused = phases * 2
     return phases, fused
 
@@ -197,7 +199,7 @@ def prepare_operators(
     if not quantum:
         raise ValidationError("need at least one quantum particle")
     potential_terms = [t for t in plan.terms if t.startswith("U_") or t == "wall"]
-    phases, fused = [], []
+    phases = fused = []
     if potential_terms:
         phases, fused = _phase_tables(grid, particles, potential_terms, plan)
 
@@ -236,17 +238,15 @@ def _multiply_phases(t: np.ndarray, phases: list[np.ndarray]) -> None:
     on_slabs(multiply, t, 1)
 
 
-def step(state: StateVector, plan: EvolutionPlan, operators: PreparedOperators) -> None:
-    """Advance state by one eps, in place: the potential phase then the
-    kinetic factors, or the Strang half-phase sandwich. evolve runs a
-    Strang plan as first-order steps instead (see evolve)."""
-    phases = operators.phases
+def step(
+    state: StateVector, phases: list[np.ndarray], kinetic: list[tuple[int, KineticPlan]]
+) -> None:
+    """One first-order step, in place: the phase tables, then each
+    (register, kinetic plan) pair. evolve runs Strang as such steps."""
     if phases:
         _multiply_phases(state.tensor, phases)
-    for register, kplan in operators.kinetic:
+    for register, kplan in kinetic:
         apply_kinetic_plan(state, register, kplan)
-    if phases and plan.splitting == "strang":
-        _multiply_phases(state.tensor, phases)
 
 
 @dataclass
@@ -274,14 +274,15 @@ def evolve(
     state, and state holds the last step taken, also when the norm check
     aborts. To keep the initial state, pass a copy.
 
-    A Strang run is fused (Strang 1968): the trailing half phase of each
-    step and the leading one of the next are one whole-step phase, so the
-    run is first-order steps, the first with the half phases and the rest
-    with the fused tables, and after the last one the half phases once
-    more, before its norm check. That is one phase pass a step fewer than
-    chained Strang steps, and the same product but for rounding; the drift
-    of every step but the last is taken without its trailing half phase,
-    which differs only by rounding, as the phase has modulus one.
+    Each step is one call of step, the first with ops.phases and the
+    rest with ops.fused, the same tables for a first-order plan. A Strang
+    run is thus fused (Strang 1968): the trailing half phase of each step
+    and the leading one of the next are one whole-step phase, and the
+    half phases follow the last step once more, before its norm check.
+    That is one phase pass a step fewer than chained half-phase
+    sandwiches, and the same product but for rounding (N_t = 1 is the
+    sandwich); the drift of every step but the last is taken without its
+    trailing half phase, of modulus one.
     """
     roster = tuple(particles) if particles is not None else state.particles
     quantum = quantum_particles(roster)
@@ -293,13 +294,10 @@ def evolve(
     # A malformed WZ_THREADS is rejected before a step changes the state.
     worker_count()
     ops = prepare_operators(state.grid, roster, plan)
-    rest, last = ops, []
-    if plan.splitting == "strang" and ops.phases:
-        plan = replace(plan, splitting="first-order")
-        rest, last = PreparedOperators(ops.fused, ops.kinetic), ops.phases
+    last = ops.phases if plan.splitting == "strang" else []
     drift = np.empty(plan.N_t, dtype=float)
     for k in range(1, plan.N_t + 1):
-        step(state, plan, rest if k > 1 else ops)
+        step(state, ops.phases if k == 1 else ops.fused, ops.kinetic)
         if k == plan.N_t and last:
             _multiply_phases(state.tensor, last)
         drift[k - 1] = abs(state.norm() - 1.0)

@@ -195,6 +195,9 @@ class RunConfig:
         times = [t for t in [cfg.total_time, *(cfg.evolve_times or [])] if t is not None]
         if any(t < 0 for t in times):
             raise ValidationError(f"{experiment} needs times >= 0, got {times}")
+        if experiment in ("box-evolve", "convergence"):
+            for t in times:
+                BoxSeriesSpec(cfg.box_length, particle.mass, t, cfg.series_terms).check_phases()
         for steps in [cfg.steps, *(cfg.sweep_steps or [])]:
             check_steps(steps)
         # The method, splitting, terms and wall height, before any state.
@@ -208,6 +211,9 @@ class RunConfig:
                 raise ValidationError(
                     f"a {cfg.axis} sweep needs at least two distinct values, got {swept}"
                 )
+            # eps = 0 has no logarithm for the log-log fit.
+            if cfg.axis == "temporal" and cfg.total_time == 0:
+                raise ValidationError("a temporal sweep needs total_time > 0")
         if experiment == "sample" and (cfg.shots < 1 or cfg.seed < 0):
             raise ValidationError("sample needs shots >= 1 and seed >= 0")
         if experiment == "synth-report":

@@ -405,6 +405,7 @@ def marginal_density(state: StateVector, particle: int) -> np.ndarray:
     summed over the other particles' axes at once: a slab's rows sum into
     their own entries, and the sum over particle 0's cells continues from
     the running sum, the first entry of a buffer that is zero elsewhere."""
+    check_integer("particle", particle)
     n_q = len(state.particles)
     if not 0 <= particle < n_q:
         raise ValidationError(f"particle index {particle} outside [0, {n_q})")

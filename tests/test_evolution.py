@@ -10,7 +10,6 @@ from wzsim.errors import NormDriftError, ResourceLimitError, ValidationError
 from wzsim.evolution import (
     MAX_STEPS,
     EvolutionPlan,
-    PreparedOperators,
     _multiply_phases,
     evolve,
     prepare_operators,
@@ -213,20 +212,21 @@ class TestStepComposition:
         ops = prepare_operators(grid, roster, plan)
         (phase,) = ops.phases
         stepped = copy_of(state)
-        step(stepped, plan, ops)
+        step(stepped, ops.phases, ops.kinetic)
         manual = state.with_amplitudes(state.amplitudes * phase)
         self._manual_kinetic(manual, ops)
         assert np.array_equal(stepped.amplitudes, manual.amplitudes)
 
     def test_strang_is_half_phase_sandwich(self):
+        # A one-step Strang evolve: the half phase, the kinetic factor and
+        # the half phase again.
         grid = build_grid(1.0, 4, 1)
         roster = (electron(),)
         state = gaussian_state(grid, roster)
-        plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "wall"}, splitting="strang")
+        plan = EvolutionPlan(T=1e-4, N_t=1, terms={"T_e", "wall"}, splitting="strang")
         ops = prepare_operators(grid, roster, plan)
         (phase,) = ops.phases
-        stepped = copy_of(state)
-        step(stepped, plan, ops)
+        stepped = evolve(copy_of(state), plan).final_state
         manual = state.with_amplitudes(state.amplitudes * phase)
         self._manual_kinetic(manual, ops)
         manual = manual.with_amplitudes(manual.amplitudes * phase)
@@ -356,11 +356,19 @@ def random_state(grid, n_particles, seed=0):
     return StateVector(amps / np.linalg.norm(amps), grid, (electron(),) * n_particles)
 
 
+def sandwich_step(state, plan, ops):
+    """One step of plan on state, in place: a first-order step, and for
+    Strang the half phases once more after it, the half-phase sandwich."""
+    step(state, ops.phases, ops.kinetic)
+    if plan.splitting == "strang" and ops.phases:
+        _multiply_phases(state.tensor, ops.phases)
+
+
 def chained_steps(state, plan, ops):
-    """A copy of state after N_t calls of step, and the drift after each."""
+    """A copy of state after N_t sandwich steps, and the drift after each."""
     chained, drift = copy_of(state), []
     for _ in range(plan.N_t):
-        step(chained, plan, ops)
+        sandwich_step(chained, plan, ops)
         drift.append(abs(chained.norm() - 1.0))
     return chained, drift
 
@@ -370,11 +378,9 @@ def fused_chain(state, plan, ops):
     first with the half phases and the rest with the fused tables, then the
     half phases once more before the last norm. Returns the copy of state
     and the drift after each step."""
-    first_order = replace(plan, splitting="first-order")
-    fused = PreparedOperators(ops.fused, ops.kinetic)
     chained, drift = copy_of(state), []
     for k in range(plan.N_t):
-        step(chained, first_order, fused if k else ops)
+        step(chained, ops.fused if k else ops.phases, ops.kinetic)
         if k == plan.N_t - 1:
             _multiply_phases(chained.tensor, ops.phases)
         drift.append(abs(chained.norm() - 1.0))
@@ -419,16 +425,14 @@ class TestWorkBuffer:
         state = random_state(grid, 2)
         manual = copy_of(state)
         buffer = state.amplitudes
-        assert step(state, plan, ops) is None
+        assert step(state, ops.phases, ops.kinetic) is None
         assert state.amplitudes is buffer
+        # The first-order composition, with Strang's half tables.
         tensor = manual.tensor
         for table in ops.phases:
             tensor *= table
         for register, kplan in ops.kinetic:
             apply_kinetic_plan(manual, register, kplan)
-        if splitting == "strang":
-            for table in ops.phases:
-                tensor *= table
         assert np.array_equal(state.amplitudes, manual.amplitudes)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -459,7 +463,7 @@ class TestWorkBuffer:
         for table in ops.phases:
             tensor *= table
         monkeypatch.setenv("WZ_THREADS", str(threads))
-        step(state, plan, ops)
+        step(state, ops.phases, ops.kinetic)
         assert np.array_equal(state.amplitudes, whole.amplitudes)
         assert asked == [threads - 1] * (threads - 1)
 
@@ -528,7 +532,7 @@ class TestWorkBuffer:
         plan = EvolutionPlan(T=0.05, N_t=4, terms=MOLECULE_TERMS, splitting="strang")
         ops = prepare_operators(grid, particles, plan)
         first = prepare_operators(grid, particles, replace(plan, splitting="first-order"))
-        assert first.fused == []
+        assert first.fused is first.phases
         assert len(ops.fused) == len(first.phases) == len(ops.phases)
         for fused, whole, half in zip(ops.fused, first.phases, ops.phases):
             assert np.array_equal(fused, whole)
@@ -789,8 +793,8 @@ class TestExchangeSymmetry:
 
         state = random_state(grid, 2, 5)
         before, after = swapped(state), copy_of(state)
-        step(before, plan, ops)
-        step(after, plan, ops)
+        sandwich_step(before, plan, ops)
+        sandwich_step(after, plan, ops)
         after = swapped(after)
         assert np.max(np.abs(before.amplitudes - after.amplitudes)) <= 1e-14
 

@@ -624,6 +624,8 @@ MALFORMED = [
     ("convergence", {"axis": "spatial", "sweep_qubits": []}),
     ("convergence", {"axis": "spatial", "sweep_qubits": [3, 3]}),
     ("convergence", {"axis": "temporal", "sweep_steps": [50, 50]}),
+    # eps = 0 has no logarithm: refused before the sweep writes temporal.csv.
+    ("convergence", {"axis": "temporal", "total_time": 0, "qubits_per_axis": 4, "sweep_steps": [10, 20]}),
     # Two cells have no interior: refused before any grid evolves.
     ("box-evolve", {"interior_only": True, "qubits_per_axis": 1}),
     ("convergence", {"axis": "spatial", "interior_only": True, "sweep_qubits": [3, 1], "steps": 10}),
@@ -918,14 +920,37 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["box-evolve", "molecule2d", "sample"])
     def test_nan_norm_exits_four(self, tmp_path, capsys, command):
-        # eps = 1e308 makes every phase NaN: the run aborts after one step
-        # and writes nothing.
-        cfg = write_config(tmp_path / "c.json", {"total_time": 1e308, "steps": 1})
+        # eps = 1e307 makes every phase NaN: the run aborts after one step
+        # and writes nothing. The box series of one term stays finite.
+        cfg = write_config(
+            tmp_path / "c.json", {"total_time": 1e307, "steps": 1, "series_terms": 1}
+        )
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error:") and "nan" in err and "Traceback" not in err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("box-evolve", {"total_time": 1e303, "steps": 200000, "qubits_per_axis": 4}),
+            ("box-evolve", {"evolve_times": [1e-3, 1e303], "qubits_per_axis": 4}),
+            ("convergence", {"axis": "temporal", "total_time": 1e303, "qubits_per_axis": 4}),
+        ],
+    )
+    def test_overflowing_series_phase_is_refused_before_evolve(
+        self, tmp_path, capsys, monkeypatch, command, payload
+    ):
+        # The series' top mode phase E t / hbar overflows at t = 1e303.
+        calls = []
+        monkeypatch.setattr(experiments_mod, "evolve", lambda *a, **k: calls.append(a))
+        cfg = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "the phase E t / hbar of mode 1999 is inf" in err and "Traceback" not in err
+        assert calls == [] and not out.exists()
 
     @pytest.mark.parametrize("name", ["histogram.csv", "summary.json", "manifest.json"])
     def test_output_path_that_is_a_directory_exits_two(self, tmp_path, capsys, name):

@@ -387,6 +387,13 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             marginal_density(st_, 1)
 
+    @pytest.mark.parametrize("particle", [1.0, True, 0.0, False])
+    def test_marginal_particle_must_be_an_integer(self, particle):
+        grid = build_grid(1.0, 2, 1)
+        st_ = StateVector(np.ones(16, complex), grid, (electron(), electron())).normalized()
+        with pytest.raises(ValidationError, match="particle must be an integer"):
+            marginal_density(st_, particle)
+
     @pytest.mark.parametrize("n, d, particles", [(6, 2, 1), (4, 2, 2), (5, 1, 3)])
     def test_marginal_in_slabs_is_the_dense_sum(self, monkeypatch, n, d, particles):
         # One particle in 2D, two in 2D and three in 1D. A cap of a 16th of

@@ -36,7 +36,7 @@ def nucleus(cell):
 ELECTRON = {"mass": 1.0, "charge": -1.0}
 
 # Two electrons and two protons on a 16x16 grid, with every molecule
-# term: a 1 MiB state, so the Trotter scans are cut into several slabs.
+# term: a 1 MiB state, so the kinetic factors are cut into several slabs.
 TWO_ELECTRONS = {
     "qubits_per_axis": 4,
     "steps": 50,
@@ -104,6 +104,7 @@ RUNS = {
     "box-evolve-scaled": ("box-evolve", BOX_SCALED),
     "box-evolve-8192-rows": ("box-evolve", BOX_MANY_ROWS),
     "convergence-spatial": ("convergence", {"axis": "spatial"}),
+    "convergence-spatial-trotter": ("convergence", {"axis": "spatial", "kinetic_method": "trotter"}),
     "convergence-temporal": ("convergence", {"axis": "temporal"}),
     "molecule2d": ("molecule2d", {}),
     "molecule2d-trotter": ("molecule2d", {"kinetic_method": "trotter"}),

@@ -3,7 +3,18 @@
 Many-body wavefunctions on a uniform spatial grid, split-operator time
 evolution with finite-difference or momentum-space kinetic factors,
 Coulomb potential diagonals, and synthesis of diagonal phase circuits.
+
+WZ_THREADS is the one thread count: importing wzsim sets
+OPENBLAS_NUM_THREADS to 1 unless it is already set, so that OpenBLAS does
+not thread each small matrix product of a kinetic factor on top of the
+slab threads. OpenBLAS reads the variable once, when numpy loads it, so
+this has no effect when the caller set the variable or imported numpy
+before wzsim.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -5,25 +5,31 @@ Two interchangeable single-axis methods are provided:
 * a finite-difference route: the antisymmetrized central-difference
   momentum matrix P is squared analytically into overlapping three-level
   blocks, and exp(-i eps P^2 / 2M hbar) is approximated by the ordered
-  product of the exact block exponentials (trotter_coupling_block). Only
-  the reference trotter_factor_matrix forms it: KineticTrotterPlan.lines
-  reduces it to two linear recurrences with a constant pole, one per cell
-  parity, and evaluates them as a log-depth prefix scan in O(D) passes;
+  product of the exact block exponentials (trotter_coupling_block).
+  trotter_factor_matrix forms that product block by block, as a
+  reference. KineticTrotterPlan.lines reduces it to two linear
+  recurrences with a constant pole, one per cell parity, and evaluates
+  them as a log-depth prefix scan in O(D) passes;
 * a spectral route: conjugation by the discrete Fourier transform, under
   which P is asymptotically diagonal with eigenvalues
   -(hbar/delta) sin(2 pi k / D) (momentum_eigenvalues), so the kinetic
   phase is applied exactly in momentum space, in place in numpy.fft.
-  numpy transforms line by line, and on lines of up to 64 cells that
-  costs more per amplitude than a dense product in BLAS. So for D <=
-  DENSE_MAX_CELLS make_spectral_plan returns the factor F^dagger
-  diag(phases) F as a D x D matrix, the FFT kernel's image of the
-  identity, applied with one matmul per slab. Measured at 2 threads
-  through apply_kinetic_plan, the matrix takes 0.4-0.7 of the FFT's time
-  per amplitude from 4 to 64 cells, 1.1 at 128 and 2.9 at 256. The
-  phases sin^2(2 pi k / D) repeat after D / 2 momenta, so the factor, as
-  the stencil, never couples an even cell to an odd one, and it acts
-  alike on both parities: the plan also holds its D/2 x D/2 block on the
-  even cells, which does half the flops of the whole matrix.
+
+The scan and numpy's FFT both work line by line, and on lines of up to
+64 cells that costs more per amplitude than a dense product in BLAS. So
+for D <= DENSE_MAX_CELLS both make_trotter_plan and make_spectral_plan
+return their factor as a D x D matrix, the kernel's image of the
+identity, applied with one matmul per slab; above it they return the
+kernel. Measured at 2 threads through apply_kinetic_plan, the spectral
+matrix takes 0.4-0.7 of the FFT's time per amplitude from 4 to 64 cells,
+1.1 at 128 and 2.9 at 256; on one line the Trotter matrix takes 0.2-0.6
+of the scan's time from 2 to 64 cells. The phases sin^2(2 pi k / D)
+repeat after D / 2 momenta, so the spectral factor, as the stencil, never
+couples an even cell to an odd one, and it acts alike on both parities:
+its plan also holds its D/2 x D/2 block on the even cells, which does
+half the flops of the whole matrix. The Trotter factor's end phases and
+block order make its even and odd blocks differ, so its plan holds the
+whole matrix alone.
 
 A plan is its kernel, one class each: KineticTrotterPlan (the scan),
 SpectralKineticPlan (the FFT) and MatrixKineticPlan (the matrix). Each
@@ -69,8 +75,9 @@ from .grid import HBAR, StateVector
 # fourier_conjugation_diagnostic builds O(D^2) dense intermediates.
 MAX_DIAGNOSTIC_DIM = 4096
 
-# The spectral factor of a register of at most this many cells is one
-# dense matrix product per slab; above it, two FFTs and a phase pass.
+# The kinetic factor of a register of at most this many cells is one
+# dense matrix product per slab; above it, the scan or two FFTs and a
+# phase pass.
 DENSE_MAX_CELLS = 64
 
 
@@ -214,8 +221,15 @@ def trotter_factor_matrix(D: int, xi: complex) -> np.ndarray:
     return a
 
 
-def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticTrotterPlan:
-    return trotter_plan(D, trotter_xi(delta, mass, eps))
+def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticPlan:
+    """The scan, or for D <= DENSE_MAX_CELLS the matrix of its factor."""
+    plan = trotter_plan(D, trotter_xi(delta, mass, eps))
+    if D > DENSE_MAX_CELLS:
+        return plan
+    # Column j is the scan's image of cell j.
+    factor = np.eye(D, dtype=np.complex128)
+    plan.lines(factor)
+    return MatrixKineticPlan(D, factor.T)
 
 
 @dataclass
@@ -253,7 +267,8 @@ class MatrixKineticPlan:
     def lines(self, a: np.ndarray) -> None:
         """Apply the factor along axis 0 of a, in place: the matrix on
         lines of dim cells, the block on lines of dim / 2."""
-        v = np.moveaxis(a, 0, -1)
+        # np.moveaxis(a, 0, -1), without its cost per call.
+        v = a.transpose((*range(1, a.ndim), 0))
         if v.ndim == 3 and v.shape[1] == 1:
             # The first or last register: one product, not a batch of
             # matrix-vector products.

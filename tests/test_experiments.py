@@ -1021,6 +1021,19 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["False"] * 3, out.stdout
 
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])
+    def test_import_pins_blas_threads_unless_set(self, preset, expected):
+        # A fresh interpreter, as OpenBLAS reads the variable when numpy
+        # loads it: unset, importing wzsim sets it to 1; set, it is kept.
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(wzsim.__file__).resolve().parents[1])
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, wzsim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == expected
+
     def test_load_config_roundtrip(self, tmp_path):
         cfg_path = write_config(tmp_path / "c.json", {"steps": 12})
         assert load_config(cfg_path).steps == 12

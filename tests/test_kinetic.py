@@ -14,6 +14,7 @@ from wzsim.errors import ResourceLimitError, ValidationError
 from wzsim.grid import HBAR, ParticleSpec, StateVector, build_grid
 from wzsim.grid import MAX_THREADS
 from wzsim.kinetic import (
+    KineticTrotterPlan,
     MatrixKineticPlan,
     SpectralKineticPlan,
     apply_kinetic_plan,
@@ -246,6 +247,31 @@ class TestTrotterFactor:
         trotter_plan(D, xi).lines(block)
         assert np.max(np.abs(block - dense)) <= 1e-14
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_plan_is_the_scans_matrix_up_to_the_bound(self, n):
+        # Up to DENSE_MAX_CELLS the plan is the scan's image of the
+        # identity, bit for bit, and one register is one product with it;
+        # above, the plan is the scan.
+        D = 2**n
+        delta, mass, eps = 1.0 / D, 1.0, 0.05
+        plan = make_trotter_plan(D, delta, mass, eps)
+        xi = trotter_xi(delta, mass, eps)
+        if D > kinetic_mod.DENSE_MAX_CELLS:
+            assert type(plan) is KineticTrotterPlan
+            return
+        assert type(plan) is MatrixKineticPlan
+        assert plan.block_t is None
+        scanned = np.eye(D, dtype=np.complex128)
+        trotter_plan(D, xi).lines(scanned)
+        factor = plan.matrix_t.T
+        assert np.array_equal(factor, scanned)
+        assert np.max(np.abs(factor - trotter_factor_matrix(D, xi))) <= 1e-14
+        grid = build_grid(1.0, n, 1)
+        state = TestSpectralSlabs.random_state(grid, (electron(),), n)
+        expected = factor @ state.amplitudes
+        apply_kinetic_plan(state, 0, plan)
+        assert np.array_equal(state.amplitudes, expected)
+
     @pytest.mark.parametrize("D", [2**k for k in range(1, 11)])
     @pytest.mark.parametrize("xi", [0.013j, 1j * np.pi / 2, 0.3 + 0.7j])
     def test_plan_coefficients_scan_bit_equal_to_per_call_formula(self, D, xi):
@@ -275,7 +301,7 @@ class TestTrotterFactor:
         xi = trotter_xi(grid.delta, 1.0, 1e-3)
         factor = trotter_factor_matrix(16, xi)
         scan, matrix = copy_of(st_), copy_of(st_)
-        apply_kinetic_plan(scan, reg, make_trotter_plan(16, grid.delta, 1.0, 1e-3))
+        apply_kinetic_plan(scan, reg, trotter_plan(16, xi))
         apply_kinetic_plan(matrix, reg, MatrixKineticPlan(16, factor.T))
         t = st_.amplitudes.reshape((16,) * 3)
         dense = np.moveaxis(np.tensordot(factor, t, axes=(1, reg)), 0, reg).reshape(-1)
@@ -627,7 +653,7 @@ class TestSpectralSlabs:
         grid = build_grid(1.0, n, d)
         D = grid.cells_per_axis
         registers = particles * d
-        plan = make_trotter_plan(D, grid.delta, 1.0, 0.05)
+        plan = trotter_plan(D, trotter_xi(grid.delta, 1.0, 0.05))
         for reg in range(registers):
             state = self.random_state(grid, (electron(),) * particles, reg)
             out = copy_of(state)

@@ -60,7 +60,10 @@ THREE_ELECTRONS = {
 # The same with every molecule term and Strang splitting: the state is
 # over grid.SLAB_BYTES per thread at up to 3 threads, so the potential's
 # phase tables, one per electron and one per pair, are multiplied in on
-# the slab pool too, twice per step.
+# the slab pool too: the first step's half tables in a pass of their
+# own, then each next step's tables, and the last step's half tables, in
+# the cell pass of the step before, after the kinetic factors of
+# registers 1 and up and the norm.
 THREE_ELECTRONS_ALL_TERMS = {
     **THREE_ELECTRONS,
     "terms": ["T_e", "U_ee", "U_en", "U_nn", "wall"],

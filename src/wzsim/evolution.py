@@ -12,22 +12,33 @@ place: step and kinetic.apply_kinetic_plan write into the amplitudes of
 the StateVector they are given, and evolve steps the caller's state
 itself. No state-sized array or StateVector is made per operator.
 
+evolve hands each step the tables the next one starts with, and a step
+of a state of two or more registers after the first is two passes over
+the state: register 0's kinetic factor, then one _cell_pass over slabs
+of whole register-0 cells, on grid.on_slabs. On each slab, while it is
+in cache, the cell pass applies the kinetic factors of the other
+registers, whose lines lie inside a register-0 cell, takes the slab's
+norm_chunk_sums and multiplies in the next step's tables. Every
+amplitude meets the operators in the order of one pass per operator,
+so the bytes are those of that schedule.
+
 The potential phase factors over the terms of V (Wiesner; Zalka), so it
 is kept as small unit-modulus tables that broadcast into the register
 tensor: one per quantum particle, the exp of its one-body energies, and
 one per pair of quantum particles, the exp of the pair's Coulomb table
-over their displacement. step multiplies them in slab by slab of
-register 0, on grid.on_slabs. A run of two or more quantum
-particles thus peaks at one state plus the tables, a few KiB, and the
-kinetic slab temporaries. Every table has one axis per register; with
-one quantum particle the one table is the whole potential phase, a
-second state-sized array, summed from small tables into the real part
-of its complex array and exponentiated there; step multiplies it in at
-once, on the caller's thread.
+over their displacement. The first step multiplies them in slab by slab
+of register 0, on grid.on_slabs, and the cell passes after it. A run of
+two or more quantum particles thus peaks at one state plus the tables,
+a few KiB, and the kinetic slab temporaries. Every table has one axis
+per register; with one quantum particle the one table is the whole
+potential phase, a second state-sized array, summed from small tables
+into the real part of its complex array and exponentiated there; the
+first step multiplies it in at once, on the caller's thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,17 +47,27 @@ import numpy as np
 
 from .errors import NormDriftError, ResourceLimitError, ValidationError
 from .grid import (
+    NORM_CHUNK,
     GridSpec,
     ParticleSpec,
     StateVector,
     check_integer,
     check_real,
     density,
+    norm_chunk_sums,
+    norm_of_chunk_sums,
     on_slabs,
     quantum_particles,
     worker_count,
 )
-from .kinetic import KineticPlan, apply_kinetic_plan, make_spectral_plan, make_trotter_plan
+from .kinetic import (
+    KineticPlan,
+    MatrixKineticPlan,
+    apply_kinetic_plan,
+    apply_on_cells,
+    make_spectral_plan,
+    make_trotter_plan,
+)
 from .potential import composite_potential, pair_window, quantum_pair_tables
 
 KINETIC_METHODS = ("trotter", "spectral")
@@ -238,15 +259,93 @@ def _multiply_phases(t: np.ndarray, phases: list[np.ndarray]) -> None:
     on_slabs(multiply, t, 1)
 
 
+def _cell_pass(
+    state: StateVector, kinetic: list[tuple[int, KineticPlan]], following: list[np.ndarray]
+) -> float:
+    """The rest of a step on a state of two or more registers, in one
+    on_slabs pass over slabs of whole register-0 cells: on each slab, the
+    kinetic factors of registers 1 and up, whose lines lie inside a
+    register-0 cell, then the slab's norm_chunk_sums, then the tables
+    following, as _multiply_phases indexes them. Returns the norm the
+    chunk sums make in chunk order, the state's before following.
+
+    A slab is cut in units of one cell or one NORM_CHUNK, whichever is
+    more, and at most the whole state: both are powers of two, so no
+    chunk crosses a slab and the norm is vector_norm's float whatever the
+    cut or thread count. The slab stays under SLAB_BYTES as if it held the
+    kinetic temporaries, or one, so the passes after the first find it in
+    cache; a kernel cuts its own lines on a larger one as on_slabs would.
+    A matrix kernel's temporaries are a spare slab here: it writes from
+    the slab into the spare or back, with the same lines to each BLAS
+    call as in place, so the bytes are the same."""
+    t, amps = state.tensor, state.amplitudes
+    cell = amps.size // t.shape[0]
+    unit = min(amps.size, max(cell, NORM_CHUNK))
+    units = amps.reshape(-1, unit)
+    # Each slab's chunk sums, at the slab's first unit.
+    sums: list[list[float]] = [[]] * len(units)
+
+    # The matrix kernels write into a spare slab and back, each sparing
+    # matmul's copy of its input; with an odd count the first works in
+    # place, before the spare is made, so that the last lands in the
+    # slab. The spare is dropped before the tables, whose multiplies take
+    # numpy's iterator buffer.
+    swaps = [isinstance(kplan, MatrixKineticPlan) for _, kplan in kinetic]
+    if sum(swaps) % 2:
+        swaps[swaps.index(True)] = False
+
+    def work(cut: slice) -> None:
+        cells = slice(cut.start * unit // cell, cut.stop * unit // cell)
+        slab = t[cells]
+        held, spare = slab, None
+        for (register, kplan), swap in zip(kinetic, swaps):
+            if not swap:
+                apply_on_cells(held, register, kplan)
+                continue
+            if spare is None:
+                spare = np.empty_like(slab)
+            apply_on_cells(held, register, kplan, spare)
+            held, spare = spare, held
+        spare = None
+        sums[cut.start] = norm_chunk_sums(units[cut].reshape(-1))
+        for table in following:
+            np.multiply(slab, table[cells] if table.shape[0] > 1 else table, out=slab)
+
+    temporaries = max([1] + [kplan.temporaries for _, kplan in kinetic])
+    on_slabs(work, units, temporaries)
+    return norm_of_chunk_sums(itertools.chain.from_iterable(sums))
+
+
 def step(
-    state: StateVector, phases: list[np.ndarray], kinetic: list[tuple[int, KineticPlan]]
-) -> None:
+    state: StateVector,
+    phases: list[np.ndarray],
+    kinetic: list[tuple[int, KineticPlan]],
+    following: list[np.ndarray] | None = None,
+) -> float | None:
     """One first-order step, in place: the phase tables, then each
-    (register, kinetic plan) pair. evolve runs Strang as such steps."""
+    (register, kinetic plan) pair. evolve runs Strang as such steps.
+
+    Given following, the tables the next step starts with, the step also
+    takes the state's norm, multiplies following in after it, and returns
+    it. On a state of two or more registers that is two passes after the
+    phases: register 0's kinetic factor, then one _cell_pass for the other
+    registers, the norm and following. A one-register state takes them in
+    turn, with state.norm()."""
     if phases:
         _multiply_phases(state.tensor, phases)
+    if following is None or state.tensor.ndim == 1:
+        for register, kplan in kinetic:
+            apply_kinetic_plan(state, register, kplan)
+        if following is None:
+            return None
+        norm = state.norm()
+        if following:
+            _multiply_phases(state.tensor, following)
+        return norm
     for register, kplan in kinetic:
-        apply_kinetic_plan(state, register, kplan)
+        if register == 0:
+            apply_kinetic_plan(state, register, kplan)
+    return _cell_pass(state, [(r, kplan) for r, kplan in kinetic if r > 0], following)
 
 
 @dataclass
@@ -271,18 +370,21 @@ def evolve(
     a NaN norm aborts too.
 
     state's own amplitudes are the work buffer: the report's final_state is
-    state, and state holds the last step taken, also when the norm check
-    aborts. To keep the initial state, pass a copy.
+    state, and state holds the steps taken, also when the norm check
+    aborts; there, but after the last step, with the next step's phase
+    multiplied in. To keep the initial state, pass a copy.
 
-    Each step is one call of step, the first with ops.phases and the
-    rest with ops.fused, the same tables for a first-order plan. A Strang
-    run is thus fused (Strang 1968): the trailing half phase of each step
-    and the leading one of the next are one whole-step phase, and the
-    half phases follow the last step once more, before its norm check.
-    That is one phase pass a step fewer than chained half-phase
-    sandwiches, and the same product but for rounding (N_t = 1 is the
-    sandwich); the drift of every step but the last is taken without its
-    trailing half phase, of modulus one.
+    Each step is one call of step: the first multiplies in ops.phases,
+    and each takes the norm after its kinetic factors and then multiplies
+    in the tables the next step starts with, ops.fused, the same tables
+    as ops.phases for a first-order plan. A Strang run is thus fused
+    (Strang 1968): the trailing half phase of each step and the leading
+    one of the next are one whole-step phase, and the half phases follow
+    the last step once more, before its norm check, which takes the norm
+    again after them. That is one phase pass a step fewer than chained
+    half-phase sandwiches, and the same product but for rounding (N_t = 1
+    is the sandwich); the drift of every step but the last is taken
+    without its trailing half phase, of modulus one.
     """
     roster = tuple(particles) if particles is not None else state.particles
     quantum = quantum_particles(roster)
@@ -294,13 +396,14 @@ def evolve(
     # A malformed WZ_THREADS is rejected before a step changes the state.
     worker_count()
     ops = prepare_operators(state.grid, roster, plan)
-    last = ops.phases if plan.splitting == "strang" else []
+    tail = ops.phases if plan.splitting == "strang" else []
     drift = np.empty(plan.N_t, dtype=float)
     for k in range(1, plan.N_t + 1):
-        step(state, ops.phases if k == 1 else ops.fused, ops.kinetic)
-        if k == plan.N_t and last:
-            _multiply_phases(state.tensor, last)
-        drift[k - 1] = abs(state.norm() - 1.0)
+        last = k == plan.N_t
+        norm = step(state, ops.phases if k == 1 else [], ops.kinetic, tail if last else ops.fused)
+        if last and tail:
+            norm = state.norm()
+        drift[k - 1] = abs(norm - 1.0)
         if not drift[k - 1] <= NORM_ABORT_TOL:
             raise NormDriftError(
                 f"norm drift {drift[k - 1]:.3e} at step {k} exceeds {NORM_ABORT_TOL}"

@@ -26,6 +26,7 @@ import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -41,7 +42,8 @@ MAX_AXIS_QUBITS = 20
 MAX_TOTAL_QUBITS = 30
 
 # Bytes one slab may hold on each thread, for every slab kernel: a
-# kinetic kernel's temporaries, evolution's multiply of phase tables, the
+# kinetic kernel's temporaries, evolution's multiply of phase tables and
+# its cell pass, the
 # rows of a quantum-clamped Coulomb table built at once, and the |a|^2 of
 # a marginal_density slab. A call of on_slabs also takes one thread per
 # SLAB_BYTES of its array at most.
@@ -51,9 +53,10 @@ SLAB_BYTES = 1 << 20
 # thousands of them. The thread count never changes output bytes.
 MAX_THREADS = 64
 
-# vector_norm sums squares by BLAS ddot over chunks of this many
-# amplitudes, in order. OpenBLAS threads no ddot this short, so the sum
-# does not depend on its thread count.
+# norm_chunk_sums sums squares by BLAS ddot over chunks of this many
+# amplitudes, for vector_norm and for evolution's cell pass, and the
+# chunk sums are added in order. OpenBLAS threads no ddot this short, so
+# the sum does not depend on its thread count.
 NORM_CHUNK = 8192
 
 
@@ -72,16 +75,32 @@ def check_real(name: str, value) -> None:
         raise ValidationError(f"{name} must fit a double, got an int of {value.bit_length()} bits")
 
 
-def vector_norm(amps: np.ndarray) -> float:
-    """The 2-norm of a complex vector: the two real dot products
-    np.linalg.norm takes, summed chunk by chunk of NORM_CHUNK amplitudes in
-    order. A vector of one chunk is one pair, bit for bit np.linalg.norm."""
+def norm_chunk_sums(amps: np.ndarray) -> list[float]:
+    """The sum of squares of amps over each chunk of NORM_CHUNK amplitudes,
+    in order: the two real dot products np.linalg.norm takes, by BLAS
+    ddot."""
     re, im = amps.real, amps.imag
-    total = 0.0
+    sums = []
     for lo in range(0, len(amps), NORM_CHUNK):
         r, i = re[lo : lo + NORM_CHUNK], im[lo : lo + NORM_CHUNK]
-        total += r.dot(r) + i.dot(i)
+        sums.append(r.dot(r) + i.dot(i))
+    return sums
+
+
+def norm_of_chunk_sums(sums) -> float:
+    """The 2-norm whose norm_chunk_sums are sums: their sum in order, so
+    that slabs that took the sums of their own chunks give one float."""
+    total = 0.0
+    for part in sums:
+        total += part
     return math.sqrt(total)
+
+
+def vector_norm(amps: np.ndarray) -> float:
+    """The 2-norm of a complex vector, summed chunk by chunk of NORM_CHUNK
+    amplitudes in order. A vector of one chunk is one pair of dot
+    products, bit for bit np.linalg.norm."""
+    return norm_of_chunk_sums(norm_chunk_sums(amps))
 
 
 @dataclass(frozen=True)
@@ -339,27 +358,38 @@ def _slab_pool(threads: int):
 def on_slabs(fn: Callable[[slice], None], t: np.ndarray, temporaries: int) -> None:
     """Call fn(cut) for slices cut of t's axis 0 that together cover it, so
     that fn works on the slab t[cut]: every kinetic factor of two or more
-    registers and every multiply of two or more phase tables. workers is
+    registers, every multiply of two or more phase tables and every cell
+    pass of a step. workers is
     worker_count(), read at this call, so no plan holds it, capped at
     t.nbytes // SLAB_BYTES, so that a thread's share of t is worth its
     hand-off; below SLAB_BYTES the caller works alone. There is one slab
     per worker or, when fn holds `temporaries` arrays of its slab's size,
     as many more as keep them under SLAB_BYTES. The slabs, of equal size
-    to within a cell, are dealt in turn to min(workers, slabs) threads,
-    the caller's among them."""
+    to within a cell, are taken in order by min(workers, slabs) threads,
+    the caller's among them, each taking the next as it finishes its last,
+    so that a thread the machine holds back leaves its share to the
+    others. Each slab is fn's alone, so the bytes do not depend on which
+    thread takes it."""
     workers = min(worker_count(), max(1, t.nbytes // SLAB_BYTES))
     cells = t.shape[0]
     bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)
     cuts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     threads = min(workers, len(cuts))
 
-    def deal(first: int) -> None:
-        for cut in cuts[first::threads]:
+    pending = iter(cuts)
+    lock = threading.Lock()
+
+    def take() -> None:
+        while True:
+            with lock:
+                cut = next(pending, None)
+            if cut is None:
+                return
             fn(cut)
 
-    futures = [_slab_pool(threads - 1).submit(deal, i) for i in range(1, threads)]
+    futures = [_slab_pool(threads - 1).submit(take) for _ in range(1, threads)]
     try:
-        deal(0)
+        take()
     finally:
         for future in futures:
             future.result()

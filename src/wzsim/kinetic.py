@@ -43,14 +43,20 @@ SLAB_BYTES; three for the scan, which on a strided slab holds about 3.7,
 as numpy adds an iterator buffer of up to 128 KiB to each call on a
 strided operand.
 
-apply_kinetic_plan, the one apply path, runs lines on one register r of
-the state it is given, as GridSpec.registers numbers them. Registers are
-disjoint, so application order is irrelevant. With R > 1 registers it
-views the state as (A, D, B) = (D^r, D, D^(R-r-1)), and register 0 as
-(B, D, 1), and grid.on_slabs cuts axis 0 of that view; the kernel gets
-each slab with its lines first. A matrix plan with a block sees every
-register but the last as (A, D/2, 2B), the lines of both parities side
-by side, and register 0 as (2B, D/2, 1). A slab is at least one cell of
+apply_kinetic_plan runs lines on one register r of the state it is
+given, as GridSpec.registers numbers them. Registers are disjoint, so
+application order is irrelevant. With R > 1 registers it views the
+state as (A, D, B) = (D^r, D, D^(R-r-1)), and register 0 as (B, D, 1),
+and grid.on_slabs cuts axis 0 of that view; the kernel gets each slab
+with its lines first. A matrix plan with a block sees every register
+but the last as (A, D/2, 2B), the lines of both parities side by side,
+and register 0 as (2B, D/2, 1). apply_on_cells takes the same view of
+a register r >= 1 on a slab of whole register-0 cells, whose A is a
+multiple of D^(r-1) smaller, and cuts it as on_slabs would on one
+thread: evolution's cell pass applies it on each of its slabs. There a
+matrix plan may write into a spare slab in place of its own, which
+spares matmul its copy of the input; the BLAS calls see the same lines
+and strides, so the result is the same. A slab is at least one cell of
 axis 0: one line on the first and last registers, but a D-th of the
 state on register 1, which can exceed the cap. Every 1-D line is worked on alone,
 so the result does not depend on the cut. Nor does BLAS's, with two or
@@ -264,16 +270,20 @@ class MatrixKineticPlan:
     # matmul's copy of its input, counted twice (see the module docstring).
     temporaries: ClassVar[int] = 2
 
-    def lines(self, a: np.ndarray) -> None:
-        """Apply the factor along axis 0 of a, in place: the matrix on
-        lines of dim cells, the block on lines of dim / 2."""
+    def lines(self, a: np.ndarray, out: np.ndarray | None = None) -> None:
+        """Apply the factor along axis 0 of a, in place or into out, an
+        array of a's shape that does not overlap it and that matmul then
+        need not copy a for: the matrix on lines of dim cells, the block
+        on lines of dim / 2."""
         # np.moveaxis(a, 0, -1), without its cost per call.
-        v = a.transpose((*range(1, a.ndim), 0))
+        order = (*range(1, a.ndim), 0)
+        v = a.transpose(order)
+        w = v if out is None else out.transpose(order)
         if v.ndim == 3 and v.shape[1] == 1:
             # The first or last register: one product, not a batch of
             # matrix-vector products.
-            v = v[:, 0]
-        np.matmul(v, self.matrix_t if len(a) == self.dim else self.block_t, out=v)
+            v, w = v[:, 0], w[:, 0]
+        np.matmul(v, self.matrix_t if len(a) == self.dim else self.block_t, out=w)
 
 
 def momentum_eigenvalues(D: int, delta: float) -> np.ndarray:
@@ -304,30 +314,61 @@ def make_spectral_plan(D: int, delta: float, mass: float, eps: float) -> Kinetic
     return MatrixKineticPlan(D, factor.T, np.ascontiguousarray(factor[::2, ::2].T))
 
 
-def apply_kinetic_plan(state: StateVector, register: int, plan: KineticPlan) -> None:
-    """Apply plan's kinetic factor to one register of state, in place."""
+def _register_lines(t: np.ndarray, register: int, plan: KineticPlan) -> np.ndarray:
+    """The (A, D, B) view of register r of t, a register tensor or a slab
+    of whole cells of its axis 0: the cells before the register, its own
+    and those after it. Register 0, whose A is 1, is (B, D, 1), to be cut
+    along B. A factor of one block per parity acts on (A, D/2, 2B), both
+    parities' lines side by side, unless B is 1: on the last register that
+    would make each line its own two-row product."""
+    cells = t.shape[register]
+    if isinstance(plan, MatrixKineticPlan) and plan.block_t is not None and register < t.ndim - 1:
+        cells //= 2
+    x = t.reshape(math.prod(t.shape[:register]), cells, -1)
+    return x.transpose(2, 1, 0) if register == 0 else x
+
+
+def _check_register(t: np.ndarray, register: int, plan: KineticPlan) -> None:
     grid.check_integer("register", register)
-    t = state.tensor
     if not 0 <= register < t.ndim:
         raise ValidationError(f"register {register} outside [0, {t.ndim})")
-    D = state.grid.cells_per_axis
-    if plan.dim != D:
-        raise ValidationError(f"a plan for {plan.dim} cells applied to registers of {D}")
+    if plan.dim != t.shape[register]:
+        raise ValidationError(
+            f"a plan for {plan.dim} cells applied to registers of {t.shape[register]}"
+        )
+
+
+def apply_kinetic_plan(state: StateVector, register: int, plan: KineticPlan) -> None:
+    """Apply plan's kinetic factor to one register of state, in place."""
+    t = state.tensor
+    _check_register(t, register, plan)
     if t.ndim == 1:
         plan.lines(t)
         return
-    # (A, D, B): the cells before the register, its own and those after
-    # it. Register 0, whose A is 1, is cut along B. A factor of one block
-    # per parity acts on (A, D/2, 2B), both parities' lines side by side,
-    # unless B is 1: on the last register that would make each line its
-    # own two-row product.
-    cells = D
-    if isinstance(plan, MatrixKineticPlan) and plan.block_t is not None and register < t.ndim - 1:
-        cells = D // 2
-    x = state.amplitudes.reshape(D**register, cells, -1)
-    if register == 0:
-        x = x.transpose(2, 1, 0)
+    x = _register_lines(t, register, plan)
     grid.on_slabs(lambda cut: plan.lines(x[cut].swapaxes(0, 1)), x, plan.temporaries)
+
+
+def apply_on_cells(
+    slab: np.ndarray, register: int, plan: KineticPlan, out: np.ndarray | None = None
+) -> None:
+    """Apply plan's kinetic factor to register r >= 1 of slab, a slab of
+    whole cells of a register tensor's axis 0, on the caller's thread: in
+    place, or for a matrix plan into out, an array of slab's shape, which
+    spares matmul's copy of slab. The lines of r lie inside the slab's
+    cells, and they are cut as on_slabs cuts them on one thread, under
+    SLAB_BYTES."""
+    _check_register(slab, register, plan)
+    if register == 0:
+        raise ValidationError("register 0 does not lie inside its own cells")
+    x = _register_lines(slab, register, plan)
+    y = x if out is None else _register_lines(out, register, plan)
+    bounds = grid.slab_bounds(len(x), plan.temporaries * (x.nbytes // len(x)))
+    for lo, hi in zip(bounds, bounds[1:]):
+        if out is None:
+            plan.lines(x[lo:hi].swapaxes(0, 1))
+        else:
+            plan.lines(x[lo:hi].swapaxes(0, 1), y[lo:hi].swapaxes(0, 1))
 
 
 def fourier_conjugation_diagnostic(D: int, delta: float) -> tuple[float, np.ndarray]:

@@ -16,6 +16,7 @@ from wzsim.evolution import (
     sample_configurations,
     step,
 )
+from wzsim import evolution as evolution_mod
 from wzsim import grid as grid_mod
 from wzsim import kinetic as kinetic_mod
 from wzsim.experiments import box_initial_state
@@ -630,6 +631,99 @@ class TestWorkBuffer:
                 evolve(state, plan, particles=roster)
                 counts.append(len(builds))
         assert counts[:2] == counts[2:]
+
+
+def pass_by_pass(state, plan, ops):
+    """A copy of state after evolve's schedule, one whole-state pass per
+    operator: the phase tables (the half tables first, then the fused
+    ones), each register's kinetic factor, the Strang tail's half tables
+    after the last step, and vector_norm. Returns the copy and the drift
+    after each step."""
+    run, drift = copy_of(state), []
+    for k in range(plan.N_t):
+        _multiply_phases(run.tensor, ops.fused if k else ops.phases)
+        for register, kplan in ops.kinetic:
+            apply_kinetic_plan(run, register, kplan)
+        if k == plan.N_t - 1 and plan.splitting == "strang":
+            _multiply_phases(run.tensor, ops.phases)
+        drift.append(abs(grid_mod.vector_norm(run.amplitudes) - 1.0))
+    return run, np.array(drift)
+
+
+class TestTwoPassStep:
+    """A step of a multi-register state is register 0's kinetic factor,
+    then one pass over register-0 cells for the other registers, the norm
+    and the next step's tables: the bytes of one pass per operator."""
+
+    # (n, d, electrons): two electrons in 2D on 8 cells, whose cells of
+    # 512 amplitudes meet the matrix kernels; one electron in 2D on 128
+    # cells, whose cells of 128 meet the scan and the FFT.
+    LAYOUTS = {"two electrons": (3, 2, 2), "one electron": (7, 2, 1)}
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    @pytest.mark.parametrize("method", ["trotter", "spectral"])
+    @pytest.mark.parametrize("chunk", ["cell / 2", "cell", "4 cells"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_evolve_matches_one_pass_per_operator(
+        self, monkeypatch, layout, chunk, method, splitting, threads
+    ):
+        # NORM_CHUNK is set against a register-0 cell, so that the slabs
+        # are cut in cells or in chunks; SLAB_BYTES to a 32nd of the
+        # state, so that the cell pass deals slabs to every thread and
+        # the kernels cut their lines inside a slab.
+        n, d, electrons = self.LAYOUTS[layout]
+        grid = build_grid(4.0, n, d)
+        mid = grid.cells_per_axis // 2
+        roster = (electron(),) * electrons + (
+            proton_clamped((mid - 1, mid)),
+            proton_clamped((mid + 1, mid)),
+        )
+        state = random_state(grid, electrons)
+        cell = state.dim // grid.cells_per_axis
+        size = {"cell / 2": cell // 2, "cell": cell, "4 cells": 4 * cell}[chunk]
+        monkeypatch.setattr(grid_mod, "NORM_CHUNK", size)
+        monkeypatch.setattr(evolution_mod, "NORM_CHUNK", size)
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // 32)
+        monkeypatch.setenv("WZ_THREADS", str(threads))
+        plan = EvolutionPlan(
+            T=0.05, N_t=3, kinetic_method=method, terms=MOLECULE_TERMS,
+            splitting=splitting, v_wall=50.0,
+        )
+        ops = prepare_operators(grid, roster, plan)
+        expected, drift = pass_by_pass(state, plan, ops)
+        report = evolve(state, plan, particles=roster)
+        assert np.array_equal(report.final_state.amplitudes, expected.amplitudes)
+        assert np.array_equal(report.norm_drift, drift)
+
+    @pytest.mark.parametrize("d, electrons, calls", [(2, 2, 2), (1, 1, 0)])
+    def test_a_step_after_the_first_makes_two_slab_calls(self, monkeypatch, d, electrons, calls):
+        # The bench molecule's layout, two electrons and two clamped
+        # protons in 2D, makes two on_slabs calls a step after the first:
+        # register 0, then the cell pass. A one-register box makes none.
+        per_step, count = [], [0]
+        slabs, stepper = grid_mod.on_slabs, evolution_mod.step
+
+        def spy(*args):
+            count[0] += 1
+            return slabs(*args)
+
+        def counted_step(*args):
+            count[0] = 0
+            out = stepper(*args)
+            per_step.append(count[0])
+            return out
+
+        monkeypatch.setattr(grid_mod, "on_slabs", spy)
+        monkeypatch.setattr(evolution_mod, "on_slabs", spy)
+        monkeypatch.setattr(evolution_mod, "step", counted_step)
+        grid = build_grid(4.0, 3, d)
+        roster = molecule_roster(grid) if electrons == 2 else (electron(),)
+        terms = {"T_e", "U_ee", "U_en"} if electrons == 2 else {"T_e", "wall"}
+        plan = EvolutionPlan(T=0.05, N_t=4, kinetic_method="spectral", terms=terms, splitting="strang")
+        evolve(random_state(grid, electrons), plan, particles=roster)
+        # The first step multiplies its half tables in a pass of its own.
+        assert per_step == [calls + (electrons > 1)] + [calls] * 3
 
 
 class TestInteractingOracle:

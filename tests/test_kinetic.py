@@ -662,11 +662,12 @@ class TestSpectralSlabs:
             slabs = sorted(made[-1])
             starts = [lo for lo, _, _ in slabs]
             assert starts + [slabs[-1][1]] == cuts[reg]
-            # Dealt in turn: the caller takes slabs 0, dealt, 2 dealt, ...
-            # and the pool has dealt - 1 threads.
+            # Taken in order, each slab once, by the caller and a pool of
+            # dealt - 1 threads, whichever is free.
             assert asked == [dealt[reg] - 1] * (dealt[reg] - 1)
-            ours = [lo for lo, _, name in slabs if name == threading.current_thread().name]
-            assert ours == starts[:: dealt[reg]]
+            takers = {name for _, _, name in slabs} - {threading.current_thread().name}
+            assert len(takers) < dealt[reg]
+            assert all(name.startswith("wzsim-slab") for name in takers)
             whole = state.amplitudes.copy().reshape((D,) * registers)
             plan.lines(whole.swapaxes(0, reg))
             assert np.array_equal(out.amplitudes, whole.reshape(-1))

@@ -47,7 +47,6 @@ import numpy as np
 
 from .errors import NormDriftError, ResourceLimitError, ValidationError
 from .grid import (
-    NORM_CHUNK,
     GridSpec,
     ParticleSpec,
     StateVector,
@@ -56,13 +55,13 @@ from .grid import (
     density,
     norm_chunk_sums,
     norm_of_chunk_sums,
+    norm_unit,
     on_slabs,
     quantum_particles,
     worker_count,
 )
 from .kinetic import (
     KineticPlan,
-    MatrixKineticPlan,
     apply_kinetic_plan,
     apply_on_cells,
     make_spectral_plan,
@@ -274,39 +273,19 @@ def _cell_pass(
     chunk crosses a slab and the norm is vector_norm's float whatever the
     cut or thread count. The slab stays under SLAB_BYTES as if it held the
     kinetic temporaries, or one, so the passes after the first find it in
-    cache; a kernel cuts its own lines on a larger one as on_slabs would.
-    A matrix kernel's temporaries are a spare slab here: it writes from
-    the slab into the spare or back, with the same lines to each BLAS
-    call as in place, so the bytes are the same."""
+    cache; a kernel cuts its own lines on a larger one as on_slabs would."""
     t, amps = state.tensor, state.amplitudes
     cell = amps.size // t.shape[0]
-    unit = min(amps.size, max(cell, NORM_CHUNK))
+    unit = min(amps.size, norm_unit(cell))
     units = amps.reshape(-1, unit)
     # Each slab's chunk sums, at the slab's first unit.
     sums: list[list[float]] = [[]] * len(units)
 
-    # The matrix kernels write into a spare slab and back, each sparing
-    # matmul's copy of its input; with an odd count the first works in
-    # place, before the spare is made, so that the last lands in the
-    # slab. The spare is dropped before the tables, whose multiplies take
-    # numpy's iterator buffer.
-    swaps = [isinstance(kplan, MatrixKineticPlan) for _, kplan in kinetic]
-    if sum(swaps) % 2:
-        swaps[swaps.index(True)] = False
-
     def work(cut: slice) -> None:
         cells = slice(cut.start * unit // cell, cut.stop * unit // cell)
         slab = t[cells]
-        held, spare = slab, None
-        for (register, kplan), swap in zip(kinetic, swaps):
-            if not swap:
-                apply_on_cells(held, register, kplan)
-                continue
-            if spare is None:
-                spare = np.empty_like(slab)
-            apply_on_cells(held, register, kplan, spare)
-            held, spare = spare, held
-        spare = None
+        for register, kplan in kinetic:
+            apply_on_cells(slab, register, kplan)
         sums[cut.start] = norm_chunk_sums(units[cut].reshape(-1))
         for table in following:
             np.multiply(slab, table[cells] if table.shape[0] > 1 else table, out=slab)
@@ -370,9 +349,10 @@ def evolve(
     a NaN norm aborts too.
 
     state's own amplitudes are the work buffer: the report's final_state is
-    state, and state holds the steps taken, also when the norm check
-    aborts; there, but after the last step, with the next step's phase
-    multiplied in. To keep the initial state, pass a copy.
+    state, and state holds the steps taken. When the norm check aborts a
+    step before the last, state also holds the tables the next step
+    starts with, which the step multiplies in before evolve checks its
+    norm. To keep the initial state, pass a copy.
 
     Each step is one call of step: the first multiplies in ops.phases,
     and each takes the norm after its kinetic factors and then multiplies

@@ -43,10 +43,9 @@ MAX_TOTAL_QUBITS = 30
 
 # Bytes one slab may hold on each thread, for every slab kernel: a
 # kinetic kernel's temporaries, evolution's multiply of phase tables and
-# its cell pass, the
-# rows of a quantum-clamped Coulomb table built at once, and the |a|^2 of
-# a marginal_density slab. A call of on_slabs also takes one thread per
-# SLAB_BYTES of its array at most.
+# its cell pass, the rows of a quantum-clamped Coulomb table built at
+# once, and the |a|^2 of a marginal_density slab. A call of on_slabs
+# also takes one thread per SLAB_BYTES of its array at most.
 SLAB_BYTES = 1 << 20
 
 # Each slab thread is an OS thread; a huge WZ_THREADS must not start
@@ -94,6 +93,14 @@ def norm_of_chunk_sums(sums) -> float:
     for part in sums:
         total += part
     return math.sqrt(total)
+
+
+def norm_unit(cell: int) -> int:
+    """The amplitudes a slab of whole cells of cell amplitudes is cut in
+    units of, so that it holds whole chunks of norm_chunk_sums: one cell
+    or one NORM_CHUNK, whichever is more. Both are powers of two, so no
+    chunk crosses the slab, and its chunk sums are vector_norm's."""
+    return max(cell, NORM_CHUNK)
 
 
 def vector_norm(amps: np.ndarray) -> float:
@@ -359,17 +366,18 @@ def on_slabs(fn: Callable[[slice], None], t: np.ndarray, temporaries: int) -> No
     """Call fn(cut) for slices cut of t's axis 0 that together cover it, so
     that fn works on the slab t[cut]: every kinetic factor of two or more
     registers, every multiply of two or more phase tables and every cell
-    pass of a step. workers is
-    worker_count(), read at this call, so no plan holds it, capped at
+    pass of a step. workers is worker_count(), read at this call, so no
+    plan holds it, capped at
     t.nbytes // SLAB_BYTES, so that a thread's share of t is worth its
     hand-off; below SLAB_BYTES the caller works alone. There is one slab
     per worker or, when fn holds `temporaries` arrays of its slab's size,
     as many more as keep them under SLAB_BYTES. The slabs, of equal size
-    to within a cell, are taken in order by min(workers, slabs) threads,
-    the caller's among them, each taking the next as it finishes its last,
-    so that a thread the machine holds back leaves its share to the
-    others. Each slab is fn's alone, so the bytes do not depend on which
-    thread takes it."""
+    to within a cell, go to min(workers, slabs) threads, the caller's
+    among them: each thread starts on one of the first slabs, the caller
+    on slab 0, and then takes the next slab not yet taken as it finishes
+    its last, so that a thread the machine holds back leaves its share
+    to the others. Each slab is fn's alone, so the bytes do not depend
+    on which thread takes it."""
     workers = min(worker_count(), max(1, t.nbytes // SLAB_BYTES))
     cells = t.shape[0]
     bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)
@@ -379,17 +387,16 @@ def on_slabs(fn: Callable[[slice], None], t: np.ndarray, temporaries: int) -> No
     pending = iter(cuts)
     lock = threading.Lock()
 
-    def take() -> None:
-        while True:
+    def take(cut: slice | None) -> None:
+        while cut is not None:
+            fn(cut)
             with lock:
                 cut = next(pending, None)
-            if cut is None:
-                return
-            fn(cut)
 
-    futures = [_slab_pool(threads - 1).submit(take) for _ in range(1, threads)]
+    first = [next(pending) for _ in range(threads)]
+    futures = [_slab_pool(threads - 1).submit(take, cut) for cut in first[1:]]
     try:
-        take()
+        take(first[0])
     finally:
         for future in futures:
             future.result()

@@ -53,12 +53,10 @@ but the last as (A, D/2, 2B), the lines of both parities side by side,
 and register 0 as (2B, D/2, 1). apply_on_cells takes the same view of
 a register r >= 1 on a slab of whole register-0 cells, whose A is a
 multiple of D^(r-1) smaller, and cuts it as on_slabs would on one
-thread: evolution's cell pass applies it on each of its slabs. There a
-matrix plan may write into a spare slab in place of its own, which
-spares matmul its copy of the input; the BLAS calls see the same lines
-and strides, so the result is the same. A slab is at least one cell of
-axis 0: one line on the first and last registers, but a D-th of the
-state on register 1, which can exceed the cap. Every 1-D line is worked on alone,
+thread: evolution's cell pass applies it on each of its slabs. A slab
+is at least one cell of axis 0: one line on the first and last
+registers, but a D-th of the state on register 1, which can exceed the
+cap. Every 1-D line is worked on alone,
 so the result does not depend on the cut. Nor does BLAS's, with two or
 more lines to a call (one line is a matrix-vector product, which rounds
 otherwise); under the default cap only a one-register state makes a
@@ -270,20 +268,16 @@ class MatrixKineticPlan:
     # matmul's copy of its input, counted twice (see the module docstring).
     temporaries: ClassVar[int] = 2
 
-    def lines(self, a: np.ndarray, out: np.ndarray | None = None) -> None:
-        """Apply the factor along axis 0 of a, in place or into out, an
-        array of a's shape that does not overlap it and that matmul then
-        need not copy a for: the matrix on lines of dim cells, the block
-        on lines of dim / 2."""
+    def lines(self, a: np.ndarray) -> None:
+        """Apply the factor along axis 0 of a, in place: the matrix on
+        lines of dim cells, the block on lines of dim / 2."""
         # np.moveaxis(a, 0, -1), without its cost per call.
-        order = (*range(1, a.ndim), 0)
-        v = a.transpose(order)
-        w = v if out is None else out.transpose(order)
+        v = a.transpose((*range(1, a.ndim), 0))
         if v.ndim == 3 and v.shape[1] == 1:
             # The first or last register: one product, not a batch of
             # matrix-vector products.
-            v, w = v[:, 0], w[:, 0]
-        np.matmul(v, self.matrix_t if len(a) == self.dim else self.block_t, out=w)
+            v = v[:, 0]
+        np.matmul(v, self.matrix_t if len(a) == self.dim else self.block_t, out=v)
 
 
 def momentum_eigenvalues(D: int, delta: float) -> np.ndarray:
@@ -349,26 +343,18 @@ def apply_kinetic_plan(state: StateVector, register: int, plan: KineticPlan) -> 
     grid.on_slabs(lambda cut: plan.lines(x[cut].swapaxes(0, 1)), x, plan.temporaries)
 
 
-def apply_on_cells(
-    slab: np.ndarray, register: int, plan: KineticPlan, out: np.ndarray | None = None
-) -> None:
+def apply_on_cells(slab: np.ndarray, register: int, plan: KineticPlan) -> None:
     """Apply plan's kinetic factor to register r >= 1 of slab, a slab of
-    whole cells of a register tensor's axis 0, on the caller's thread: in
-    place, or for a matrix plan into out, an array of slab's shape, which
-    spares matmul's copy of slab. The lines of r lie inside the slab's
-    cells, and they are cut as on_slabs cuts them on one thread, under
-    SLAB_BYTES."""
+    whole cells of a register tensor's axis 0, in place on the caller's
+    thread. The lines of r lie inside the slab's cells, and they are cut
+    as on_slabs cuts them on one thread, under SLAB_BYTES."""
     _check_register(slab, register, plan)
     if register == 0:
         raise ValidationError("register 0 does not lie inside its own cells")
     x = _register_lines(slab, register, plan)
-    y = x if out is None else _register_lines(out, register, plan)
     bounds = grid.slab_bounds(len(x), plan.temporaries * (x.nbytes // len(x)))
     for lo, hi in zip(bounds, bounds[1:]):
-        if out is None:
-            plan.lines(x[lo:hi].swapaxes(0, 1))
-        else:
-            plan.lines(x[lo:hi].swapaxes(0, 1), y[lo:hi].swapaxes(0, 1))
+        plan.lines(x[lo:hi].swapaxes(0, 1))
 
 
 def fourier_conjugation_diagnostic(D: int, delta: float) -> tuple[float, np.ndarray]:

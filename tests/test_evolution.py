@@ -660,6 +660,16 @@ class TestTwoPassStep:
     # cells, whose cells of 128 meet the scan and the FFT.
     LAYOUTS = {"two electrons": (3, 2, 2), "one electron": (7, 2, 1)}
 
+    def case(self, layout):
+        n, d, electrons = {**self.LAYOUTS, "one register": (4, 1, 1)}[layout]
+        grid = build_grid(4.0, n, d)
+        mid = grid.cells_per_axis // 2
+        roster = (electron(),) * electrons + (
+            proton_clamped((mid - 1,) + (mid,) * (d - 1)),
+            proton_clamped((mid + 1,) + (mid,) * (d - 1)),
+        )
+        return grid, roster, random_state(grid, electrons)
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
@@ -670,20 +680,12 @@ class TestTwoPassStep:
     ):
         # NORM_CHUNK is set against a register-0 cell, so that the slabs
         # are cut in cells or in chunks; SLAB_BYTES to a 32nd of the
-        # state, so that the cell pass deals slabs to every thread and
+        # state, so that the cell pass hands slabs to every thread and
         # the kernels cut their lines inside a slab.
-        n, d, electrons = self.LAYOUTS[layout]
-        grid = build_grid(4.0, n, d)
-        mid = grid.cells_per_axis // 2
-        roster = (electron(),) * electrons + (
-            proton_clamped((mid - 1, mid)),
-            proton_clamped((mid + 1, mid)),
-        )
-        state = random_state(grid, electrons)
+        grid, roster, state = self.case(layout)
         cell = state.dim // grid.cells_per_axis
         size = {"cell / 2": cell // 2, "cell": cell, "4 cells": 4 * cell}[chunk]
         monkeypatch.setattr(grid_mod, "NORM_CHUNK", size)
-        monkeypatch.setattr(evolution_mod, "NORM_CHUNK", size)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // 32)
         monkeypatch.setenv("WZ_THREADS", str(threads))
         plan = EvolutionPlan(
@@ -695,6 +697,30 @@ class TestTwoPassStep:
         report = evolve(state, plan, particles=roster)
         assert np.array_equal(report.final_state.amplitudes, expected.amplitudes)
         assert np.array_equal(report.norm_drift, drift)
+
+    @pytest.mark.parametrize("splitting", ["first-order", "strang"])
+    @pytest.mark.parametrize("layout", [*LAYOUTS, "one register"])
+    def test_an_abort_leaves_the_next_steps_tables_in(self, layout, splitting):
+        # A state of norm 1.01 fails the first step's norm check. A step
+        # multiplies in the tables the next one starts with before evolve
+        # checks the norm it returns, so the aborted state holds the first
+        # step and then the fused tables, on the cell pass and on the
+        # one-register path alike.
+        grid, roster, state = self.case(layout)
+        state.amplitudes[...] *= 1.01
+        plan = EvolutionPlan(
+            T=0.05, N_t=3, kinetic_method="spectral", terms=MOLECULE_TERMS,
+            splitting=splitting, v_wall=50.0,
+        )
+        ops = prepare_operators(grid, roster, plan)
+        expected = copy_of(state)
+        _multiply_phases(expected.tensor, ops.phases)
+        for register, kplan in ops.kinetic:
+            apply_kinetic_plan(expected, register, kplan)
+        _multiply_phases(expected.tensor, ops.fused)
+        with pytest.raises(NormDriftError, match="at step 1 "):
+            evolve(state, plan, particles=roster)
+        assert np.array_equal(state.amplitudes, expected.amplitudes)
 
     @pytest.mark.parametrize("d, electrons, calls", [(2, 2, 2), (1, 1, 0)])
     def test_a_step_after_the_first_makes_two_slab_calls(self, monkeypatch, d, electrons, calls):

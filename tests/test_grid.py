@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -420,3 +421,30 @@ class TestStateVector:
                 tracemalloc.stop()
             assert np.array_equal(marginal, dens.sum(axis=others) if others else dens)
             assert peak - base < 2 * cap + marginal.nbytes
+
+
+class TestOnSlabs:
+    def test_every_slab_is_taken_once_under_contention(self, monkeypatch):
+        # Eight threads on fewer cores take 4096 one-cell slabs from one
+        # shared iterator while the interpreter switches threads every
+        # microsecond: a slab taken twice or lost would show in the count.
+        monkeypatch.setenv("WZ_THREADS", "8")
+        monkeypatch.setattr(grid_mod, "SLAB_BYTES", 64)
+        t = np.zeros((4096, 4), dtype=complex)
+        taken = []
+
+        def fn(cut):
+            taken.append(cut.start)
+            t[cut] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=grid_mod.on_slabs, args=(fn, t, 1))
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert sorted(taken) == list(range(4096))
+        assert np.all(t == 1)

@@ -662,12 +662,18 @@ class TestSpectralSlabs:
             slabs = sorted(made[-1])
             starts = [lo for lo, _, _ in slabs]
             assert starts + [slabs[-1][1]] == cuts[reg]
-            # Taken in order, each slab once, by the caller and a pool of
-            # dealt - 1 threads, whichever is free.
+            # Each slab is taken once, by the caller or one of a pool of
+            # dealt - 1 threads. The caller starts on slab 0 and the pool
+            # on slabs 1 to dealt - 1; the rest go to whichever is free.
+            assert len(slabs) == len(cuts[reg]) - 1
             assert asked == [dealt[reg] - 1] * (dealt[reg] - 1)
-            takers = {name for _, _, name in slabs} - {threading.current_thread().name}
-            assert len(takers) < dealt[reg]
-            assert all(name.startswith("wzsim-slab") for name in takers)
+            ours = threading.current_thread().name
+            takers = [name for _, _, name in slabs]
+            assert takers[0] == ours
+            assert all(name.startswith("wzsim-slab") for name in takers[1 : dealt[reg]])
+            assert {name for name in takers if name != ours} <= set(takers[1 : dealt[reg]])
+            if dealt[reg] == 1:
+                assert set(takers) == {ours}
             whole = state.amplitudes.copy().reshape((D,) * registers)
             plan.lines(whole.swapaxes(0, reg))
             assert np.array_equal(out.amplitudes, whole.reshape(-1))

@@ -94,6 +94,13 @@ ROW_BLOCKS = {
     "wall_height": 50.0,
 }
 
+# The same on the Trotter route: two registers of 512 cells, above
+# kinetic.DENSE_MAX_CELLS, so the scan runs on a state of more than one
+# register, on register 0 and in the cell pass. Its pole |p| is 0.459,
+# and the scan ends at the pole power floor two of its eight strides
+# early.
+ROW_BLOCKS_TROTTER = {**ROW_BLOCKS, "kinetic_method": "trotter"}
+
 TROTTER_STRANG = {"kinetic_method": "trotter", "splitting": "strang"}
 
 # 8192 density rows: the CSV writer streams them in more than one block.
@@ -119,6 +126,7 @@ RUNS = {
     "molecule2d-3e-trotter": ("molecule2d", {**THREE_ELECTRONS, "kinetic_method": "trotter"}),
     "molecule2d-3e-strang-all-terms": ("molecule2d", THREE_ELECTRONS_ALL_TERMS),
     "molecule2d-row-blocks": ("molecule2d", ROW_BLOCKS),
+    "molecule2d-row-blocks-trotter": ("molecule2d", ROW_BLOCKS_TROTTER),
     "sample": ("sample", {}),
     "synth-report": ("synth-report", {}),
 }

@@ -74,15 +74,19 @@ def check_real(name: str, value) -> None:
         raise ValidationError(f"{name} must fit a double, got an int of {value.bit_length()} bits")
 
 
+def _chunk_sum(re: np.ndarray, im: np.ndarray) -> float:
+    """The sum of squares of one chunk, given its real and imaginary
+    parts: the two real dot products np.linalg.norm takes, by BLAS ddot."""
+    return re.dot(re) + im.dot(im)
+
+
 def norm_chunk_sums(amps: np.ndarray) -> list[float]:
-    """The sum of squares of amps over each chunk of NORM_CHUNK amplitudes,
-    in order: the two real dot products np.linalg.norm takes, by BLAS
-    ddot."""
+    """The _chunk_sum of amps over each chunk of NORM_CHUNK amplitudes, in
+    order."""
     re, im = amps.real, amps.imag
     sums = []
     for lo in range(0, len(amps), NORM_CHUNK):
-        r, i = re[lo : lo + NORM_CHUNK], im[lo : lo + NORM_CHUNK]
-        sums.append(r.dot(r) + i.dot(i))
+        sums.append(_chunk_sum(re[lo : lo + NORM_CHUNK], im[lo : lo + NORM_CHUNK]))
     return sums
 
 
@@ -107,6 +111,11 @@ def vector_norm(amps: np.ndarray) -> float:
     """The 2-norm of a complex vector, summed chunk by chunk of NORM_CHUNK
     amplitudes in order. A vector of one chunk is one pair of dot
     products, bit for bit np.linalg.norm."""
+    if len(amps) <= NORM_CHUNK:
+        # Its one chunk sum, without the slices and the list: a
+        # one-register run takes this norm every step. 0.0 + x is x, so
+        # the float is norm_of_chunk_sums's.
+        return math.sqrt(_chunk_sum(amps.real, amps.imag))
     return norm_of_chunk_sums(norm_chunk_sums(amps))
 
 

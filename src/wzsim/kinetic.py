@@ -9,7 +9,9 @@ Two interchangeable single-axis methods are provided:
   trotter_factor_matrix forms that product block by block, as a
   reference. KineticTrotterPlan.lines reduces it to two linear
   recurrences with a constant pole, one per cell parity, and evaluates
-  them as a log-depth prefix scan in O(D) passes;
+  them as a prefix scan of at most log2(D/2) passes over the line, which
+  ends at the first stride whose power of the pole is at most
+  POLE_POWER_FLOOR;
 * a spectral route: conjugation by the discrete Fourier transform, under
   which P is asymptotically diagonal with eigenvalues
   -(hbar/delta) sin(2 pi k / D) (momentum_eigenvalues), so the kinetic
@@ -84,6 +86,15 @@ MAX_DIAGNOSTIC_DIM = 4096
 # phase pass.
 DENSE_MAX_CELLS = 64
 
+# The scan stops at the first stride s whose pole power |p^(s/2)| is at
+# most this. After the strides below s every carry holds the first s/2
+# terms of its series, c[m] = u[m] + p u[m+2] + ... , and the terms of
+# s/2 and on sum to exactly p^(s/2) c[m+s], a full carry. So the passes
+# left out move no carry by more than 2^-64 of the largest carry, 2^-11
+# of the unit roundoff 2^-53 of a double. For imaginary xi |p| <= 1, and
+# at |p| = 1 (a quarter turn) every stride is kept.
+POLE_POWER_FLOOR = 2.0**-64
+
 
 def _check_register_size(D: int) -> None:
     grid.check_integer("register size", D)
@@ -143,8 +154,9 @@ class KineticTrotterPlan:
     by, computed once by trotter_plan: cosh(xi), sinh(xi), mid =
     exp(-2 xi), cosh_mid = cosh(xi) exp(-2 xi), top = exp(xi), end =
     exp(-xi), and the pass strides s = 2, 4, ... < D, each with its power
-    p^(s/2) of the pole p = sinh(xi) exp(-2 xi). trotter_factor_matrix
-    builds the dense matrix for reference.
+    p^(s/2) of the pole p = sinh(xi) exp(-2 xi), up to the first stride
+    whose power is at most POLE_POWER_FLOOR. trotter_factor_matrix builds
+    the untruncated product as a dense matrix, for reference.
     """
 
     dim: int
@@ -167,7 +179,9 @@ class KineticTrotterPlan:
         seeded by c_{D-1} = o[D-2] and c_D = exp(xi) o[D-1], and finalizes
         cell i+1. With c[m] = c_{m+1} both parity chains become one recurrence
         c[m] = u[m] + p c[m+2], evaluated as a Hillis-Steele scan from the top:
-        log2(D/2) passes of c[:-s] += p^(s/2) c[s:]. |p| = |sin(Im xi)| <= 1
+        a pass c[:-s] += p^(s/2) c[s:] for each stride of the plan, at most
+        log2(D/2) of them. The passes the plan leaves out would move no carry
+        by more than POLE_POWER_FLOOR of the largest. |p| = |sin(Im xi)| <= 1
         for imaginary xi, and every partial sum is a partial product applied to
         a truncated input, so nothing grows. Then
             out[0] = exp(-xi) c_1,  out[1] = exp(-2 xi) c_2,
@@ -189,12 +203,15 @@ class KineticTrotterPlan:
 
 
 def trotter_plan(D: int, xi: complex) -> KineticTrotterPlan:
-    """The KineticTrotterPlan of a register of D cells at coupling xi."""
+    """The KineticTrotterPlan of a register of D cells at coupling xi. Its
+    strides double from 2 while they are below D and their power of the
+    pole is above POLE_POWER_FLOOR: the scan of the plan's lines is the
+    untruncated scan to within that bound of its largest carry."""
     _check_register_size(D)
     ch, sh, mid = cmath.cosh(xi), cmath.sinh(xi), cmath.exp(-2.0 * xi)
     powers = []
     s, ps = 2, sh * mid
-    while s < D:
+    while s < D and abs(ps) > POLE_POWER_FLOOR:
         powers.append((s, ps))
         s, ps = 2 * s, ps * ps
     return KineticTrotterPlan(D, ch, sh, mid, ch * mid, cmath.exp(xi), cmath.exp(-xi), tuple(powers))
@@ -230,7 +247,8 @@ def make_trotter_plan(D: int, delta: float, mass: float, eps: float) -> KineticP
     plan = trotter_plan(D, trotter_xi(delta, mass, eps))
     if D > DENSE_MAX_CELLS:
         return plan
-    # Column j is the scan's image of cell j.
+    # Column j is the scan's image of cell j. An entry that only the
+    # strides left out would fill, at most POLE_POWER_FLOOR, is a zero.
     factor = np.eye(D, dtype=np.complex128)
     plan.lines(factor)
     return MatrixKineticPlan(D, factor.T)

@@ -273,13 +273,15 @@ class TestStateVector:
         # products. Above it the chunks are summed in order, and the norm
         # agrees to 1e-15 with the one of the correctly rounded sum of
         # squares (np.linalg.norm's own single pair is off by up to 1.3e-15
-        # at 2^20).
+        # at 2^20). At every size it is the float of the chunk sums the
+        # cell pass takes.
         grid = build_grid(1.0, n, 1)
         rng = np.random.default_rng(n)
         amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         for a in (amps, amps / np.linalg.norm(amps)):
             norm = StateVector(a, grid, (electron(),)).norm()
             assert type(norm) is float
+            assert norm == grid_mod.norm_of_chunk_sums(grid_mod.norm_chunk_sums(a))
             if 2**n <= grid_mod.NORM_CHUNK:
                 assert norm == float(np.linalg.norm(a))
             else:

@@ -323,6 +323,69 @@ class TestTrotterFactor:
         assert np.max(np.abs(block - dense)) <= 1e-14
 
 
+# The truncated scan's bound, written out rather than read from
+# kinetic.POLE_POWER_FLOOR, so that a looser floor fails these tests.
+SCAN_END_BOUND = 2.0**-64
+
+
+def sweep_xi(D: int) -> complex:
+    """The coupling of the spatial convergence sweep's box of D cells:
+    length 1, mass 1, eps = 1e-6."""
+    return trotter_xi(1.0 / D, 1.0, 1e-6)
+
+
+class TestScanEnd:
+    @pytest.mark.parametrize(
+        "D, strides",
+        [(128, [2, 4, 8]), (256, [2, 4, 8, 16]), (512, [2, 4, 8, 16]), (1024, [2, 4, 8, 16, 32])],
+    )
+    def test_strides_end_at_the_pole_power_floor(self, D, strides):
+        plan = trotter_plan(D, sweep_xi(D))
+        assert [s for s, _ in plan.powers] == strides
+        assert all(abs(ps) > SCAN_END_BOUND for _, ps in plan.powers)
+
+    @pytest.mark.parametrize("D", [2, 4, 16, 128, 1024])
+    def test_quarter_turn_keeps_every_stride(self, D):
+        # |p| = 1: no power of the pole falls.
+        plan = trotter_plan(D, 1j * np.pi / 2)
+        assert [s for s, _ in plan.powers] == [2**k for k in range(1, D.bit_length() - 1)]
+
+    @pytest.mark.parametrize("D", [128, 256, 512, 1024])
+    def test_within_the_floor_of_the_untruncated_scan(self, D):
+        # The lower half of every line is scaled by 1e-40, so that what the
+        # left-out strides would carry down from the upper half shows in its
+        # bytes. On one line, and along the middle axis of a (3, D, 2)
+        # tensor, a strided view as apply_kinetic_plan scans.
+        xi = sweep_xi(D)
+        plan = trotter_plan(D, xi)
+        rng = np.random.default_rng(D)
+        t = rng.normal(size=(3, D, 2)) + 1j * rng.normal(size=(3, D, 2))
+        t[:, : D // 2] *= 1e-40
+        bound = SCAN_END_BOUND * np.max(np.abs(t))
+        line = t[1, :, 0].copy()
+        held_line = line.copy()
+        plan.lines(held_line)
+        full_line = scan_per_call(line, xi)
+        assert not np.array_equal(held_line, full_line)
+        assert np.max(np.abs(held_line - full_line)) <= bound
+        held, full = t.copy(), t.copy()
+        plan.lines(held.swapaxes(0, 1))
+        scan_per_call(full.swapaxes(0, 1), xi)
+        assert not np.array_equal(held, full)
+        assert np.max(np.abs(held - full)) <= bound
+
+    @pytest.mark.parametrize("D", [32, 64])
+    def test_matrix_plan_zeros_only_entries_under_the_floor(self, D):
+        # The matrix is the truncated scan's image of the identity: where
+        # it holds a zero that the untruncated product does not, that
+        # entry is at most the bound.
+        plan = make_trotter_plan(D, 1.0 / D, 1.0, 1e-6)
+        dense = trotter_factor_matrix(D, sweep_xi(D))
+        dropped = (plan.matrix_t.T == 0) & (dense != 0)
+        assert dropped.any()
+        assert np.max(np.abs(dense[dropped])) <= SCAN_END_BOUND
+
+
 class TestSpectral:
     def test_power_of_two_required(self):
         with pytest.raises(ValidationError):

@@ -60,10 +60,10 @@ THREE_ELECTRONS = {
 # The same with every molecule term and Strang splitting: the state is
 # over grid.SLAB_BYTES per thread at up to 3 threads, so the potential's
 # phase tables, one per electron and one per pair, are multiplied in on
-# the slab pool too: the first step's half tables in a pass of their
-# own, then each next step's tables, and the last step's half tables, in
-# the cell pass of the step before, after the kinetic factors of
-# registers 1 and up and the norm.
+# the slab pool too: the first half tables in a cell pass of their own
+# before the first step, then each next step's tables, and the last
+# step's half tables, in the cell pass of the step before, after the
+# kinetic factors of registers 1 and up and the norm.
 THREE_ELECTRONS_ALL_TERMS = {
     **THREE_ELECTRONS,
     "terms": ["T_e", "U_ee", "U_en", "U_nn", "wall"],
@@ -106,6 +106,11 @@ TROTTER_STRANG = {"kinetic_method": "trotter", "splitting": "strang"}
 # 8192 density rows: the CSV writer streams them in more than one block.
 BOX_MANY_ROWS = {"qubits_per_axis": 13, "steps": 100}
 
+# One register of 2^17 cells: a 2 MiB state, over grid.SLAB_BYTES, so
+# the one-register pass that multiplies in the first half phase is cut
+# into slabs, and on the slab pool when WZ_THREADS > 1.
+SAMPLE_SLABS = {"qubits_per_axis": 17, "splitting": "strang", "steps": 2, "shots": 1000}
+
 RUNS = {
     "box-evolve": ("box-evolve", {}),
     "box-evolve-trotter": ("box-evolve", {"kinetic_method": "trotter"}),
@@ -128,6 +133,7 @@ RUNS = {
     "molecule2d-row-blocks": ("molecule2d", ROW_BLOCKS),
     "molecule2d-row-blocks-trotter": ("molecule2d", ROW_BLOCKS_TROTTER),
     "sample": ("sample", {}),
+    "sample-slabs": ("sample", SAMPLE_SLABS),
     "synth-report": ("synth-report", {}),
 }
 

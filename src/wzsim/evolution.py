@@ -1,39 +1,39 @@
 """Split-operator time stepping and configuration sampling.
 
-step is the first-order step: the potential phase first, then the
-kinetic factors. evolve alone runs a Strang plan, as a schedule of such
-steps with the half phases fused across them (see evolve). Kinetic
-factors act as (register, plan) pairs, in the ascending register order
-of GridSpec.registers; the registers are disjoint so the order only
-fixes a convention.
+Every step is the same sequence: the potential phase, then the kinetic
+factors. evolve multiplies the first phase in before its first step;
+each step, one call of step, then applies the kinetic factors, takes the
+norm and multiplies in the phase the next step starts with (see evolve).
+Kinetic factors act as (register, plan) pairs, in the ascending register
+order of GridSpec.registers; the registers are disjoint so the order
+only fixes a convention.
 
 Every operator is a unitary on the one state vector, and it acts in
 place: step and kinetic.apply_kinetic_plan write into the amplitudes of
 the StateVector they are given, and evolve steps the caller's state
 itself. No state-sized array or StateVector is made per operator.
 
-evolve hands each step the tables the next one starts with, and a step
-of a state of two or more registers after the first is two passes over
-the state: register 0's kinetic factor, then one _cell_pass over slabs
-of whole register-0 cells, on grid.on_slabs. On each slab, while it is
-in cache, the cell pass applies the kinetic factors of the other
+A step of a state of two or more registers is two passes over the
+state: register 0's kinetic factor, then one _cell_pass over slabs of
+whole register-0 cells, on grid.on_slabs. On each slab, while it is in
+cache, the cell pass applies the kinetic factors of the other
 registers, whose lines lie inside a register-0 cell, takes the slab's
-norm_chunk_sums and multiplies in the next step's tables. Every
+norm_chunk_sums and multiplies in the next step's tables. The first
+phase is one cell pass with no kinetic factor, on every state. Every
 amplitude meets the operators in the order of one pass per operator,
-so the bytes are those of that schedule.
+so the bytes are those of that schedule. A step of a one-register state
+takes its operators in turn, each over the whole state.
 
 The potential phase factors over the terms of V (Wiesner; Zalka), so it
 is kept as small unit-modulus tables that broadcast into the register
 tensor: one per quantum particle, the exp of its one-body energies, and
 one per pair of quantum particles, the exp of the pair's Coulomb table
-over their displacement. The first step multiplies them in slab by slab
-of register 0, on grid.on_slabs, and the cell passes after it. A run of
-two or more quantum particles thus peaks at one state plus the tables,
-a few KiB, and the kinetic slab temporaries. Every table has one axis
-per register; with one quantum particle the one table is the whole
-potential phase, a second state-sized array, summed from small tables
-into the real part of its complex array and exponentiated there; the
-first step multiplies it in at once, on the caller's thread.
+over their displacement. A run of two or more quantum particles thus
+peaks at one state plus the tables, a few KiB, and the kinetic slab
+temporaries. Every table has one axis per register; with one quantum
+particle the one table is the whole potential phase, a second
+state-sized array, summed from small tables into the real part of its
+complex array and exponentiated there.
 """
 
 from __future__ import annotations
@@ -141,8 +141,9 @@ class PreparedOperators:
     quantum particle the one table is the whole phase, as big as the
     state. Empty without a potential term.
 
-    fused is the phase of a whole eps, which evolve's steps after the
-    first multiply in: phases itself for a first-order plan. For Strang
+    evolve multiplies phases in before its first step. fused is the
+    phase of a whole eps, which each step but the last multiplies in for
+    the next: phases itself for a first-order plan. For Strang
     it replaces the trailing half phase of one step and the leading one
     of the next: the tables of exp(-i eps V), or with one quantum
     particle its one half table listed twice, so that no second
@@ -235,38 +236,15 @@ def prepare_operators(
     return PreparedOperators(phases=phases, kinetic=kinetic, fused=fused)
 
 
-def _multiply_phases(t: np.ndarray, phases: list[np.ndarray]) -> None:
-    """Multiply the phase tables into the register tensor t, in place. One
-    quantum particle's table, as big as the state, is one multiply on the
-    caller's thread, or two on a fused Strang step. Smaller tables are
-    multiplied in table after table on each slab of register 0, by
-    on_slabs. Each slab is passed over once per table, so it is cut as
-    if it held one temporary: under SLAB_BYTES, in cache for the passes
-    after the first. Every amplitude meets the same tables in the same
-    order whatever the cut, so the bytes do not depend on it or on the
-    thread count."""
-    if phases[0].size == t.size:
-        for table in phases:
-            np.multiply(t, table, out=t)
-        return
-
-    def multiply(cut: slice) -> None:
-        slab = t[cut]
-        for table in phases:
-            np.multiply(slab, table[cut] if table.shape[0] > 1 else table, out=slab)
-
-    on_slabs(multiply, t, 1)
-
-
 def _cell_pass(
     state: StateVector, kinetic: list[tuple[int, KineticPlan]], following: list[np.ndarray]
 ) -> float:
-    """The rest of a step on a state of two or more registers, in one
-    on_slabs pass over slabs of whole register-0 cells: on each slab, the
-    kinetic factors of registers 1 and up, whose lines lie inside a
-    register-0 cell, then the slab's norm_chunk_sums, then the tables
-    following, as _multiply_phases indexes them. Returns the norm the
-    chunk sums make in chunk order, the state's before following.
+    """One on_slabs pass over slabs of whole register-0 cells: on each
+    slab, the kinetic factors given, whose lines lie inside a register-0
+    cell, then the slab's norm_chunk_sums, then the tables following.
+    Returns the norm the chunk sums make in chunk order, the state's
+    before following. step runs it for registers 1 and up, and evolve for
+    the first phase, with no kinetic factor, on any state.
 
     A slab is cut in units of one cell or one NORM_CHUNK, whichever is
     more, and at most the whole state: both are powers of two, so no
@@ -296,30 +274,20 @@ def _cell_pass(
 
 
 def step(
-    state: StateVector,
-    phases: list[np.ndarray],
-    kinetic: list[tuple[int, KineticPlan]],
-    following: list[np.ndarray] | None = None,
-) -> float | None:
-    """One first-order step, in place: the phase tables, then each
-    (register, kinetic plan) pair. evolve runs Strang as such steps.
-
-    Given following, the tables the next step starts with, the step also
-    takes the state's norm, multiplies following in after it, and returns
-    it. On a state of two or more registers that is two passes after the
-    phases: register 0's kinetic factor, then one _cell_pass for the other
-    registers, the norm and following. A one-register state takes them in
-    turn, with state.norm()."""
-    if phases:
-        _multiply_phases(state.tensor, phases)
-    if following is None or state.tensor.ndim == 1:
+    state: StateVector, kinetic: list[tuple[int, KineticPlan]], following: list[np.ndarray]
+) -> float:
+    """The rest of a step after its phase, in place: each (register,
+    kinetic plan) pair, the state's norm, then the tables following, which
+    the next step starts with. Returns the norm. A state of two or more
+    registers takes two passes, register 0's kinetic factor and one
+    _cell_pass for the rest; a one-register state takes them in turn."""
+    t = state.tensor
+    if t.ndim == 1:
         for register, kplan in kinetic:
             apply_kinetic_plan(state, register, kplan)
-        if following is None:
-            return None
         norm = state.norm()
-        if following:
-            _multiply_phases(state.tensor, following)
+        for table in following:
+            np.multiply(t, table, out=t)
         return norm
     for register, kplan in kinetic:
         if register == 0:
@@ -354,10 +322,11 @@ def evolve(
     starts with, which the step multiplies in before evolve checks its
     norm. To keep the initial state, pass a copy.
 
-    Each step is one call of step: the first multiplies in ops.phases,
-    and each takes the norm after its kinetic factors and then multiplies
-    in the tables the next step starts with, ops.fused, the same tables
-    as ops.phases for a first-order plan. A Strang run is thus fused
+    ops.phases is multiplied in by one _cell_pass before the first step,
+    whose norm goes unused. Each step is then one call of step: it takes
+    the norm after its kinetic factors and then multiplies in the tables
+    the next step starts with, ops.fused, the same tables as ops.phases
+    for a first-order plan. A Strang run is thus fused
     (Strang 1968): the trailing half phase of each step and the leading
     one of the next are one whole-step phase, and the half phases follow
     the last step once more, before its norm check, which takes the norm
@@ -377,10 +346,12 @@ def evolve(
     worker_count()
     ops = prepare_operators(state.grid, roster, plan)
     tail = ops.phases if plan.splitting == "strang" else []
+    if ops.phases:
+        _cell_pass(state, [], ops.phases)
     drift = np.empty(plan.N_t, dtype=float)
     for k in range(1, plan.N_t + 1):
         last = k == plan.N_t
-        norm = step(state, ops.phases if k == 1 else [], ops.kinetic, tail if last else ops.fused)
+        norm = step(state, ops.kinetic, tail if last else ops.fused)
         if last and tail:
             norm = state.norm()
         drift[k - 1] = abs(norm - 1.0)

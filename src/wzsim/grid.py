@@ -42,10 +42,10 @@ MAX_AXIS_QUBITS = 20
 MAX_TOTAL_QUBITS = 30
 
 # Bytes one slab may hold on each thread, for every slab kernel: a
-# kinetic kernel's temporaries, evolution's multiply of phase tables and
-# its cell pass, the rows of a quantum-clamped Coulomb table built at
-# once, and the |a|^2 of a marginal_density slab. A call of on_slabs
-# also takes one thread per SLAB_BYTES of its array at most.
+# kinetic kernel's temporaries, evolution's cell pass, the rows of a
+# quantum-clamped Coulomb table built at once, and the |a|^2 of a
+# marginal_density slab. A call of on_slabs also takes one thread per
+# SLAB_BYTES of its array at most.
 SLAB_BYTES = 1 << 20
 
 # Each slab thread is an OS thread; a huge WZ_THREADS must not start
@@ -374,19 +374,18 @@ def _slab_pool(threads: int):
 def on_slabs(fn: Callable[[slice], None], t: np.ndarray, temporaries: int) -> None:
     """Call fn(cut) for slices cut of t's axis 0 that together cover it, so
     that fn works on the slab t[cut]: every kinetic factor of two or more
-    registers, every multiply of two or more phase tables and every cell
-    pass of a step. workers is worker_count(), read at this call, so no
-    plan holds it, capped at
-    t.nbytes // SLAB_BYTES, so that a thread's share of t is worth its
-    hand-off; below SLAB_BYTES the caller works alone. There is one slab
-    per worker or, when fn holds `temporaries` arrays of its slab's size,
-    as many more as keep them under SLAB_BYTES. The slabs, of equal size
-    to within a cell, go to min(workers, slabs) threads, the caller's
-    among them: each thread starts on one of the first slabs, the caller
-    on slab 0, and then takes the next slab not yet taken as it finishes
-    its last, so that a thread the machine holds back leaves its share
-    to the others. Each slab is fn's alone, so the bytes do not depend
-    on which thread takes it."""
+    registers and every cell pass of evolution, the first phase's among
+    them. workers is worker_count(), read at this call, so no plan holds
+    it, capped at t.nbytes // SLAB_BYTES, so that a thread's share of t is
+    worth its hand-off; below SLAB_BYTES the caller works alone. There is
+    one slab per worker or, when fn holds `temporaries` arrays of its
+    slab's size, as many more as keep them under SLAB_BYTES. The slabs,
+    of equal size to within a cell, go to min(workers, slabs) threads, the
+    caller's among them: each thread starts on one of the first slabs, the
+    caller on slab 0, and then takes the next slab not yet taken as it
+    finishes its last, so that a thread the machine holds back leaves its
+    share to the others. Each slab is fn's alone, so the bytes do not
+    depend on which thread takes it."""
     workers = min(worker_count(), max(1, t.nbytes // SLAB_BYTES))
     cells = t.shape[0]
     bounds = slab_bounds(cells, temporaries * (t.nbytes // cells), workers)

@@ -10,7 +10,6 @@ from wzsim.errors import NormDriftError, ResourceLimitError, ValidationError
 from wzsim.evolution import (
     MAX_STEPS,
     EvolutionPlan,
-    _multiply_phases,
     evolve,
     prepare_operators,
     sample_configurations,
@@ -52,6 +51,21 @@ def gaussian_state(grid, roster, sigma=0.1, mu=0.5):
         return np.exp(-total / (2 * sigma**2)).astype(complex)
 
     return encode_state(grid, roster, sampler)
+
+
+def multiply_tables(state, tables):
+    """Each table multiplied into the whole register tensor, in order."""
+    tensor = state.tensor
+    for table in tables:
+        np.multiply(tensor, table, out=tensor)
+
+
+def first_order_step(state, tables, kinetic):
+    """A first-order step by hand, in place: the tables, then each
+    (register, kinetic plan) pair on the whole state."""
+    multiply_tables(state, tables)
+    for register, kplan in kinetic:
+        apply_kinetic_plan(state, register, kplan)
 
 
 class TestPlanValidation:
@@ -201,21 +215,16 @@ class TestPreparedOperators:
 
 
 class TestStepComposition:
-    def _manual_kinetic(self, state, ops):
-        for register, kplan in ops.kinetic:
-            apply_kinetic_plan(state, register, kplan)
-
     def test_first_order_is_phase_then_kinetic(self):
         grid = build_grid(1.0, 4, 1)
         roster = (electron(),)
         state = gaussian_state(grid, roster)
-        plan = EvolutionPlan(T=1e-3, N_t=10, terms={"T_e", "wall"}, splitting="first-order")
+        plan = EvolutionPlan(T=1e-4, N_t=1, terms={"T_e", "wall"}, splitting="first-order")
         ops = prepare_operators(grid, roster, plan)
         (phase,) = ops.phases
-        stepped = copy_of(state)
-        step(stepped, ops.phases, ops.kinetic)
+        stepped = evolve(copy_of(state), plan).final_state
         manual = state.with_amplitudes(state.amplitudes * phase)
-        self._manual_kinetic(manual, ops)
+        first_order_step(manual, [], ops.kinetic)
         assert np.array_equal(stepped.amplitudes, manual.amplitudes)
 
     def test_strang_is_half_phase_sandwich(self):
@@ -229,7 +238,7 @@ class TestStepComposition:
         (phase,) = ops.phases
         stepped = evolve(copy_of(state), plan).final_state
         manual = state.with_amplitudes(state.amplitudes * phase)
-        self._manual_kinetic(manual, ops)
+        first_order_step(manual, [], ops.kinetic)
         manual = manual.with_amplitudes(manual.amplitudes * phase)
         assert np.array_equal(stepped.amplitudes, manual.amplitudes)
 
@@ -358,11 +367,12 @@ def random_state(grid, n_particles, seed=0):
 
 
 def sandwich_step(state, plan, ops):
-    """One step of plan on state, in place: a first-order step, and for
-    Strang the half phases once more after it, the half-phase sandwich."""
-    step(state, ops.phases, ops.kinetic)
-    if plan.splitting == "strang" and ops.phases:
-        _multiply_phases(state.tensor, ops.phases)
+    """One step of plan on state by hand, in place: a first-order step,
+    and for Strang the half phases once more after it, the half-phase
+    sandwich."""
+    first_order_step(state, ops.phases, ops.kinetic)
+    if plan.splitting == "strang":
+        multiply_tables(state, ops.phases)
 
 
 def chained_steps(state, plan, ops):
@@ -375,15 +385,16 @@ def chained_steps(state, plan, ops):
 
 
 def fused_chain(state, plan, ops):
-    """A Strang run by hand, as evolve fuses it: first-order steps, the
-    first with the half phases and the rest with the fused tables, then the
-    half phases once more before the last norm. Returns the copy of state
-    and the drift after each step."""
+    """A run by hand, as evolve schedules it, one whole-state pass per
+    operator: first-order steps, the first with ops.phases and the rest
+    with the fused tables, and for Strang the half phases once more
+    before the last norm. Returns a copy of state after the run and the
+    drift after each step."""
     chained, drift = copy_of(state), []
     for k in range(plan.N_t):
-        step(chained, ops.fused if k else ops.phases, ops.kinetic)
-        if k == plan.N_t - 1:
-            _multiply_phases(chained.tensor, ops.phases)
+        first_order_step(chained, ops.fused if k else ops.phases, ops.kinetic)
+        if k == plan.N_t - 1 and plan.splitting == "strang":
+            multiply_tables(chained, ops.phases)
         drift.append(abs(chained.norm() - 1.0))
     return chained, drift
 
@@ -416,7 +427,9 @@ class TestWorkBuffer:
     @pytest.mark.parametrize("method", ["trotter", "spectral"])
     def test_step_acts_on_the_state_it_is_given(self, method, splitting):
         # Two electrons and two clamped protons in 2D: four registers, so
-        # the phase and every kinetic factor act on a multi-register state.
+        # every kinetic factor and the tables act on a multi-register
+        # state. A step is the kinetic factors, the norm, then the next
+        # step's tables.
         grid = build_grid(4.0, 3, 2)
         roster = molecule_roster(grid)
         plan = EvolutionPlan(
@@ -426,23 +439,21 @@ class TestWorkBuffer:
         state = random_state(grid, 2)
         manual = copy_of(state)
         buffer = state.amplitudes
-        assert step(state, ops.phases, ops.kinetic) is None
+        norm = step(state, ops.kinetic, ops.fused)
         assert state.amplitudes is buffer
-        # The first-order composition, with Strang's half tables.
-        tensor = manual.tensor
-        for table in ops.phases:
-            tensor *= table
-        for register, kplan in ops.kinetic:
-            apply_kinetic_plan(manual, register, kplan)
+        first_order_step(manual, [], ops.kinetic)
+        assert norm == manual.norm()
+        multiply_tables(manual, ops.fused)
         assert np.array_equal(state.amplitudes, manual.amplitudes)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_phase_tables_on_slabs_match_the_whole_tensor(self, monkeypatch, threads):
         # Two electrons and two protons in 2D on 8 cells, under a cap of a
-        # third of the state: 4 slabs of register 0, on up to 3 threads.
-        # Without a kinetic term a step is the tables alone. The tables are
-        # made under WZ_THREADS=1 and the step reads `threads`: the pool
-        # has threads - 1.
+        # third of the state and a norm chunk of one register-0 cell: 4
+        # slabs of register 0, on up to 3 threads. The cell pass with no
+        # kinetic factor is evolve's first phase. The tables are made
+        # under WZ_THREADS=1 and the pass reads `threads`: the pool has
+        # threads - 1.
         asked = []
         pool = grid_mod._slab_pool
 
@@ -456,15 +467,14 @@ class TestWorkBuffer:
         roster = molecule_roster(grid)
         state = random_state(grid, 2)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // 3)
+        monkeypatch.setattr(grid_mod, "NORM_CHUNK", state.dim // grid.cells_per_axis)
         plan = EvolutionPlan(T=0.05, N_t=4, terms={"U_ee", "U_en", "wall"})
         ops = prepare_operators(grid, roster, plan)
         assert len(ops.phases) == 3 and ops.kinetic == []
         whole = copy_of(state)
-        tensor = whole.tensor
-        for table in ops.phases:
-            tensor *= table
+        multiply_tables(whole, ops.phases)
         monkeypatch.setenv("WZ_THREADS", str(threads))
-        step(state, ops.phases, ops.kinetic)
+        evolution_mod._cell_pass(state, [], ops.phases)
         assert np.array_equal(state.amplitudes, whole.amplitudes)
         assert asked == [threads - 1] * (threads - 1)
 
@@ -633,23 +643,6 @@ class TestWorkBuffer:
         assert counts[:2] == counts[2:]
 
 
-def pass_by_pass(state, plan, ops):
-    """A copy of state after evolve's schedule, one whole-state pass per
-    operator: the phase tables (the half tables first, then the fused
-    ones), each register's kinetic factor, the Strang tail's half tables
-    after the last step, and vector_norm. Returns the copy and the drift
-    after each step."""
-    run, drift = copy_of(state), []
-    for k in range(plan.N_t):
-        _multiply_phases(run.tensor, ops.fused if k else ops.phases)
-        for register, kplan in ops.kinetic:
-            apply_kinetic_plan(run, register, kplan)
-        if k == plan.N_t - 1 and plan.splitting == "strang":
-            _multiply_phases(run.tensor, ops.phases)
-        drift.append(abs(grid_mod.vector_norm(run.amplitudes) - 1.0))
-    return run, np.array(drift)
-
-
 class TestTwoPassStep:
     """A step of a multi-register state is register 0's kinetic factor,
     then one pass over register-0 cells for the other registers, the norm
@@ -657,11 +650,13 @@ class TestTwoPassStep:
 
     # (n, d, electrons): two electrons in 2D on 8 cells, whose cells of
     # 512 amplitudes meet the matrix kernels; one electron in 2D on 128
-    # cells, whose cells of 128 meet the scan and the FFT.
-    LAYOUTS = {"two electrons": (3, 2, 2), "one electron": (7, 2, 1)}
+    # cells, whose cells of 128 meet the scan and the FFT; and one
+    # electron on one axis of 128 cells, whose steps take the operators in
+    # turn and whose first phase alone is a cell pass.
+    LAYOUTS = {"two electrons": (3, 2, 2), "one electron": (7, 2, 1), "one register": (7, 1, 1)}
 
     def case(self, layout):
-        n, d, electrons = {**self.LAYOUTS, "one register": (4, 1, 1)}[layout]
+        n, d, electrons = self.LAYOUTS[layout]
         grid = build_grid(4.0, n, d)
         mid = grid.cells_per_axis // 2
         roster = (electron(),) * electrons + (
@@ -681,9 +676,11 @@ class TestTwoPassStep:
         # NORM_CHUNK is set against a register-0 cell, so that the slabs
         # are cut in cells or in chunks; SLAB_BYTES to a 32nd of the
         # state, so that the cell pass hands slabs to every thread and
-        # the kernels cut their lines inside a slab.
+        # the kernels cut their lines inside a slab. A one-register cell
+        # is one amplitude, so its chunks are reckoned against 4: 2, 4 and
+        # 16 amplitudes, 32, 32 and 8 slabs.
         grid, roster, state = self.case(layout)
-        cell = state.dim // grid.cells_per_axis
+        cell = max(4, state.dim // grid.cells_per_axis)
         size = {"cell / 2": cell // 2, "cell": cell, "4 cells": 4 * cell}[chunk]
         monkeypatch.setattr(grid_mod, "NORM_CHUNK", size)
         monkeypatch.setattr(grid_mod, "SLAB_BYTES", state.amplitudes.nbytes // 32)
@@ -693,13 +690,13 @@ class TestTwoPassStep:
             splitting=splitting, v_wall=50.0,
         )
         ops = prepare_operators(grid, roster, plan)
-        expected, drift = pass_by_pass(state, plan, ops)
+        expected, drift = fused_chain(state, plan, ops)
         report = evolve(state, plan, particles=roster)
         assert np.array_equal(report.final_state.amplitudes, expected.amplitudes)
         assert np.array_equal(report.norm_drift, drift)
 
     @pytest.mark.parametrize("splitting", ["first-order", "strang"])
-    @pytest.mark.parametrize("layout", [*LAYOUTS, "one register"])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
     def test_an_abort_leaves_the_next_steps_tables_in(self, layout, splitting):
         # A state of norm 1.01 fails the first step's norm check. A step
         # multiplies in the tables the next one starts with before evolve
@@ -714,30 +711,29 @@ class TestTwoPassStep:
         )
         ops = prepare_operators(grid, roster, plan)
         expected = copy_of(state)
-        _multiply_phases(expected.tensor, ops.phases)
-        for register, kplan in ops.kinetic:
-            apply_kinetic_plan(expected, register, kplan)
-        _multiply_phases(expected.tensor, ops.fused)
+        first_order_step(expected, ops.phases, ops.kinetic)
+        multiply_tables(expected, ops.fused)
         with pytest.raises(NormDriftError, match="at step 1 "):
             evolve(state, plan, particles=roster)
         assert np.array_equal(state.amplitudes, expected.amplitudes)
 
     @pytest.mark.parametrize("d, electrons, calls", [(2, 2, 2), (1, 1, 0)])
-    def test_a_step_after_the_first_makes_two_slab_calls(self, monkeypatch, d, electrons, calls):
+    def test_every_step_makes_two_slab_calls(self, monkeypatch, d, electrons, calls):
         # The bench molecule's layout, two electrons and two clamped
-        # protons in 2D, makes two on_slabs calls a step after the first:
-        # register 0, then the cell pass. A one-register box makes none.
-        per_step, count = [], [0]
+        # protons in 2D, makes two on_slabs calls a step: register 0, then
+        # the cell pass. A one-register box makes none. evolve makes one
+        # more, before the first step, for the first half tables.
+        per_step, total = [], [0]
         slabs, stepper = grid_mod.on_slabs, evolution_mod.step
 
         def spy(*args):
-            count[0] += 1
+            total[0] += 1
             return slabs(*args)
 
         def counted_step(*args):
-            count[0] = 0
+            before = total[0]
             out = stepper(*args)
-            per_step.append(count[0])
+            per_step.append(total[0] - before)
             return out
 
         monkeypatch.setattr(grid_mod, "on_slabs", spy)
@@ -748,8 +744,8 @@ class TestTwoPassStep:
         terms = {"T_e", "U_ee", "U_en"} if electrons == 2 else {"T_e", "wall"}
         plan = EvolutionPlan(T=0.05, N_t=4, kinetic_method="spectral", terms=terms, splitting="strang")
         evolve(random_state(grid, electrons), plan, particles=roster)
-        # The first step multiplies its half tables in a pass of its own.
-        assert per_step == [calls + (electrons > 1)] + [calls] * 3
+        assert per_step == [calls] * 4
+        assert total[0] == 1 + calls * 4
 
 
 class TestInteractingOracle:
@@ -903,19 +899,16 @@ class TestExchangeSymmetry:
         grid = build_grid(4.0, n, d)
         roster = molecule_roster(grid) if d == 2 else one_ion_roster(grid)
         plan = EvolutionPlan(
-            T=0.05, N_t=4, kinetic_method=method, terms=MOLECULE_TERMS, splitting=splitting
+            T=0.0125, N_t=1, kinetic_method=method, terms=MOLECULE_TERMS, splitting=splitting
         )
-        ops = prepare_operators(grid, roster, plan)
         order = tuple(range(d, 2 * d)) + tuple(range(d))
 
         def swapped(state):
             return state.with_amplitudes(state.tensor.transpose(order).reshape(-1))
 
         state = random_state(grid, 2, 5)
-        before, after = swapped(state), copy_of(state)
-        sandwich_step(before, plan, ops)
-        sandwich_step(after, plan, ops)
-        after = swapped(after)
+        before = evolve(swapped(state), plan, particles=roster).final_state
+        after = swapped(evolve(copy_of(state), plan, particles=roster).final_state)
         assert np.max(np.abs(before.amplitudes - after.amplitudes)) <= 1e-14
 
 
